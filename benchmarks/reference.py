@@ -1,18 +1,17 @@
 """Reference figures for benchmarks/README.md.
 
-    python3 benchmarks/reference.py [--seeds 1-10] [--sets 2] [--workloads a,b]
+    python3 benchmarks/reference.py
 
-Runs benchmarks/run.py once per seed and workload, for BENCHMARK.json's
-run_seconds, in each of --sets sets, and prints, per workload and metric,
-each set's median, quartiles and spread (IQR / median), the wall-clock
-medians of the fit and predict commands, and the share of CPU time the
-hypervisor took (the steal column of /proc/stat) while the runs went on.
+Runs benchmarks/run.py once per workload and seed in SEEDS, for
+BENCHMARK.json's run_seconds, in each of SETS sets, and prints, per workload
+and metric, each set's median, quartiles and spread (IQR / median), the
+wall-clock medians of the fit and predict commands, and the share of CPU
+time the hypervisor took (the steal column of /proc/stat) while the runs went on.
 Run from the root of a checkout, on an otherwise idle machine.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -21,6 +20,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 WORKLOADS = ["spam-batch", "rings-sgd", "imbalanced-grid"]
+SEEDS = range(1, 11)
+SETS = 2
 
 
 def cpu_ticks() -> tuple[int, int]:
@@ -47,26 +48,19 @@ def summary(values: list[float]) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="1-10", help="first-last seed")
-    parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    args = parser.parse_args()
-    lo, hi = (int(v) for v in args.seeds.split("-"))
-    workloads = args.workloads.split(",")
     with open("BENCHMARK.json") as fh:
         seconds = json.load(fh)["run_seconds"]
 
-    for workload in workloads:
-        for set_no in range(1, args.sets + 1):
+    for workload in WORKLOADS:
+        for set_no in range(1, SETS + 1):
             steal0, total0 = cpu_ticks()
             results, walls = [], []
-            for seed in range(lo, hi + 1):
+            for seed in SEEDS:
                 result, rounds = one_run(workload, seed, seconds)
                 results.append(result)
                 walls.extend(rounds)
             steal1, total1 = cpu_ticks()
-            print(f"## {workload}, set {set_no}, seeds {lo}-{hi}")
+            print(f"## {workload}, set {set_no}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
             for name, metric in results[0]["metrics"].items():
                 values = [r["metrics"][name]["value"] for r in results]
                 print(f"  {name:<15} {summary(values)} {metric['unit']}")

@@ -48,14 +48,17 @@ TEST_FRACTION = 0.2  # the CLI's default held-out share
 # A vCPU of the shared host flips between two speeds about every half
 # second, 1.4x apart, so each time is a mean over repeats that together span
 # several seconds: a median of short samples would pick one of the two.
-FITS = {"rings-sgd": 3}  # fit runs per round; 1 where not listed
 PREDICTS = {"rings-sgd": 7}  # predict runs per round; 3 where not listed
+# rings-sgd fits three times per round, each with another --seed: Lloyd needs
+# 25 to 67 iterations, depending mostly on where k-means++ starts, and the
+# mean over three starts narrows that spread between runs. The first fit uses
+# CLI_SEED; its model is the one predicted with and checked.
+FIT_SEEDS = {"rings-sgd": (CLI_SEED, 1, 2)}  # (CLI_SEED,) where not listed
+SETUPS = 5  # fresh interpreters timed per run; setup_s is their mean
 SCORE_POINT_ROWS = 200
-SCORE_POINT_PASS_S = 0.5  # CPU seconds of score_point calls after each predict
+SCORE_POINT_PASS_S = 1.0  # CPU seconds of score_point calls after each predict
 SPAM_C = 1.0
 RINGS_EPOCHS = 60
-# seeds 1-7 need 25 to 67 Lloyd iterations, so this cap fixes the k-means work
-RINGS_KMEANS_ITERS = 20
 GRID = [2.0**-12, 2.0**-6, 1.0]
 GRID_FOLDS = 3
 SGD_BATCH_MARGIN = 0.01
@@ -122,14 +125,18 @@ class Context:
 
 
 def measure_setup(env: dict) -> float:
-    """CPU seconds of a fresh interpreter that imports aucmax.cli and builds its parser."""
+    """Mean CPU seconds of SETUPS fresh interpreters, one after another, that
+    each import aucmax.cli and build its parser."""
     code = "import aucmax.cli; aucmax.cli.build_parser()"
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"importing aucmax.cli exited {proc.returncode}")
-    return usage.ru_utime + usage.ru_stime
+    seconds = []
+    for _ in range(SETUPS):
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            raise RuntimeError(f"importing aucmax.cli exited {proc.returncode}")
+        seconds.append(usage.ru_utime + usage.ru_stime)
+    return statistics.fmean(seconds)
 
 
 def digest(path: str) -> str:
@@ -180,15 +187,15 @@ def make_inputs(ctx: Context) -> Inputs:
 # --- one round --------------------------------------------------------------
 
 
-def fit_commands(ctx: Context, inp: Inputs, model: str, traced: bool = False):
+def fit_commands(ctx: Context, inp: Inputs, model: str, cli_seed: int = CLI_SEED, traced: bool = False):
     """The workload's training commands; returns them and the C of the batch model."""
-    data = ["--data", inp.data_file, "--seed", str(CLI_SEED)]
+    data = ["--data", inp.data_file, "--seed", str(cli_seed)]
     if ctx.workload == "spam-batch":
         cmd = ctx.cli(["train-batch", *data, "--landmarks", "1600", "--c", repr(SPAM_C), "--model", model], traced)
         return [cmd], SPAM_C, None
     if ctx.workload == "rings-sgd":
-        cmd = ctx.cli(["train-sgd", *data, "--landmarks", "400", "--epochs", str(RINGS_EPOCHS),
-                       "--kmeans-iters", str(RINGS_KMEANS_ITERS), "--model", model], traced)
+        cmd = ctx.cli(["train-sgd", *data, "--landmarks", "400", "--epochs", str(RINGS_EPOCHS), "--model", model],
+                      traced)
         return [cmd], None, None
     report = ctx.path("grid.csv")
     grid = ",".join(repr(c) for c in GRID)
@@ -240,28 +247,34 @@ def verify(results: list, name: str, good, bad):
 
 
 def run_round(ctx: Context, inp: Inputs) -> tuple[dict, list[dict], dict]:
-    """Fit FITS times; then predict PREDICTS times, each followed by score_point calls.
+    """Fit once per FIT_SEEDS entry and predict PREDICTS times, each predict
+    followed by score_point calls.
 
-    Repeated commands must write byte-identical files; times are means.
+    The fit at CLI_SEED comes first and the other fits go between the
+    predicts, so that every time's samples spread over the whole round: the
+    host's speed drifts over tens of seconds. Repeated predicts must write
+    byte-identical scores; times are means.
     """
     from aucmax.dataio import SparseVector
 
     model, scores_file = ctx.path("model.txt"), ctx.path("scores.txt")
-    fit_runs, outputs = [], set()
-    for _ in range(FITS.get(ctx.workload, 1)):
-        fits, C, grid = fit_commands(ctx, inp, model)
-        fit_runs.append(fits)
-        outputs.add(("model", digest(model)))
+    _, *other_seeds = FIT_SEEDS.get(ctx.workload, (CLI_SEED,))
+    fits, C, grid = fit_commands(ctx, inp, model)
+    fit_runs, outputs = [fits], set()
+    n_predicts = PREDICTS.get(ctx.workload, 3)
     points = [SparseVector(np.flatnonzero(x), x[np.flatnonzero(x)]) for x in inp.scored.X[:SCORE_POINT_ROWS]]
     predicts, point_cpu, point_calls = [], 0.0, 0
-    for k in range(PREDICTS.get(ctx.workload, 3)):
+    for k in range(n_predicts):
         predicts.append(ctx.cli(["predict", "--model", model, "--data", inp.scored_file, "--scores", scores_file]))
-        outputs.add(("scores", digest(scores_file)))
+        outputs.add(digest(scores_file))
         if k == 0:
             pipe, parts = pipeline_parts(model)
         seconds, calls, point_scores = score_point_pass(pipe, points)
         point_cpu += seconds
         point_calls += calls
+        if other_seeds and (k + 1) % (n_predicts // (len(other_seeds) + 1)) == 0:
+            other_fits, _, _ = fit_commands(ctx, inp, ctx.path("other-model.txt"), other_seeds.pop(0))
+            fit_runs.append(other_fits)
     ctx.point_calls += point_calls
     scores = read_scores(scores_file)
     y = inp.scored.y
@@ -279,7 +292,7 @@ def run_round(ctx: Context, inp: Inputs) -> tuple[dict, list[dict], dict]:
     }
 
     results: list[dict] = [
-        {"check": "repeats_agree", "ok": len(outputs) == 2, "corruption_caught": True, "detail": ""}
+        {"check": "repeats_agree", "ok": len(outputs) == 1, "corruption_caught": True, "detail": ""}
     ]
     printed = ctx.cli(["eval-auc", "--scores", scores_file, "--labels", inp.labels_file]).stdout
     verify(results, "auc_matches_eval_auc",
@@ -326,6 +339,7 @@ def run_round(ctx: Context, inp: Inputs) -> tuple[dict, list[dict], dict]:
         same = digest(traced_model) == digest(model) and digest(traced_scores) == digest(scores_file)
         results.append({"check": "tracing_changes_no_output", "ok": same, "corruption_caught": True, "detail": ""})
         detail["traced_fit_cpu_s"] = sum(c.cpu_s for c in traced_fits)
+        detail["untraced_fit_cpu_s"] = sum(c.cpu_s for c in fit_runs[0])  # the same --seed
     return metrics, results, detail
 
 
@@ -445,7 +459,7 @@ def main(argv=None) -> int:
             rounds.append(metrics)
             results.extend(checked)
             if ctx.trace:
-                layers.append(layer_metrics(ctx.spans, detail["traced_fit_cpu_s"], metrics["fit_cpu_s"]))
+                layers.append(layer_metrics(ctx.spans, detail["traced_fit_cpu_s"], detail["untraced_fit_cpu_s"]))
                 _write_trace(ctx, ctx.spans, layers[-1])
             print(json.dumps({"round": len(rounds), **metrics, **detail, "checks": checked}), file=sys.stderr)
     finally:
