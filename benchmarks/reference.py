@@ -5,7 +5,8 @@
 Runs benchmarks/run.py once per workload and seed in SEEDS, for
 BENCHMARK.json's run_seconds, in each of SETS sets, and prints, per workload
 and metric, each set's median, quartiles and spread (IQR / median), the
-wall-clock medians of the fit and predict commands, and the share of CPU
+wall-clock medians of the fit and predict commands, score_point's mean
+over its passes (the metric is its fastest pass), and the share of CPU
 time the hypervisor took (the steal column of /proc/stat) while the runs went on.
 Run from the root of a checkout, on an otherwise idle machine.
 """
@@ -66,6 +67,7 @@ def main() -> int:
                 print(f"  {name:<15} {summary(values)} {metric['unit']}")
             for name in ("fit_wall_s", "predict_wall_s"):
                 print(f"  {name:<15} median {statistics.median(w[name] for w in walls):.3f} s (wall clock)")
+            print(f"  score_point_mean_us {summary([w['score_point_mean_us'] for w in walls])} (mean over passes, not a metric)")
             steal = (steal1 - steal0) / max(total1 - total0, 1)
             print(f"  steal share    {steal:.3f} of all CPU time while this set ran")
             sys.stdout.flush()
