@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 
@@ -18,6 +19,7 @@ import numpy as np
 from .batch import BatchConfig, train_batch
 from .dataio import (
     Dataset,
+    _normalize_binary_labels,
     group_binary,
     parse_libsvm,
     split,
@@ -28,7 +30,7 @@ from .embedding import embed, fit_nystroem, fit_rff, kmeans
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import GaussianKernelParams, bandwidth_heuristic
 from .metrics import auc
-from .model import TrainedPipeline, embedding_digest, load_model, save_model
+from .model import TrainedPipeline, load_model, save_model
 from .sgd import SgdConfig, sgd_result_weights, train_sgd
 
 DEFAULT_C_GRID = [2.0**k for k in range(-15, 11)]
@@ -94,13 +96,20 @@ def _add_batch_flags(p: argparse.ArgumentParser):
     p.add_argument("--cg-max", type=int, default=200)
 
 
-def _add_sgd_flags(p: argparse.ArgumentParser):
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-8, help="regularization scale")
-    p.add_argument("--t0", type=int, default=10_000, help="step-size offset (default 10000)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--rskip", type=int, default=16, help="iterations between shrink events")
-    p.add_argument("--askip", type=int, default=16, help="iterations between mean captures")
-    p.add_argument("--no-averaging", action="store_true", help="return the last iterate instead")
+# every SGD flag, declared once; each subcommand adds the ones it takes
+_SGD_FLAGS = {
+    "--lambda": dict(dest="lam", type=float, default=1e-8, help="regularization scale"),
+    "--t0": dict(type=int, default=10_000, help="step-size offset (default 10000)"),
+    "--epochs": dict(type=int, default=20),
+    "--rskip": dict(type=int, default=16, help="iterations between shrink events"),
+    "--askip": dict(type=int, default=16, help="iterations between mean captures"),
+    "--no-averaging": dict(action="store_true", help="return the last iterate instead"),
+}
+
+
+def _add_sgd_flags(p: argparse.ArgumentParser, flags):
+    for flag in flags:
+        p.add_argument(flag, **_SGD_FLAGS[flag])
 
 
 # ---------------------------------------------------------------------------
@@ -130,32 +139,39 @@ def _kernel_params(args, standardized: Dataset) -> GaussianKernelParams:
     return bandwidth_heuristic(standardized, cap=args.bandwidth_cap)
 
 
-def _fit_embedding_map(args, standardized_train: Dataset, seed: int):
-    kernel = _kernel_params(args, standardized_train)
+def _fit_embedded(args, train: Dataset, *held_out: Dataset):
+    """Fit the standardizer and the embedding map on train; embed train and each held-out set."""
+    standardizer = standardize_fit(train)
+    standardized = [standardize_apply(standardizer, d) for d in (train, *held_out)]
+    kernel = _kernel_params(args, standardized[0])
     if args.embedding == "rff":
-        return fit_rff(standardized_train.dim, args.landmarks, kernel, seed=seed)
-    lm = kmeans(standardized_train, v=args.landmarks, max_iter=args.kmeans_iters, seed=seed)
-    return fit_nystroem(lm, kernel, rank_cap=args.rank, seed=seed)
+        emb_map = fit_rff(train.dim, args.landmarks, kernel, seed=args.seed)
+    else:
+        lm = kmeans(standardized[0], v=args.landmarks, max_iter=args.kmeans_iters, seed=args.seed)
+        emb_map = fit_nystroem(lm, kernel, rank_cap=args.rank, seed=args.seed)
+    return standardizer, emb_map, [embed(emb_map, d) for d in standardized]
 
 
 def _prepare(args):
-    """parse -> group -> split -> standardize -> embedding map -> embed both."""
+    """parse -> group -> split -> embed both parts."""
     data = _load_grouped(args)
     data.require_both_classes()
     train, test = split(data, args.test_fraction, args.seed)
     t0 = time.perf_counter()
-    standardizer = standardize_fit(train)
-    std_train = standardize_apply(standardizer, train)
-    std_test = standardize_apply(standardizer, test)
-    emb_map = _fit_embedding_map(args, std_train, args.seed)
-    emb_train = embed(emb_map, std_train)
-    emb_test = embed(emb_map, std_test)
+    standardizer, emb_map, (emb_train, emb_test) = _fit_embedded(args, train, test)
     embedding_seconds = time.perf_counter() - t0
     return standardizer, emb_map, emb_train, emb_test, embedding_seconds
 
 
+def _sgd_config(args, **fields) -> SgdConfig:
+    """SgdConfig from the SGD flags the subcommand takes; fields set the rest."""
+    taken = {f.name: getattr(args, f.name) for f in dataclasses.fields(SgdConfig) if hasattr(args, f.name)}
+    if hasattr(args, "no_averaging"):
+        taken["averaging"] = not args.no_averaging
+    return SgdConfig(**{**taken, **fields})
+
+
 def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, embedding_seconds):
-    linear.embedding_id = embedding_digest(emb_map)
     meta = {"seed": str(args.seed), "test_fraction": _fmt(args.test_fraction)}
     if getattr(args, "positive_labels", None):
         meta["positive_labels"] = args.positive_labels
@@ -186,15 +202,7 @@ def cmd_train_batch(args) -> int:
 
 def cmd_train_sgd(args) -> int:
     standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
-    cfg = SgdConfig(
-        lam=args.lam,
-        t0=args.t0,
-        epochs=args.epochs,
-        rskip=args.rskip,
-        askip=args.askip,
-        seed=args.seed,
-        averaging=not args.no_averaging,
-    )
+    cfg = _sgd_config(args)
     rows = []
 
     def snapshot(epoch, state, elapsed):
@@ -255,10 +263,7 @@ def cmd_eval_auc(args) -> int:
                 labels.append(int(float(tokens[0])))
             except ValueError:
                 raise DataError(f"{args.labels}:{lineno}: not an integer label: {tokens[0]!r}")
-    labels = np.asarray(labels, dtype=np.int64)
-    distinct = np.unique(labels)
-    if distinct.size == 2 and not set(distinct.tolist()) <= {-1, 1}:
-        labels = np.where(labels == distinct[0], -1, 1)
+    labels = _normalize_binary_labels(np.asarray(labels, dtype=np.int64))
     result = auc(np.asarray(scores), labels, "strict" if args.strict else "half")
     print(f"{result.auc:.6f}")
     return 0
@@ -300,30 +305,13 @@ def cmd_gridsearch(args) -> int:
     rows = []
     for fold_id, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, val_idx)
-        fold_train = data.subset(train_idx)
-        fold_val = data.subset(val_idx)
-        standardizer = standardize_fit(fold_train)
-        std_train = standardize_apply(standardizer, fold_train)
-        std_val = standardize_apply(standardizer, fold_val)
-        emb_map = _fit_embedding_map(args, std_train, args.seed)
-        emb_train = embed(emb_map, std_train)
-        emb_val = embed(emb_map, std_val)
+        _, _, (emb_train, emb_val) = _fit_embedded(args, data.subset(train_idx), data.subset(val_idx))
         for value in grid:
             t0 = time.perf_counter()
             if args.solver == "batch":
                 linear = train_batch(emb_train, BatchConfig(C=value))
             else:
-                linear = train_sgd(
-                    emb_train,
-                    SgdConfig(
-                        lam=value,
-                        t0=args.t0,
-                        epochs=args.epochs,
-                        rskip=args.rskip,
-                        askip=args.askip,
-                        seed=args.seed,
-                    ),
-                )
+                linear = train_sgd(emb_train, _sgd_config(args, lam=value))
             seconds = time.perf_counter() - t0
             score = auc(emb_val.features @ linear.w, emb_val.y).auc
             rows.append((value, fold_id, score, seconds))
@@ -370,15 +358,7 @@ def cmd_convergence(args) -> int:
     rows = []
     for seed in seeds:
         for variant, averaging in (("averaged", True), ("non-averaged", False)):
-            cfg = SgdConfig(
-                lam=args.lam,
-                t0=args.t0,
-                epochs=epochs_grid[-1],
-                rskip=args.rskip,
-                askip=args.askip,
-                seed=seed,
-                averaging=averaging,
-            )
+            cfg = _sgd_config(args, epochs=epochs_grid[-1], seed=seed, averaging=averaging)
 
             def snapshot(epoch, state, elapsed, variant=variant, seed=seed, avg=averaging):
                 if epoch in wanted:
@@ -417,10 +397,7 @@ def cmd_embed(args) -> int:
     data = _load_grouped(args)
     data.require_both_classes()
     t0 = time.perf_counter()
-    standardizer = standardize_fit(data)
-    standardized = standardize_apply(standardizer, data)
-    emb_map = _fit_embedding_map(args, standardized, args.seed)
-    emb = embed(emb_map, standardized)
+    _, _, (emb,) = _fit_embedded(args, data)
     seconds = time.perf_counter() - t0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -456,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_kernel_flags(p)
     _add_embedding_flags(p)
-    _add_sgd_flags(p)
+    _add_sgd_flags(p, _SGD_FLAGS)
     p.add_argument("--curve", default=None, help="per-epoch AUC curve CSV")
     p.add_argument("--model", required=True, help="output model file")
     p.set_defaults(func=cmd_train_sgd)
@@ -481,20 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="comma-separated values (defaults per solver)")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--report", default=None, help="per-cell CSV report")
-    p.add_argument("--t0", type=int, default=10_000)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--rskip", type=int, default=16)
-    p.add_argument("--askip", type=int, default=16)
+    _add_sgd_flags(p, ("--t0", "--epochs", "--rskip", "--askip"))
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("convergence", help="test AUC per epoch count, both variants")
     _add_data_flags(p)
     _add_kernel_flags(p)
     _add_embedding_flags(p)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-8)
-    p.add_argument("--t0", type=int, default=10_000)
-    p.add_argument("--rskip", type=int, default=16)
-    p.add_argument("--askip", type=int, default=16)
+    _add_sgd_flags(p, ("--lambda", "--t0", "--rskip", "--askip"))
     p.add_argument("--epochs-grid", default=None, help="comma-separated epoch counts")
     p.add_argument("--seeds", default=None, help="comma-separated solver seeds")
     p.add_argument("--report", required=True, help="output CSV")
@@ -517,23 +488,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {ConfigError: 2, FileNotFoundError: 2, DataError: 3, NumericalError: 4}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args) or 0
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

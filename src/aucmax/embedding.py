@@ -348,10 +348,3 @@ def embed_point(m: NystroemMap | RffMap, x) -> np.ndarray:
     if isinstance(m, NystroemMap):
         return _nystroem_features(m, xv.reshape(1, -1)).ravel()
     return _rff_features(m, xv.reshape(1, -1)).ravel()
-
-
-def embed_rff(m: RffMap, x) -> np.ndarray:
-    """Feature vector of one point under the random cosine map."""
-    if not isinstance(m, RffMap):
-        raise ConfigError("embed_rff requires an RffMap")
-    return embed_point(m, x)

@@ -1,4 +1,4 @@
-"""Exact AUC computation and the pairwise training objective.
+"""Exact AUC computation.
 
 AUC is the probability that a uniformly random positive instance outscores
 a uniformly random negative one. Counts are accumulated as exact integers
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import pairwise_objective
-from .embedding import EmbeddedDataset
 from .errors import ConfigError, DataError
 
 
@@ -77,8 +75,3 @@ def auc_bruteforce(scores, labels, tie_policy: str = "half") -> AucResult:
     ties = int(np.sum(s_pos[:, None] == s_neg[None, :]))
     losses = s_pos.size * s_neg.size - wins - ties
     return _result_from_counts(wins, ties, losses, tie_policy)
-
-
-def objective(w, data: EmbeddedDataset, C: float, p: int = 2) -> float:
-    """Regularized pairwise hinge (p=1) or squared hinge (p=2) objective."""
-    return pairwise_objective(np.asarray(w, dtype=np.float64), data, C, p)

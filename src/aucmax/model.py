@@ -52,12 +52,11 @@ def embedding_digest(m: NystroemMap | RffMap) -> str:
         h.update(b"nystroem")
         h.update(np.ascontiguousarray(m.landmarks.centroids).tobytes())
         h.update(np.ascontiguousarray(m.projection).tobytes())
-        h.update(repr(m.kernel.sigma2).encode())
     else:
         h.update(b"rff")
         h.update(np.ascontiguousarray(m.frequencies).tobytes())
         h.update(np.ascontiguousarray(m.phases).tobytes())
-        h.update(repr(m.kernel.sigma2).encode())
+    h.update(repr(float(m.kernel.sigma2)).encode())
     return h.hexdigest()
 
 
@@ -76,6 +75,8 @@ class TrainedPipeline:
                 f"weight length {self.linear.r} does not match embedding rank "
                 f"{self.embedding_rank}"
             )
+        if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
+            raise DataError("embedding_id does not match the embedding: the weights belong to another one")
 
     @property
     def embedding_rank(self) -> int:
@@ -103,6 +104,47 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+# the hyperparameters either solver records, with their types
+_HYPERPARAMETERS = {
+    "askip": int,
+    "averaging": str,
+    "c": float,
+    "cg_max": int,
+    "cg_tol": float,
+    "epochs": int,
+    "grad_tol": float,
+    "lambda": float,
+    "max_outer": int,
+    "rskip": int,
+    "seed": int,
+    "t0": int,
+}
+
+# Each section's typed scalar keys and its matrices, in the order the file
+# holds them. Scalars not typed here (meta entries, hyperparameters unknown to
+# this version) stay text; an unseeded embedding has no seed line.
+_SCHEMA = {
+    "meta": ({}, ()),
+    "standardizer": ({"dim": int}, ("mean", "stdev")),
+    "nystroem": (
+        {"v": int, "r": int, "d": int, "sigma2": _positive, "seed": int},
+        ("centroids", "projection", "eigenvalues"),
+    ),
+    "rff": ({"D": int, "d": int, "sigma2": _positive, "seed": int}, ("frequencies", "phases")),
+    "linear": (
+        {"r": int, "trained_by": str, **_HYPERPARAMETERS, "embedding_id": str},
+        ("weights",),
+    ),
+}
+
+
 def _write_matrix(out: list[str], name: str, M: np.ndarray):
     M = np.atleast_2d(M)
     out.append(f"{name} {M.shape[0]} {M.shape[1]}")
@@ -111,49 +153,72 @@ def _write_matrix(out: list[str], name: str, M: np.ndarray):
 
 
 def save_model(path: str, pipe: TrainedPipeline):
-    lines = [_MAGIC, "[meta]", f"solver {pipe.linear.trained_by}"]
-    for key, value in sorted(pipe.meta.items()):
-        lines.append(f"{key} {value}")
-
-    lines.append("[standardizer]")
-    lines.append(f"dim {pipe.standardizer.dim}")
-    _write_matrix(lines, "mean", pipe.standardizer.mean)
-    _write_matrix(lines, "stdev", pipe.standardizer.stdev)
-
-    emb = pipe.embedding
+    std, emb, lin = pipe.standardizer, pipe.embedding, pipe.linear
     if isinstance(emb, NystroemMap):
-        lines.append("[nystroem]")
-        lines.append(f"v {emb.landmarks.v}")
-        lines.append(f"r {emb.rank}")
-        lines.append(f"d {emb.landmarks.dim}")
-        lines.append(f"sigma2 {_fmt(emb.kernel.sigma2)}")
-        if emb.seed is not None:
-            lines.append(f"seed {emb.seed}")
-        _write_matrix(lines, "centroids", emb.landmarks.centroids)
-        _write_matrix(lines, "projection", emb.projection)
-        _write_matrix(lines, "eigenvalues", emb.eigenvalues)
+        kind, emb_values = "nystroem", {
+            "v": emb.landmarks.v,
+            "r": emb.rank,
+            "d": emb.landmarks.dim,
+            "sigma2": float(emb.kernel.sigma2),
+            "seed": emb.seed,
+            "centroids": emb.landmarks.centroids,
+            "projection": emb.projection,
+            "eigenvalues": emb.eigenvalues,
+        }
     else:
-        lines.append("[rff]")
-        lines.append(f"D {emb.rank}")
-        lines.append(f"d {emb.frequencies.shape[1]}")
-        lines.append(f"sigma2 {_fmt(emb.kernel.sigma2)}")
-        if emb.seed is not None:
-            lines.append(f"seed {emb.seed}")
-        _write_matrix(lines, "frequencies", emb.frequencies)
-        _write_matrix(lines, "phases", emb.phases)
+        kind, emb_values = "rff", {
+            "D": emb.rank,
+            "d": emb.frequencies.shape[1],
+            "sigma2": float(emb.kernel.sigma2),
+            "seed": emb.seed,
+            "frequencies": emb.frequencies,
+            "phases": emb.phases,
+        }
+    sections = {
+        "meta": {"solver": lin.trained_by, **{k: str(v) for k, v in sorted(pipe.meta.items())}},
+        "standardizer": {"dim": std.dim, "mean": std.mean, "stdev": std.stdev},
+        kind: emb_values,
+        "linear": {
+            "r": lin.r,
+            "trained_by": lin.trained_by,
+            **dict(sorted(lin.hyperparameters.items())),
+            "embedding_id": embedding_digest(emb),
+            "weights": lin.w,
+        },
+    }
 
-    lin = pipe.linear
-    lines.append("[linear]")
-    lines.append(f"r {lin.r}")
-    lines.append(f"trained_by {lin.trained_by}")
-    for key, value in sorted(lin.hyperparameters.items()):
-        val = _fmt(value) if isinstance(value, float) else value
-        lines.append(f"{key} {val}")
-    lines.append(f"embedding_id {lin.embedding_id}")
-    _write_matrix(lines, "weights", lin.w)
+    lines = [_MAGIC]
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        matrices = _SCHEMA[section][1]
+        for key, value in values.items():
+            if key not in matrices and value is not None:
+                lines.append(f"{key} {_fmt(value) if isinstance(value, float) else value}")
+        for matrix in matrices:
+            _write_matrix(lines, matrix, values[matrix])
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+class _Section(dict):
+    """A section's values by key; a missing key is a ParseError."""
+
+    def __init__(self, name: str, line: int):
+        super().__init__()
+        self.name = name
+        self.line = line
+
+    def __missing__(self, key):
+        raise ParseError(f"section [{self.name}] has no {key!r} line", self.line)
+
+
+def _parse(kind, key: str, text: str, line: int):
+    """The one value parser: a bad value is a ParseError at its line."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ParseError(f"bad value for {key!r}: {exc}", line) from None
 
 
 class _Reader:
@@ -172,46 +237,40 @@ class _Reader:
         return line
 
     def read_matrix(self, name: str) -> np.ndarray:
-        lineno = self.pos + 1
         head = self.next().split()
         if len(head) != 3 or head[0] != name:
-            raise ParseError(f"expected matrix header {name!r}", lineno)
-        rows, cols = int(head[1]), int(head[2])
-        M = np.empty((rows, cols))
-        for i in range(rows):
-            vals = self.next().split()
-            if len(vals) != cols:
-                raise ParseError(f"matrix {name!r} row has {len(vals)} values, expected {cols}", self.pos)
-            M[i] = [float(v) for v in vals]
+            raise ParseError(f"expected matrix header {name!r}", self.pos)
+        try:
+            rows, cols = int(head[1]), int(head[2])
+            M = np.empty((rows, cols))
+            for i in range(rows):
+                vals = self.next().split()
+                if len(vals) != cols:
+                    raise ParseError(f"matrix {name!r} row has {len(vals)} values, expected {cols}", self.pos)
+                M[i] = [float(v) for v in vals]
+        except ValueError as exc:
+            raise ParseError(f"matrix {name!r}: {exc}", self.pos) from None
         return M
 
-    def read_kv(self) -> dict:
-        """Consume `key value` lines until the next section header."""
-        out = {}
+    def read_section(self, name: str) -> _Section:
+        """The section's scalars, typed by the schema, then its matrices."""
+        line = self.next()
+        if line != f"[{name}]":
+            raise ParseError(f"expected section [{name}], got {line!r}", self.pos)
+        types, matrices = _SCHEMA[name]
+        out = _Section(name, self.pos)
         while True:
             line = self.peek()
             if line is None or line.startswith("["):
-                return out
-            parts = line.split(None, 1)
-            if len(parts) == 1 or parts[0] in (
-                "mean",
-                "stdev",
-                "centroids",
-                "projection",
-                "eigenvalues",
-                "frequencies",
-                "phases",
-                "weights",
-            ):
-                return out
+                break
+            key, *text = line.split(None, 1)
+            if key in matrices:
+                break
             self.next()
-            out[parts[0]] = parts[1]
-
-    def expect_section(self, name: str):
-        lineno = self.pos + 1
-        line = self.next()
-        if line != f"[{name}]":
-            raise ParseError(f"expected section [{name}], got {line!r}", lineno)
+            out[key] = _parse(types.get(key, str), key, "".join(text), self.pos)
+        for matrix in matrices:
+            out[matrix] = self.read_matrix(matrix)
+        return out
 
 
 def load_model(path: str) -> TrainedPipeline:
@@ -221,57 +280,37 @@ def load_model(path: str) -> TrainedPipeline:
     if rd.next() != _MAGIC:
         raise ParseError("not a model file (bad magic line)", 1)
 
-    rd.expect_section("meta")
-    meta = rd.read_kv()
+    meta = rd.read_section("meta")
     meta.pop("solver", None)
 
-    rd.expect_section("standardizer")
-    std_kv = rd.read_kv()
-    mean = rd.read_matrix("mean").ravel()
-    stdev = rd.read_matrix("stdev").ravel()
-    if int(std_kv["dim"]) != mean.shape[0]:
-        raise ParseError("standardizer dim does not match its arrays")
-    standardizer = Standardizer(mean, stdev)
+    std = rd.read_section("standardizer")
+    mean = std["mean"].ravel()
+    if std["dim"] != mean.shape[0]:
+        raise ParseError("standardizer dim does not match its arrays", std.line)
+    standardizer = Standardizer(mean, std["stdev"].ravel())
 
-    section = rd.next()
-    if section == "[nystroem]":
-        kv = rd.read_kv()
-        centroids = rd.read_matrix("centroids")
-        projection = rd.read_matrix("projection")
-        lam = rd.read_matrix("eigenvalues").ravel()
-        seed = int(kv["seed"]) if "seed" in kv else None
-        embedding = NystroemMap(
-            LandmarkSet(centroids),
-            GaussianKernelParams(float(kv["sigma2"])),
-            projection,
-            lam,
-            seed=seed,
+    if rd.peek() == "[rff]":
+        emb = rd.read_section("rff")
+        embedding = RffMap(
+            emb["frequencies"],
+            emb["phases"].ravel(),
+            GaussianKernelParams(emb["sigma2"]),
+            seed=emb.get("seed"),
         )
-    elif section == "[rff]":
-        kv = rd.read_kv()
-        freqs = rd.read_matrix("frequencies")
-        phases = rd.read_matrix("phases").ravel()
-        seed = int(kv["seed"]) if "seed" in kv else None
-        embedding = RffMap(freqs, phases, GaussianKernelParams(float(kv["sigma2"])), seed=seed)
     else:
-        raise ParseError(f"expected an embedding section, got {section!r}")
+        emb = rd.read_section("nystroem")
+        embedding = NystroemMap(
+            LandmarkSet(emb["centroids"]),
+            GaussianKernelParams(emb["sigma2"]),
+            emb["projection"],
+            emb["eigenvalues"].ravel(),
+            seed=emb.get("seed"),
+        )
 
-    rd.expect_section("linear")
-    kv = rd.read_kv()
-    w = rd.read_matrix("weights").ravel()
-    hyper = {
-        k: v for k, v in kv.items() if k not in ("r", "trained_by", "embedding_id")
-    }
-    for key in ("c", "lambda", "t0", "grad_tol", "cg_tol"):
-        if key in hyper:
-            hyper[key] = float(hyper[key])
-    for key in ("epochs", "rskip", "askip", "seed", "max_outer", "cg_max"):
-        if key in hyper:
-            hyper[key] = int(hyper[key])
-    linear = LinearModel(
-        w,
-        kv.get("trained_by", "batch"),
-        hyper,
-        embedding_id=kv.get("embedding_id", ""),
-    )
-    return TrainedPipeline(standardizer, embedding, linear, meta=meta)
+    lin = rd.read_section("linear")
+    w = lin.pop("weights").ravel()
+    lin.pop("r", None)
+    trained_by = lin.pop("trained_by", "batch")
+    embedding_id = lin.pop("embedding_id", "")
+    linear = LinearModel(w, trained_by, dict(lin), embedding_id=embedding_id)
+    return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta))

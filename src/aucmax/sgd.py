@@ -141,13 +141,8 @@ def train_sgd(
         if epoch_callback is not None:
             epoch_callback(epoch, state, elapsed)
 
-    if averaging and state.q > 0:
-        w_final = state.w_avg
-    else:
-        # averaging off, or no capture ever fired (T < askip): last iterate
-        w_final = state.w
     return LinearModel(
-        w_final,
+        sgd_result_weights(state, averaging),
         trained_by="sgd",
         hyperparameters={
             "lambda": cfg.lam,
@@ -167,7 +162,8 @@ def train_sgd(
 
 
 def sgd_result_weights(state: SgdState, averaging: bool) -> np.ndarray:
-    """The vector a finished run reports: mean if captured, else last iterate."""
+    """The vector a finished run reports: the mean of the captured iterates,
+    or the last iterate when averaging is off or no capture fired (T < askip)."""
     if averaging and state.q > 0:
         return state.w_avg
     return state.w

@@ -4,12 +4,14 @@ Commands run in-process through main(argv) so exit codes and printed
 key=value lines can be asserted directly.
 """
 
+import argparse
 import csv
+import re
 
 import numpy as np
 import pytest
 
-from aucmax.cli import main
+from aucmax.cli import build_parser, main
 from aucmax.dataio import parse_libsvm, to_libsvm
 from aucmax.synthetic import make_rings
 
@@ -370,3 +372,164 @@ class TestExitCodes:
         ])
         assert code == 0
         assert 0.0 <= float(parse_kv(out)["train_auc"]) <= 1.0
+
+
+# option -> (default, required) for every subcommand; argparse's -h is left out
+OPTIONS = {
+    "train-batch": {
+        "--data": (None, True),
+        "--test-fraction": (0.2, False),
+        "--seed": (0, False),
+        "--positive-labels": (None, False),
+        "--sigma2": (None, False),
+        "--gamma": (None, False),
+        "--bandwidth-cap": (80000, False),
+        "--embedding": ("nystroem", False),
+        "--landmarks": (1600, False),
+        "--rank": (None, False),
+        "--kmeans-iters": (100, False),
+        "--c": (1.0, False),
+        "--grad-tol": (None, False),
+        "--max-outer": (100, False),
+        "--cg-tol": (0.001, False),
+        "--cg-max": (200, False),
+        "--model": (None, True),
+    },
+    "train-sgd": {
+        "--data": (None, True),
+        "--test-fraction": (0.2, False),
+        "--seed": (0, False),
+        "--positive-labels": (None, False),
+        "--sigma2": (None, False),
+        "--gamma": (None, False),
+        "--bandwidth-cap": (80000, False),
+        "--embedding": ("nystroem", False),
+        "--landmarks": (1600, False),
+        "--rank": (None, False),
+        "--kmeans-iters": (100, False),
+        "--lambda": (1e-08, False),
+        "--t0": (10000, False),
+        "--epochs": (20, False),
+        "--rskip": (16, False),
+        "--askip": (16, False),
+        "--no-averaging": (False, False),
+        "--curve": (None, False),
+        "--model": (None, True),
+    },
+    "predict": {
+        "--model": (None, True),
+        "--data": (None, True),
+        "--scores": (None, True),
+    },
+    "eval-auc": {
+        "--scores": (None, True),
+        "--labels": (None, True),
+        "--strict": (False, False),
+    },
+    "gridsearch": {
+        "--data": (None, True),
+        "--seed": (0, False),
+        "--positive-labels": (None, False),
+        "--sigma2": (None, False),
+        "--gamma": (None, False),
+        "--bandwidth-cap": (80000, False),
+        "--embedding": ("nystroem", False),
+        "--landmarks": (1600, False),
+        "--rank": (None, False),
+        "--kmeans-iters": (100, False),
+        "--solver": (None, True),
+        "--grid": (None, False),
+        "--folds": (3, False),
+        "--report": (None, False),
+        "--t0": (10000, False),
+        "--epochs": (20, False),
+        "--rskip": (16, False),
+        "--askip": (16, False),
+    },
+    "convergence": {
+        "--data": (None, True),
+        "--test-fraction": (0.2, False),
+        "--seed": (0, False),
+        "--positive-labels": (None, False),
+        "--sigma2": (None, False),
+        "--gamma": (None, False),
+        "--bandwidth-cap": (80000, False),
+        "--embedding": ("nystroem", False),
+        "--landmarks": (1600, False),
+        "--rank": (None, False),
+        "--kmeans-iters": (100, False),
+        "--lambda": (1e-08, False),
+        "--t0": (10000, False),
+        "--rskip": (16, False),
+        "--askip": (16, False),
+        "--epochs-grid": (None, False),
+        "--seeds": (None, False),
+        "--report": (None, True),
+    },
+    "kmeans": {
+        "--data": (None, True),
+        "--seed": (0, False),
+        "--positive-labels": (None, False),
+        "--landmarks": (1600, False),
+        "--kmeans-iters": (100, False),
+        "--out": (None, True),
+    },
+    "embed": {
+        "--data": (None, True),
+        "--seed": (0, False),
+        "--positive-labels": (None, False),
+        "--sigma2": (None, False),
+        "--gamma": (None, False),
+        "--bandwidth-cap": (80000, False),
+        "--embedding": ("nystroem", False),
+        "--landmarks": (1600, False),
+        "--rank": (None, False),
+        "--kmeans-iters": (100, False),
+        "--out": (None, True),
+    },
+}
+
+
+def test_option_set_is_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for command, subparser in sub.choices.items():
+        found[command] = {}
+        for action in subparser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            for option in action.option_strings:
+                found[command][option] = (action.default, action.required)
+    assert found == OPTIONS
+
+
+@pytest.fixture(scope="module")
+def model_text(tmp_path_factory, rings_file):
+    path = tmp_path_factory.mktemp("model") / "m.model"
+    assert main(["train-batch", "--data", rings_file, "--landmarks", "16", "--model", str(path)]) == 0
+    return path.read_text()
+
+
+class TestCorruptModel:
+    @pytest.mark.parametrize("section, pattern, repl, message", [
+        ("linear", r"^(weights \d+ \d+\n)\S+", r"\1abc", "line "),
+        ("standardizer", r"^dim \d+\n", "", "line "),
+        ("linear", r"^weights \d+ \d+$", "weights x 1", "line "),
+        ("nystroem", r"^sigma2 \S+$", "sigma2 abc", "line "),
+        ("nystroem", r"^seed \S+$", "seed x", "line "),
+        ("linear", r"^c \S+$", "c abc", "line "),
+        ("nystroem", r"^sigma2 \S+$", "sigma2 -1", "line "),
+        ("linear", r"^embedding_id \S+$", "embedding_id deadbeef", "embedding_id"),
+    ], ids=["matrix-cell", "missing-dim", "matrix-header", "sigma2-text", "seed-text",
+            "c-text", "sigma2-negative", "foreign-embedding-id"])
+    def test_exits_three(self, capsys, tmp_path, rings_file, model_text, section, pattern, repl, message):
+        head, header, body = model_text.partition(f"[{section}]\n")
+        body, n = re.subn(pattern, repl, body, count=1, flags=re.M)
+        assert header and n == 1
+        path = tmp_path / "bad.model"
+        path.write_text(head + header + body)
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert message in err

@@ -12,7 +12,6 @@ from aucmax.embedding import (
     _lloyd,
     embed,
     embed_point,
-    embed_rff,
     fit_nystroem,
     fit_rff,
     kmeans,
@@ -220,7 +219,7 @@ class TestRff:
         rng = np.random.default_rng(14)
         m = fit_rff(5, 4096, GaussianKernelParams(1.0), seed=0)
         x = rng.standard_normal(5)
-        z = embed_rff(m, x)
+        z = embed_point(m, x)
         assert abs(z @ z - 1.0) < 0.05
 
     def test_unbiased_kernel_estimate(self):
@@ -230,7 +229,7 @@ class TestRff:
         vals = []
         for seed in range(50):
             m = fit_rff(3, 2048, p, seed=seed)
-            vals.append(embed_rff(m, x) @ embed_rff(m, y))
+            vals.append(embed_point(m, x) @ embed_point(m, y))
         assert abs(np.mean(vals) - np.exp(-1.0)) < 0.05
 
     def test_scale(self):
@@ -249,7 +248,7 @@ class TestRff:
         ds = Dataset(rng.standard_normal((6, 3)), np.array([1, -1] * 3), 3)
         emb = embed(m, ds)
         assert emb.features.shape == (6, 32)
-        np.testing.assert_allclose(emb.features[0], embed_rff(m, ds.X[0]), atol=1e-13)
+        np.testing.assert_allclose(emb.features[0], embed_point(m, ds.X[0]), atol=1e-13)
 
 
 class TestValidation:

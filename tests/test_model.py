@@ -35,7 +35,6 @@ def fit_pipeline(solver="batch", embedding="nystroem", seed=0):
         linear = train_batch(emb, BatchConfig(C=1.0))
     else:
         linear = train_sgd(emb, SgdConfig(lam=1e-6, epochs=3, seed=seed))
-    linear.embedding_id = embedding_digest(emb_map)
     return data, TrainedPipeline(std, emb_map, linear, meta={"seed": str(seed)})
 
 
@@ -80,7 +79,7 @@ class TestModelFile:
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
         np.testing.assert_array_equal(loaded.linear.w, pipe.linear.w)
-        assert loaded.linear.embedding_id == pipe.linear.embedding_id
+        assert loaded.linear.embedding_id == embedding_digest(pipe.embedding)
         assert loaded.linear.trained_by == "batch"
 
     def test_roundtrip_rff(self, tmp_path):
@@ -91,6 +90,16 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
         np.testing.assert_array_equal(loaded.embedding.frequencies, pipe.embedding.frequencies)
         assert loaded.linear.hyperparameters["lambda"] == 1e-6
+
+    @pytest.mark.parametrize("solver", ["batch", "sgd"])
+    def test_hyperparameters_keep_values_and_types(self, tmp_path, solver):
+        _, pipe = fit_pipeline(solver=solver)
+        path = str(tmp_path / "model.txt")
+        save_model(path, pipe)
+        loaded = load_model(path).linear.hyperparameters
+        expected = pipe.linear.hyperparameters
+        assert loaded == expected
+        assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in expected.items()}
 
     def test_resave_is_byte_identical(self, tmp_path):
         _, pipe = fit_pipeline()
@@ -104,7 +113,9 @@ class TestModelFile:
         _, pipe_a = fit_pipeline(seed=0)
         _, pipe_b = fit_pipeline(seed=1)
         assert embedding_digest(pipe_a.embedding) != embedding_digest(pipe_b.embedding)
-        assert pipe_a.linear.embedding_id == embedding_digest(pipe_a.embedding)
+        pipe_a.linear.embedding_id = embedding_digest(pipe_b.embedding)
+        with pytest.raises(DataError, match="embedding_id"):
+            TrainedPipeline(pipe_a.standardizer, pipe_a.embedding, pipe_a.linear)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
