@@ -21,7 +21,6 @@ from aucmax import (
     train_batch,
     train_sgd,
 )
-from aucmax.sgd import sgd_result_weights
 from aucmax.synthetic import make_rings
 
 data = make_rings(n=2000, seed=0, imbalance=3.0, noise=0.3)
@@ -47,9 +46,8 @@ curves = {}
 for label, averaging in (("averaged", True), ("last iterate", False)):
     snapshots = {}
 
-    def record(epoch, state, elapsed, averaging=averaging, snapshots=snapshots):
+    def record(epoch, w, elapsed, snapshots=snapshots):
         if epoch in checkpoints:
-            w = sgd_result_weights(state, averaging)
             snapshots[epoch] = auc(test_emb.features @ w, test_emb.y).auc
 
     cfg = SgdConfig(lam=lam, epochs=checkpoints[-1], seed=0, averaging=averaging)

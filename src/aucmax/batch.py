@@ -108,6 +108,10 @@ class PairAggregates:
         Q = self.suff_q_neg[self.k]
         return float(np.sum(c * one_minus**2 + 2.0 * one_minus * S + Q))
 
+    def objective(self, w: np.ndarray, C: float, p: int = 2) -> float:
+        """F(w), for the w whose scores built these aggregates."""
+        return 0.5 * float(w @ w) + C * self.loss(p)
+
     def gamma(self) -> np.ndarray:
         """Per-instance pair-sum coefficients: the gradient is w + 2C X^T gamma."""
         g = np.zeros(self.scores.size)
@@ -116,6 +120,10 @@ class PairAggregates:
         S_neg = self.pref_s_pos[self.m]
         g[self.neg_idx] = (1.0 + self.s_neg) * self.c_neg - S_neg
         return g
+
+    def gradient(self, w: np.ndarray, X, C: float) -> np.ndarray:
+        """Squared hinge gradient, for the w whose scores X @ w built these aggregates."""
+        return w + 2.0 * C * (X.T @ self.gamma())
 
     def alpha(self, proj: np.ndarray) -> np.ndarray:
         """Coefficients for the Hessian-vector product given proj = Xv."""
@@ -129,10 +137,6 @@ class PairAggregates:
         return a
 
 
-def _aggregates(w: np.ndarray, data: EmbeddedDataset) -> PairAggregates:
-    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
-
-
 def pairwise_objective(w: np.ndarray, data: EmbeddedDataset, C: float, p: int = 2) -> float:
     """F(w) for the hinge (p=1) or squared hinge (p=2) pair loss."""
     if C <= 0:
@@ -140,15 +144,13 @@ def pairwise_objective(w: np.ndarray, data: EmbeddedDataset, C: float, p: int = 
     if p not in (1, 2):
         raise ConfigError(f"p must be 1 or 2, got {p}")
     w = np.asarray(w, dtype=np.float64)
-    agg = _aggregates(w, data)
-    return 0.5 * float(w @ w) + C * agg.loss(p)
+    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx).objective(w, C, p)
 
 
 def grad_fast(w: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
     """Exact gradient of the squared hinge objective in O(n log n)."""
     w = np.asarray(w, dtype=np.float64)
-    agg = _aggregates(w, data)
-    return w + 2.0 * C * (data.features.T @ agg.gamma())
+    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx).gradient(w, data.features, C)
 
 
 def hvp_fast(agg: PairAggregates, v: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
@@ -211,12 +213,12 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
     t_start = time.perf_counter()
 
     agg = PairAggregates(scores, data.pos_idx, data.neg_idx)
-    g = w + 2.0 * C * (X.T @ agg.gamma())
+    g = agg.gradient(w, X, C)
     g0_norm = float(np.linalg.norm(g))
     tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-4 * max(1.0, g0_norm)
 
     grad_norms = [g0_norm]
-    objectives = [0.5 * float(w @ w) + C * agg.loss(2)]
+    objectives = [agg.objective(w, C)]
     outer = 0
     converged = g0_norm <= tol
 
@@ -233,7 +235,7 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
             trial_scores = scores + eta * x_dir
             trial_w = w + eta * direction
             trial_agg = PairAggregates(trial_scores, data.pos_idx, data.neg_idx)
-            trial_obj = 0.5 * float(trial_w @ trial_w) + C * trial_agg.loss(2)
+            trial_obj = trial_agg.objective(trial_w, C)
             if trial_obj < current:
                 accepted = True
                 break
@@ -252,7 +254,7 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
         w, scores, agg = trial_w, trial_scores, trial_agg
         outer += 1
         objectives.append(trial_obj)
-        g = w + 2.0 * C * (X.T @ agg.gamma())
+        g = agg.gradient(w, X, C)
         gn = float(np.linalg.norm(g))
         grad_norms.append(gn)
         converged = gn <= tol

@@ -31,7 +31,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .kernels import GaussianKernelParams, bandwidth_heuristic
 from .metrics import auc
 from .model import TrainedPipeline, load_model, save_model
-from .sgd import SgdConfig, sgd_result_weights, train_sgd
+from .sgd import SgdConfig, train_sgd
 
 DEFAULT_C_GRID = [2.0**k for k in range(-15, 11)]
 DEFAULT_LAMBDA_GRID = [1e-10, 1e-9, 1e-8, 1e-7]
@@ -83,8 +83,12 @@ def _add_embedding_flags(p: argparse.ArgumentParser):
         default="nystroem",
         help="feature construction (default nystroem)",
     )
-    p.add_argument("--landmarks", type=int, default=1600, help="landmark count v (default 1600)")
+    _add_landmark_flags(p)
     p.add_argument("--rank", type=int, default=None, help="embedding rank cap (default: full)")
+
+
+def _add_landmark_flags(p: argparse.ArgumentParser):
+    p.add_argument("--landmarks", type=int, default=1600, help="landmark count v (default 1600)")
     p.add_argument("--kmeans-iters", type=int, default=100, help="Lloyd iteration cap (default 100)")
 
 
@@ -205,8 +209,7 @@ def cmd_train_sgd(args) -> int:
     cfg = _sgd_config(args)
     rows = []
 
-    def snapshot(epoch, state, elapsed):
-        w = sgd_result_weights(state, cfg.averaging)
+    def snapshot(epoch, w, elapsed):
         rows.append(
             (
                 epoch,
@@ -360,9 +363,8 @@ def cmd_convergence(args) -> int:
         for variant, averaging in (("averaged", True), ("non-averaged", False)):
             cfg = _sgd_config(args, epochs=epochs_grid[-1], seed=seed, averaging=averaging)
 
-            def snapshot(epoch, state, elapsed, variant=variant, seed=seed, avg=averaging):
+            def snapshot(epoch, w, elapsed, variant=variant, seed=seed):
                 if epoch in wanted:
-                    w = sgd_result_weights(state, avg)
                     score = auc(emb_test.features @ w, emb_test.y).auc
                     rows.append((variant, epoch, seed, score, elapsed))
 
@@ -473,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kmeans", help="write landmark centroids for a dataset")
     _add_data_flags(p, with_split=False)
-    p.add_argument("--landmarks", type=int, default=1600)
-    p.add_argument("--kmeans-iters", type=int, default=100)
+    _add_landmark_flags(p)
     p.add_argument("--out", required=True, help="output centroid file")
     p.set_defaults(func=cmd_kmeans)
 

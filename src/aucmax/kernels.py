@@ -33,25 +33,6 @@ class GaussianKernelParams:
         return 1.0 / (2.0 * self.sigma2)
 
 
-def _as_matrix(rows, dim: int | None = None) -> Matrix:
-    """Accept a 2-D ndarray, a sparse matrix, or a list of SparseVector."""
-    if sp.issparse(rows):
-        return rows.tocsr()
-    if isinstance(rows, np.ndarray):
-        if rows.ndim == 1:
-            return rows.reshape(1, -1)
-        return rows
-    rows = list(rows)
-    if not rows:
-        raise DataError("empty row collection")
-    if dim is None:
-        dim = max((int(r.indices[-1]) + 1 if r.indices.size else 0) for r in rows)
-    data = np.concatenate([r.values for r in rows]) if rows else np.empty(0)
-    col = np.concatenate([r.indices for r in rows]) if rows else np.empty(0, dtype=np.int64)
-    indptr = np.cumsum([0] + [r.indices.size for r in rows])
-    return sp.csr_matrix((data, col, indptr), shape=(len(rows), dim))
-
-
 def row_sq_norms(X: Matrix) -> np.ndarray:
     if sp.issparse(X):
         return np.asarray(X.multiply(X).sum(axis=1)).ravel()
@@ -90,23 +71,13 @@ def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
     return float(np.exp(-d2 / (2.0 * params.sigma2)))
 
 
-def _pad_columns(X: sp.csr_matrix, dim: int) -> sp.csr_matrix:
-    return sp.csr_matrix((X.data, X.indices, X.indptr), shape=(X.shape[0], dim))
+def kernel_matrix(rows_a: Matrix, rows_b: Matrix, params: GaussianKernelParams) -> np.ndarray:
+    """Dense Gaussian kernel matrix between the rows of rows_a and of rows_b.
 
-
-def kernel_matrix(rows_a, rows_b, params: GaussianKernelParams) -> np.ndarray:
-    """Dense |A| x |B| Gaussian kernel matrix.
-
-    Symmetric with unit diagonal when both arguments are the same rows.
-    Sparse inputs of unequal width are padded to their union feature space;
-    dense inputs must match exactly.
+    Each argument is a dense array or a sparse matrix; both must have the
+    same width. Symmetric with unit diagonal when both are the same rows.
     """
-    A = _as_matrix(rows_a)
-    B = _as_matrix(rows_b)
-    if A.shape[1] != B.shape[1] and sp.issparse(A) and sp.issparse(B):
-        dim = max(A.shape[1], B.shape[1])
-        A, B = _pad_columns(A, dim), _pad_columns(B, dim)
-    d2 = pairwise_sq_dists(A, B)
+    d2 = pairwise_sq_dists(rows_a, rows_b)
     return np.exp(d2 / (-2.0 * params.sigma2))
 
 

@@ -111,6 +111,12 @@ def _positive(text: str) -> float:
     return value
 
 
+def _nonempty(text: str) -> str:
+    if not text:
+        raise ValueError("empty value")
+    return text
+
+
 # the hyperparameters either solver records, with their types
 _HYPERPARAMETERS = {
     "askip": int,
@@ -127,20 +133,25 @@ _HYPERPARAMETERS = {
     "t0": int,
 }
 
-# Each section's typed scalar keys and its matrices, in the order the file
-# holds them. Scalars not typed here (meta entries, hyperparameters unknown to
-# this version) stay text; an unseeded embedding has no seed line.
+# Each section's typed scalar keys and its matrices with their shapes, in the
+# order the file holds them. A shape names the section's declared sizes, which
+# the reader compares with each matrix header. Scalars not typed here (meta
+# entries, hyperparameters unknown to this version) stay text; an unseeded
+# embedding has no seed line.
 _SCHEMA = {
-    "meta": ({}, ()),
-    "standardizer": ({"dim": int}, ("mean", "stdev")),
+    "meta": ({}, {}),
+    "standardizer": ({"dim": int}, {"mean": (1, "dim"), "stdev": (1, "dim")}),
     "nystroem": (
         {"v": int, "r": int, "d": int, "sigma2": _positive, "seed": int},
-        ("centroids", "projection", "eigenvalues"),
+        {"centroids": ("v", "d"), "projection": ("r", "v"), "eigenvalues": (1, "r")},
     ),
-    "rff": ({"D": int, "d": int, "sigma2": _positive, "seed": int}, ("frequencies", "phases")),
+    "rff": (
+        {"D": int, "d": int, "sigma2": _positive, "seed": int},
+        {"frequencies": ("D", "d"), "phases": (1, "D")},
+    ),
     "linear": (
-        {"r": int, "trained_by": str, **_HYPERPARAMETERS, "embedding_id": str},
-        ("weights",),
+        {"r": int, "trained_by": str, **_HYPERPARAMETERS, "embedding_id": _nonempty},
+        {"weights": (1, "r")},
     ),
 }
 
@@ -212,6 +223,11 @@ class _Section(dict):
     def __missing__(self, key):
         raise ParseError(f"section [{self.name}] has no {key!r} line", self.line)
 
+    def pop(self, key, *default):
+        if key in self or default:
+            return super().pop(key, *default)
+        return self.__missing__(key)
+
 
 def _parse(kind, key: str, text: str, line: int):
     """The one value parser: a bad value is a ParseError at its line."""
@@ -236,12 +252,18 @@ class _Reader:
         self.pos += 1
         return line
 
-    def read_matrix(self, name: str) -> np.ndarray:
+    def read_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         head = self.next().split()
         if len(head) != 3 or head[0] != name:
             raise ParseError(f"expected matrix header {name!r}", self.pos)
         try:
             rows, cols = int(head[1]), int(head[2])
+            if (rows, cols) != shape:
+                raise ParseError(
+                    f"matrix {name!r} is {rows} x {cols}, its section declares "
+                    f"{shape[0]} x {shape[1]}",
+                    self.pos,
+                )
             M = np.empty((rows, cols))
             for i in range(rows):
                 vals = self.next().split()
@@ -268,8 +290,9 @@ class _Reader:
                 break
             self.next()
             out[key] = _parse(types.get(key, str), key, "".join(text), self.pos)
-        for matrix in matrices:
-            out[matrix] = self.read_matrix(matrix)
+        for matrix, shape in matrices.items():
+            declared = tuple(out[size] if isinstance(size, str) else size for size in shape)
+            out[matrix] = self.read_matrix(matrix, declared)
         return out
 
 
@@ -284,10 +307,7 @@ def load_model(path: str) -> TrainedPipeline:
     meta.pop("solver", None)
 
     std = rd.read_section("standardizer")
-    mean = std["mean"].ravel()
-    if std["dim"] != mean.shape[0]:
-        raise ParseError("standardizer dim does not match its arrays", std.line)
-    standardizer = Standardizer(mean, std["stdev"].ravel())
+    standardizer = Standardizer(std["mean"].ravel(), std["stdev"].ravel())
 
     if rd.peek() == "[rff]":
         emb = rd.read_section("rff")
@@ -309,8 +329,8 @@ def load_model(path: str) -> TrainedPipeline:
 
     lin = rd.read_section("linear")
     w = lin.pop("weights").ravel()
-    lin.pop("r", None)
-    trained_by = lin.pop("trained_by", "batch")
-    embedding_id = lin.pop("embedding_id", "")
+    lin.pop("r")
+    trained_by = lin.pop("trained_by")
+    embedding_id = lin.pop("embedding_id")
     linear = LinearModel(w, trained_by, dict(lin), embedding_id=embedding_id)
     return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta))

@@ -47,57 +47,6 @@ class SgdConfig:
             )
 
 
-@dataclass
-class SgdState:
-    w: np.ndarray
-    w_avg: np.ndarray | None = None
-    q: int = 0
-    t: int = 1
-    rcount: int = 0
-    acount: int = 0
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-
-
-def hinge_subgradient_coeff(margin: float) -> float:
-    """1 while the pair is inside the margin, 0 at and beyond it."""
-    return 1.0 if margin < 1.0 else 0.0
-
-
-def sgd_step(state: SgdState, x_diff: np.ndarray, cfg: SgdConfig) -> SgdState:
-    """One stochastic update at iteration state.t; advances the countdowns.
-
-    The iteration counter itself is advanced by the caller after any
-    scheduled work, so the shrink that fires on this iteration sees the
-    same t the step used.
-    """
-    margin = float(state.w @ x_diff)
-    if hinge_subgradient_coeff(margin):
-        state.w += x_diff / (cfg.lam * (state.t + cfg.t0))
-    state.rcount -= 1
-    state.acount -= 1
-    return state
-
-
-def scheduled_regularize(state: SgdState, cfg: SgdConfig) -> SgdState:
-    """Apply rskip iterations' worth of weight decay in one multiply."""
-    state.w *= 1.0 - cfg.rskip / (state.t + cfg.t0)
-    state.rcount = cfg.rskip
-    return state
-
-
-def scheduled_average(state: SgdState, cfg: SgdConfig) -> SgdState:
-    """Fold the current iterate into the running mean of captured iterates."""
-    if state.q == 0:
-        state.w_avg = state.w.copy()
-    else:
-        state.w_avg = (state.q * state.w_avg + state.w) / (state.q + 1)
-    state.q += 1
-    state.acount = cfg.askip
-    return state
-
-
 def train_sgd(
     data: EmbeddedDataset, cfg: SgdConfig, epoch_callback=None
 ) -> LinearModel:
@@ -105,9 +54,15 @@ def train_sgd(
 
     Deterministic for a given seed. One epoch is n iterations; the index
     blocks for each epoch are drawn up front, so a run at fewer epochs is
-    an exact prefix of a longer run with the same seed. epoch_callback
-    (epoch_number, state, elapsed_seconds) fires after each epoch with the
-    cumulative solver time; callback cost is excluded from that time.
+    an exact prefix of a longer run with the same seed. The returned
+    weights are the mean of the iterates captured every askip iterations,
+    or the last iterate when averaging is off or no capture fired
+    (fewer than askip iterations).
+
+    epoch_callback(epoch_number, w, elapsed_seconds) fires after each epoch
+    with the weights the run would return if it stopped there and the
+    cumulative solver time; callback cost is excluded from that time. Later
+    epochs may update w in place, so a callback that keeps it must copy it.
     """
     data.require_both_classes()
     n = data.n
@@ -116,33 +71,34 @@ def train_sgd(
     n_pos, n_neg = Xp.shape[0], Xn.shape[0]
 
     rng = np.random.default_rng(cfg.seed)
-    state = SgdState(
-        w=np.zeros(data.r), q=0, t=1, rcount=cfg.rskip, acount=cfg.askip
-    )
-    averaging = cfg.averaging
+    lam, t0, rskip, askip, averaging = cfg.lam, cfg.t0, cfg.rskip, cfg.askip, cfg.averaging
+    w = np.zeros(data.r)
+    # the vector the run reports: the iterate itself until the first capture
+    w_avg = w
+    q = 0
+    t = 0
 
     elapsed = 0.0
     for epoch in range(1, cfg.epochs + 1):
         t_start = time.perf_counter()
         pos_draw = rng.integers(0, n_pos, size=n)
         neg_draw = rng.integers(0, n_neg, size=n)
-        for k in range(n):
-            x_diff = Xp[pos_draw[k]] - Xn[neg_draw[k]]
-            sgd_step(state, x_diff, cfg)
-            if state.rcount == 0:
-                scheduled_regularize(state, cfg)
-            if state.acount == 0:
-                if averaging:
-                    scheduled_average(state, cfg)
-                else:
-                    state.acount = cfg.askip
-            state.t += 1
+        for i, j in zip(pos_draw.tolist(), neg_draw.tolist()):
+            t += 1
+            x_diff = Xp[i] - Xn[j]
+            if w @ x_diff < 1.0:
+                w += x_diff / (lam * (t + t0))
+            if t % rskip == 0:
+                w *= 1.0 - rskip / (t + t0)
+            if averaging and t % askip == 0:
+                w_avg = w.copy() if q == 0 else (q * w_avg + w) / (q + 1)
+                q += 1
         elapsed += time.perf_counter() - t_start
         if epoch_callback is not None:
-            epoch_callback(epoch, state, elapsed)
+            epoch_callback(epoch, w_avg, elapsed)
 
     return LinearModel(
-        sgd_result_weights(state, averaging),
+        w_avg,
         trained_by="sgd",
         hyperparameters={
             "lambda": cfg.lam,
@@ -155,15 +111,8 @@ def train_sgd(
         },
         diagnostics={
             "iterations": cfg.epochs * n,
-            "captures": state.q,
+            "captures": q,
             "seconds": elapsed,
         },
     )
 
-
-def sgd_result_weights(state: SgdState, averaging: bool) -> np.ndarray:
-    """The vector a finished run reports: the mean of the captured iterates,
-    or the last iterate when averaging is off or no capture fired (T < askip)."""
-    if averaging and state.q > 0:
-        return state.w_avg
-    return state.w

@@ -521,8 +521,17 @@ class TestCorruptModel:
         ("linear", r"^c \S+$", "c abc", "line "),
         ("nystroem", r"^sigma2 \S+$", "sigma2 -1", "line "),
         ("linear", r"^embedding_id \S+$", "embedding_id deadbeef", "embedding_id"),
+        ("linear", r"^r \d+$", "r 5", "line "),
+        ("nystroem", r"^v \d+$", "v 999", "line "),
+        ("nystroem", r"^r \d+$", "r 3", "line "),
+        ("nystroem", r"^d \d+$", "d 7", "line "),
+        ("linear", r"^trained_by \S+\n", "", "line "),
+        ("linear", r"^embedding_id \S+\n", "", "line "),
+        ("linear", r"^embedding_id \S+$", "embedding_id", "line "),
     ], ids=["matrix-cell", "missing-dim", "matrix-header", "sigma2-text", "seed-text",
-            "c-text", "sigma2-negative", "foreign-embedding-id"])
+            "c-text", "sigma2-negative", "foreign-embedding-id", "linear-r", "nystroem-v",
+            "nystroem-r", "nystroem-d", "missing-trained-by", "missing-embedding-id",
+            "empty-embedding-id"])
     def test_exits_three(self, capsys, tmp_path, rings_file, model_text, section, pattern, repl, message):
         head, header, body = model_text.partition(f"[{section}]\n")
         body, n = re.subn(pattern, repl, body, count=1, flags=re.M)

@@ -1,4 +1,4 @@
-"""Tests for the stochastic solver: unit ops, replay equality, convergence."""
+"""Tests for the stochastic solver: hand-computed runs, replay equality, convergence."""
 
 import numpy as np
 import pytest
@@ -6,116 +6,134 @@ import pytest
 from aucmax.embedding import EmbeddedDataset
 from aucmax.errors import ConfigError
 from aucmax.metrics import auc
-from aucmax.sgd import (
-    SgdConfig,
-    SgdState,
-    hinge_subgradient_coeff,
-    scheduled_average,
-    scheduled_regularize,
-    sgd_step,
-    train_sgd,
-)
+from aucmax.sgd import SgdConfig, train_sgd
+
+
+def constant_pair(n, x_pos, x_neg):
+    """n // 2 copies of one positive row and the rest of one negative row, so
+    every sampled pair is x_pos - x_neg whatever the draws."""
+    k = n // 2
+    X = np.array([x_pos] * k + [x_neg] * (n - k), dtype=np.float64)
+    return EmbeddedDataset(X, np.array([1] * k + [-1] * (n - k)))
+
+
+def run(data, **fields):
+    """train_sgd's model and a copy of the weights it reports after each epoch."""
+    snapshots = []
+    model = train_sgd(data, SgdConfig(**fields), epoch_callback=lambda e, w, sec: snapshots.append(w.copy()))
+    return model, snapshots
+
+
+# lam * (1 + t0) == 1 exactly, so the first step adds x_diff itself
+UNIT = dict(lam=2.0**-10, t0=1023)
 
 
 class TestHingeSubgradient:
     def test_inside_margin(self):
-        assert hinge_subgradient_coeff(0.5) == 1.0
+        # margin stays far below 1: every iteration steps by x / (lam (t + t0))
+        data = constant_pair(2, [0.001], [0.0])
+        model, _ = run(data, **UNIT, epochs=3, rskip=1000, askip=1000, averaging=False)
+        expected = 0.0
+        for t in range(1, 7):
+            expected += 0.001 / (UNIT["lam"] * (t + UNIT["t0"]))
+        np.testing.assert_array_equal(model.w, [expected])
 
     def test_outside_margin(self):
-        assert hinge_subgradient_coeff(1.5) == 0.0
+        # the first step lands at margin 4; no later iteration moves w
+        data = constant_pair(2, [1.0, 0.0], [-1.0, 0.0])
+        _, snapshots = run(data, **UNIT, epochs=3, rskip=1000, askip=1000, averaging=False)
+        np.testing.assert_array_equal(snapshots, [[2.0, 0.0]] * 3)
 
     def test_boundary_is_zero(self):
-        assert hinge_subgradient_coeff(1.0) == 0.0
-
-    def test_negative_margin(self):
-        assert hinge_subgradient_coeff(-3.0) == 1.0
+        # lam (1 + t0) == 4: the first step is 0.5 and leaves a margin of exactly 1
+        data = constant_pair(2, [1.0], [-1.0])
+        model, _ = run(data, lam=2.0**-8, t0=1023, epochs=3, rskip=1000, askip=1000, averaging=False)
+        np.testing.assert_array_equal(model.w, [0.5])
 
 
 class TestSgdStep:
     def test_first_step_formula(self):
-        cfg = SgdConfig(lam=0.01, t0=100)
-        state = SgdState(w=np.zeros(2), t=1, rcount=5, acount=5)
-        x = np.array([2.0, -1.0])
-        sgd_step(state, x, cfg)
-        np.testing.assert_allclose(state.w, x / (0.01 * 101), rtol=1e-15)
+        # margin 5 / 1.01 after the first step, so the second takes none
+        data = constant_pair(2, [1.0, -0.5], [-1.0, 0.5])
+        model, _ = run(data, lam=0.01, t0=100, epochs=1, averaging=False)
+        np.testing.assert_array_equal(model.w, np.array([2.0, -1.0]) / (0.01 * (1 + 100)))
 
     def test_inactive_leaves_w(self):
-        cfg = SgdConfig(lam=0.01, t0=100)
-        state = SgdState(w=np.array([1.0]), t=3, rcount=5, acount=5)
-        sgd_step(state, np.array([2.0]), cfg)  # margin 2 >= 1
-        np.testing.assert_array_equal(state.w, [1.0])
-        assert state.rcount == 4 and state.acount == 4
+        # only the first iteration steps, yet every iteration counts toward
+        # the schedule: shrinks at t = 5, 10 and captures at t = 3, 6, 9
+        data = constant_pair(10, [1.0, 0.0], [-1.0, 0.0])
+        model, _ = run(data, **UNIT, epochs=1, rskip=5, askip=3)
+        captured = iterates(10, 5)[2::3]
+        assert captured[0, 0] == 2.0 and captured[1, 0] < 2.0
+        np.testing.assert_allclose(model.w, captured.mean(axis=0), rtol=1e-14, atol=0)
+        assert model.diagnostics["captures"] == 3
 
     def test_step_size_decreases(self):
-        cfg = SgdConfig(lam=0.1, t0=50)
-        x = np.array([0.001])  # stays inside the margin
-        state = SgdState(w=np.zeros(1), t=1, rcount=99, acount=99)
-        sgd_step(state, x, cfg)
-        first = abs(state.w[0])
-        w_before = state.w.copy()
-        state.t = 2
-        sgd_step(state, x, cfg)
-        second = abs(state.w[0] - w_before[0])
-        assert second < first
+        data = constant_pair(2, [0.001], [0.0])  # stays inside the margin
+        _, snapshots = run(data, lam=0.1, t0=50, epochs=3, rskip=16, askip=16, averaging=False)
+        steps = np.diff(np.concatenate([[0.0], np.ravel(snapshots)]))
+        assert steps[0] > steps[1] > steps[2] > 0
 
 
 class TestScheduledRegularize:
     def test_formula(self):
-        cfg = SgdConfig(lam=1.0, t0=90, rskip=10)
-        state = SgdState(w=np.array([2.0, -4.0]), t=10, rcount=0, acount=5)
-        scheduled_regularize(state, cfg)  # t + t0 = 100
-        np.testing.assert_allclose(state.w, [1.8, -3.6], rtol=1e-15)
-        assert state.rcount == 10
+        # one shrink, at t = 16, after the first step set w = (2, 0)
+        data = constant_pair(16, [1.0, 0.0], [-1.0, 0.0])
+        model, _ = run(data, **UNIT, epochs=1, rskip=16, askip=1000, averaging=False)
+        np.testing.assert_array_equal(model.w, [2.0 * (1.0 - 16 / (16 + 1023)), 0.0])
 
     def test_zero_stays_zero(self):
-        cfg = SgdConfig(lam=1.0, t0=100, rskip=10)
-        state = SgdState(w=np.zeros(3), t=50, rcount=0, acount=1)
-        scheduled_regularize(state, cfg)
-        np.testing.assert_array_equal(state.w, np.zeros(3))
+        # identical rows: every step adds zero and every shrink scales zero
+        data = constant_pair(16, [1.0, 2.0], [1.0, 2.0])
+        model, _ = run(data, **UNIT, epochs=2, rskip=4, askip=1000, averaging=False)
+        np.testing.assert_array_equal(model.w, np.zeros(2))
 
     def test_cumulative_product_over_epoch(self):
-        cfg = SgdConfig(lam=1.0, t0=1000, rskip=16)
-        state = SgdState(w=np.ones(1), t=1, rcount=16, acount=10**9)
-        # drive 64 inactive iterations: only shrink events touch w
-        x = np.array([5.0])
-        state.w[0] = 5.0  # margin 25, never active
-        factors = []
-        for _ in range(64):
-            sgd_step(state, x, cfg)
-            if state.rcount == 0:
-                factors.append(1.0 - cfg.rskip / (state.t + cfg.t0))
-                scheduled_regularize(state, cfg)
-            state.t += 1
-        assert len(factors) == 4
-        np.testing.assert_allclose(state.w[0], 5.0 * np.prod(factors), rtol=1e-14)
+        # 64 iterations: only the first steps, then shrinks at t = 16, 32, 48, 64
+        data = constant_pair(64, [1.0, 0.0], [-1.0, 0.0])
+        model, _ = run(data, **UNIT, epochs=1, rskip=16, askip=1000, averaging=False)
+        factors = [1.0 - 16 / (t + 1023) for t in (16, 32, 48, 64)]
+        expected = 2.0
+        for f in factors:
+            expected *= f
+        np.testing.assert_array_equal(model.w, [expected, 0.0])
+        np.testing.assert_allclose(model.w[0], 2.0 * np.prod(factors), rtol=1e-14)
+
+
+def iterates(n, rskip):
+    """The iterate after each of n iterations on constant_pair(n, (1, 0), (-1, 0))
+    at UNIT: (2, 0) after the first step, then one shrink every rskip."""
+    w, out = 2.0, []
+    for t in range(1, n + 1):
+        if t % rskip == 0:
+            w *= 1.0 - rskip / (t + 1023)
+        out.append([w, 0.0])
+    return np.array(out)
 
 
 class TestScheduledAverage:
     def test_first_capture(self):
-        cfg = SgdConfig(lam=1.0, askip=4)
-        state = SgdState(w=np.array([3.0, 1.0]), q=0, acount=0)
-        scheduled_average(state, cfg)
-        np.testing.assert_array_equal(state.w_avg, [3.0, 1.0])
-        assert state.q == 1 and state.acount == 4
+        data = constant_pair(4, [1.0, 0.0], [-1.0, 0.0])
+        model, _ = run(data, **UNIT, epochs=1, rskip=16, askip=4)
+        np.testing.assert_array_equal(model.w, [2.0, 0.0])
+        assert model.diagnostics["captures"] == 1
 
     def test_two_point_mean(self):
-        cfg = SgdConfig(lam=1.0)
-        state = SgdState(w=np.array([2.0]), q=0, acount=0)
-        scheduled_average(state, cfg)
-        state.w = np.array([4.0])
-        scheduled_average(state, cfg)
-        np.testing.assert_array_equal(state.w_avg, [3.0])
+        # captures at t = 4 and t = 8; the shrink at t = 8 comes first
+        data = constant_pair(8, [1.0, 0.0], [-1.0, 0.0])
+        model, _ = run(data, **UNIT, epochs=1, rskip=8, askip=4)
+        w4, w8 = iterates(8, 8)[[3, 7], 0]
+        assert w4 != w8
+        np.testing.assert_array_equal(model.w, [(w4 + w8) / 2, 0.0])
+        assert model.diagnostics["captures"] == 2
 
     def test_mean_of_ten_known_vectors(self):
-        rng = np.random.default_rng(0)
-        vectors = rng.standard_normal((10, 4))
-        cfg = SgdConfig(lam=1.0)
-        state = SgdState(w=vectors[0].copy(), q=0, acount=0)
-        for k in range(10):
-            state.w = vectors[k].copy()
-            scheduled_average(state, cfg)
-        np.testing.assert_allclose(state.w_avg, vectors.mean(axis=0), atol=1e-14)
-        assert state.q == 10
+        data = constant_pair(40, [1.0, 0.0], [-1.0, 0.0])
+        model, _ = run(data, **UNIT, epochs=1, rskip=8, askip=4)
+        captured = iterates(40, 8)[3::4]
+        assert len(captured) == 10
+        np.testing.assert_allclose(model.w, captured.mean(axis=0), rtol=1e-14, atol=0)
+        assert model.diagnostics["captures"] == 10
 
 
 class TestConfigValidation:
@@ -170,32 +188,40 @@ class TestTrainSgd:
         b = train_sgd(data, cfg)
         np.testing.assert_array_equal(a.w, b.w)
 
-    def test_replay_with_unit_ops_matches(self):
-        # driving the four ops by hand with the same draw stream must land
-        # on bit-identical weights
+    @pytest.mark.parametrize("rskip, askip", [(16, 16), (7, 5)], ids=["skips-16-16", "skips-7-5"])
+    @pytest.mark.parametrize("averaging", [True, False], ids=["averaged", "last-iterate"])
+    def test_matches_reference_loop(self, averaging, rskip, askip):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((30, 4))
         y = np.where(rng.random(30) < 0.4, 1, -1)
         y[0], y[1] = 1, -1
         data = EmbeddedDataset(X, y)
-        cfg = SgdConfig(lam=1e-4, t0=100, epochs=2, rskip=7, askip=5, seed=42)
+        cfg = SgdConfig(lam=1e-4, t0=100, epochs=3, rskip=rskip, askip=askip, seed=42, averaging=averaging)
         model = train_sgd(data, cfg)
 
-        replay_rng = np.random.default_rng(42)
-        Xp = data.features[data.pos_idx]
-        Xn = data.features[data.neg_idx]
-        state = SgdState(w=np.zeros(4), t=1, rcount=7, acount=5)
+        # the solver written out: each epoch's pairs drawn up front, a hinge
+        # step inside the margin, a shrink every rskip iterations and a
+        # capture into the running mean every askip iterations
+        draws = np.random.default_rng(42)
+        Xp, Xn = X[y == 1], X[y == -1]
+        w = np.zeros(4)
+        w_avg, q, t = None, 0, 0
         for _ in range(cfg.epochs):
-            pos = replay_rng.integers(0, Xp.shape[0], size=30)
-            neg = replay_rng.integers(0, Xn.shape[0], size=30)
+            pos = draws.integers(0, Xp.shape[0], size=30)
+            neg = draws.integers(0, Xn.shape[0], size=30)
             for k in range(30):
-                sgd_step(state, Xp[pos[k]] - Xn[neg[k]], cfg)
-                if state.rcount == 0:
-                    scheduled_regularize(state, cfg)
-                if state.acount == 0:
-                    scheduled_average(state, cfg)
-                state.t += 1
-        np.testing.assert_array_equal(model.w, state.w_avg)
+                t += 1
+                x = Xp[pos[k]] - Xn[neg[k]]
+                if float(w @ x) < 1.0:
+                    w = w + x / (cfg.lam * (t + cfg.t0))
+                if t % rskip == 0:
+                    w = w * (1.0 - rskip / (t + cfg.t0))
+                if averaging and t % askip == 0:
+                    w_avg = w.copy() if q == 0 else (q * w_avg + w) / (q + 1)
+                    q += 1
+        assert (q > 0) == averaging
+        np.testing.assert_array_equal(model.w, w_avg if averaging else w)
+        assert model.diagnostics["captures"] == q
 
     def test_shorter_run_is_prefix_of_longer(self):
         # same seed: epoch e weights of a long run equal a run stopped at e
@@ -205,16 +231,17 @@ class TestTrainSgd:
         y[0], y[1] = 1, -1
         data = EmbeddedDataset(X, y)
 
-        snapshots = {}
+        for averaging in (False, True):
+            snapshots = {}
 
-        def grab(epoch, state, elapsed):
-            snapshots[epoch] = state.w.copy()
+            def grab(epoch, w, elapsed):
+                snapshots[epoch] = w.copy()
 
-        cfg_long = SgdConfig(lam=1e-5, epochs=4, seed=9, averaging=False)
-        long_model = train_sgd(data, cfg_long, epoch_callback=grab)
-        short = train_sgd(data, SgdConfig(lam=1e-5, epochs=2, seed=9, averaging=False))
-        np.testing.assert_array_equal(short.w, snapshots[2])
-        np.testing.assert_array_equal(long_model.w, snapshots[4])
+            cfg_long = SgdConfig(lam=1e-5, epochs=4, seed=9, averaging=averaging)
+            long_model = train_sgd(data, cfg_long, epoch_callback=grab)
+            short = train_sgd(data, SgdConfig(lam=1e-5, epochs=2, seed=9, averaging=averaging))
+            np.testing.assert_array_equal(short.w, snapshots[2])
+            np.testing.assert_array_equal(long_model.w, snapshots[4])
 
     def test_no_averaging_returns_last_iterate(self):
         data = separable_1d()
@@ -223,7 +250,7 @@ class TestTrainSgd:
         assert model.hyperparameters["averaging"] == "off"
 
         snapshots = []
-        train_sgd(data, cfg, epoch_callback=lambda e, s, sec: snapshots.append(s.w.copy()))
+        train_sgd(data, cfg, epoch_callback=lambda e, w, sec: snapshots.append(w.copy()))
         np.testing.assert_array_equal(model.w, snapshots[-1])
 
     def test_fallback_when_no_capture_fires(self):
@@ -251,20 +278,27 @@ class TestTrainSgd:
         rng = np.random.default_rng(5)
         r = 16
 
-        def mean_iter_seconds(n):
+        def dataset(n):
             X = rng.standard_normal((n, r))
             y = np.where(rng.random(n) < 0.3, 1, -1)
             y[0], y[1] = 1, -1
-            data = EmbeddedDataset(X, y)
-            cfg = SgdConfig(lam=1e-6, epochs=1, seed=1)
-            best = np.inf
-            for _ in range(5):
-                t0 = time.perf_counter()
-                train_sgd(data, cfg)
-                best = min(best, (time.perf_counter() - t0) / n)
-            return best
+            return EmbeddedDataset(X, y)
 
-        mean_iter_seconds(2000)  # warm-up
-        a = mean_iter_seconds(10_000)
-        b = mean_iter_seconds(50_000)
+        cfg = SgdConfig(lam=1e-6, epochs=1, seed=1)
+
+        def seconds_per_iter(data):
+            t0 = time.perf_counter()
+            train_sgd(data, cfg)
+            return (time.perf_counter() - t0) / data.n
+
+        warm_up = dataset(2000)
+        for _ in range(5):
+            seconds_per_iter(warm_up)
+        sizes = [dataset(10_000), dataset(50_000)]
+        best = [np.inf, np.inf]
+        # alternate the sizes rep by rep, so a slow spell of the host slows both
+        for _ in range(5):
+            for k, data in enumerate(sizes):
+                best[k] = min(best[k], seconds_per_iter(data))
+        a, b = best
         assert max(a, b) / min(a, b) < 1.6
