@@ -11,7 +11,7 @@ from .dataio import (
     Dataset,
     SparseVector,
     Standardizer,
-    group_binary,
+    binary_labels,
     parse_libsvm,
     split,
     standardize_apply,
@@ -59,12 +59,12 @@ __all__ = [
     "auc",
     "auc_bruteforce",
     "bandwidth_heuristic",
+    "binary_labels",
     "embed",
     "embed_point",
     "fit_nystroem",
     "fit_rff",
     "gaussian_kernel",
-    "group_binary",
     "kernel_matrix",
     "kmeans",
     "load_model",

@@ -19,8 +19,8 @@ import numpy as np
 from .batch import BatchConfig, train_batch
 from .dataio import (
     Dataset,
-    _normalize_binary_labels,
-    group_binary,
+    binary_labels,
+    format_float,
     parse_libsvm,
     split,
     standardize_apply,
@@ -38,16 +38,12 @@ DEFAULT_LAMBDA_GRID = [1e-10, 1e-9, 1e-8, 1e-7]
 DEFAULT_EPOCHS_GRID = [1, 2, 3, 4, 5, 10, 20, 50, 100, 200, 300, 400]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # shared flag groups
 # ---------------------------------------------------------------------------
 
 
-def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True):
+def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True, with_labels: bool = True):
     p.add_argument("--data", required=True, help="LibSVM-format input file")
     if with_split:
         p.add_argument(
@@ -57,11 +53,12 @@ def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True):
             help="held-out fraction for the random split (default 0.2)",
         )
     p.add_argument("--seed", type=int, default=0, help="seed for every random stage")
-    p.add_argument(
-        "--positive-labels",
-        default=None,
-        help="comma-separated labels grouped as the positive class",
-    )
+    if with_labels:
+        p.add_argument(
+            "--positive-labels",
+            default=None,
+            help="comma-separated labels grouped as the positive class",
+        )
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser):
@@ -121,18 +118,19 @@ def _add_sgd_flags(p: argparse.ArgumentParser, flags):
 # ---------------------------------------------------------------------------
 
 
-def _load_grouped(args, dim: int | None = None) -> Dataset:
+def _load_grouped(args) -> Dataset:
+    """--data with +-1 labels, grouped by --positive-labels when given."""
     with open(args.data) as fh:
-        data = parse_libsvm(fh, dim=dim)
-    if getattr(args, "positive_labels", None):
+        data = parse_libsvm(fh)
+    positive = None
+    if args.positive_labels:
         try:
             positive = {int(tok) for tok in args.positive_labels.split(",") if tok.strip()}
         except ValueError as exc:
             raise ConfigError(f"--positive-labels must be comma-separated integers: {exc}")
         if not positive:
             raise ConfigError("--positive-labels is empty")
-        data = group_binary(data, positive)
-    return data
+    return Dataset(data.X, binary_labels(data.y, positive), data.dim)
 
 
 def _kernel_params(args, standardized: Dataset) -> GaussianKernelParams:
@@ -159,7 +157,6 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
 def _prepare(args):
     """parse -> group -> split -> embed both parts."""
     data = _load_grouped(args)
-    data.require_both_classes()
     train, test = split(data, args.test_fraction, args.seed)
     t0 = time.perf_counter()
     standardizer, emb_map, (emb_train, emb_test) = _fit_embedded(args, train, test)
@@ -176,8 +173,8 @@ def _sgd_config(args, **fields) -> SgdConfig:
 
 
 def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, embedding_seconds):
-    meta = {"seed": str(args.seed), "test_fraction": _fmt(args.test_fraction)}
-    if getattr(args, "positive_labels", None):
+    meta = {"seed": str(args.seed), "test_fraction": format_float(args.test_fraction)}
+    if args.positive_labels:
         meta["positive_labels"] = args.positive_labels
     pipe = TrainedPipeline(standardizer, emb_map, linear, meta=meta)
     save_model(args.model, pipe)
@@ -240,7 +237,7 @@ def cmd_predict(args) -> int:
     scores = pipe.score(data)
     with open(args.scores, "w") as fh:
         for s in scores:
-            fh.write(_fmt(s) + "\n")
+            fh.write(format_float(s) + "\n")
     print(f"scored={scores.shape[0]}")
     return 0
 
@@ -266,8 +263,7 @@ def cmd_eval_auc(args) -> int:
                 labels.append(int(float(tokens[0])))
             except ValueError:
                 raise DataError(f"{args.labels}:{lineno}: not an integer label: {tokens[0]!r}")
-    labels = _normalize_binary_labels(np.asarray(labels, dtype=np.int64))
-    result = auc(np.asarray(scores), labels, "strict" if args.strict else "half")
+    result = auc(np.asarray(scores), binary_labels(labels), "strict" if args.strict else "half")
     print(f"{result.auc:.6f}")
     return 0
 
@@ -288,7 +284,6 @@ def _stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 def cmd_gridsearch(args) -> int:
     data = _load_grouped(args)
-    data.require_both_classes()
     if args.grid:
         try:
             grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
@@ -331,8 +326,8 @@ def cmd_gridsearch(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["value", "fold", "auc", "seconds"])
             for value, fold_id, score, seconds in rows:
-                writer.writerow([_fmt(value), fold_id, f"{score:.6f}", f"{seconds:.6f}"])
-    print(f"selected={_fmt(selected)}")
+                writer.writerow([format_float(value), fold_id, f"{score:.6f}", f"{seconds:.6f}"])
+    print(f"selected={format_float(selected)}")
     print(f"mean_auc={means[selected]:.6f}")
     return 0
 
@@ -382,14 +377,15 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_kmeans(args) -> int:
-    data = _load_grouped(args)
+    with open(args.data) as fh:
+        data = parse_libsvm(fh)
     if data.n < 1:
         raise DataError("dataset is empty")
     lm = kmeans(data, v=args.landmarks, max_iter=args.kmeans_iters, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(f"{lm.v} {lm.dim}\n")
         for row in lm.centroids:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+            fh.write(" ".join(format_float(v) for v in row) + "\n")
     print(f"landmarks={lm.v}")
     print(f"dim={lm.dim}")
     return 0
@@ -397,7 +393,6 @@ def cmd_kmeans(args) -> int:
 
 def cmd_embed(args) -> int:
     data = _load_grouped(args)
-    data.require_both_classes()
     t0 = time.perf_counter()
     _, _, (emb,) = _fit_embedded(args, data)
     seconds = time.perf_counter() - t0
@@ -405,7 +400,7 @@ def cmd_embed(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{k}" for k in range(emb.r)])
         for i in range(emb.n):
-            writer.writerow([int(emb.y[i])] + [_fmt(v) for v in emb.features[i]])
+            writer.writerow([int(emb.y[i])] + [format_float(v) for v in emb.features[i]])
     print(f"rank={emb.r}")
     print(f"embedding_seconds={seconds:.3f}")
     return 0
@@ -474,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("kmeans", help="write landmark centroids for a dataset")
-    _add_data_flags(p, with_split=False)
+    _add_data_flags(p, with_split=False, with_labels=False)
     _add_landmark_flags(p)
     p.add_argument("--out", required=True, help="output centroid file")
     p.set_defaults(func=cmd_kmeans)

@@ -1,4 +1,4 @@
-"""LibSVM-format parsing, label grouping, standardization, and splits.
+"""LibSVM-format parsing, +-1 labels, standardization, and splits.
 
 Datasets are stored as a scipy CSR matrix (or a dense ndarray once
 standardized) plus an integer label vector. Feature indices are 1-based in
@@ -38,6 +38,8 @@ class SparseVector:
             raise DataError("feature values must be finite")
 
     def to_dense(self, dim: int) -> np.ndarray:
+        if self.indices.size and self.indices[-1] >= dim:
+            raise DataError(f"feature index {int(self.indices[-1])} outside dimension {dim}")
         out = np.zeros(dim)
         out[self.indices] = self.values
         return out
@@ -47,9 +49,8 @@ class SparseVector:
 class Dataset:
     """Labeled instances: an n x dim matrix plus integer labels.
 
-    Labels are +-1 for binary data; multiclass files keep their original
-    integer labels until :func:`group_binary` is applied. Values are treated
-    as immutable after construction.
+    Labels are kept as written; :func:`binary_labels` makes them +-1 for
+    training. Values are treated as immutable after construction.
     """
 
     X: Matrix
@@ -77,10 +78,6 @@ class Dataset:
     def n_neg(self) -> int:
         return int(np.sum(self.y == -1))
 
-    @property
-    def is_binary(self) -> bool:
-        return bool(np.all((self.y == 1) | (self.y == -1))) and self.n > 0
-
     def row(self, i: int) -> SparseVector:
         if sp.issparse(self.X):
             r = self.X.getrow(i)
@@ -93,17 +90,6 @@ class Dataset:
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
         return Dataset(self.X[indices], self.y[indices], self.dim)
-
-    def require_both_classes(self):
-        """Guard used by training/evaluation entry points."""
-        if self.n == 0:
-            raise DataError("dataset is empty")
-        if not self.is_binary:
-            raise DataError("labels are not +-1; apply group_binary first")
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise DataError(
-                f"need at least one instance of each class (n_pos={self.n_pos}, n_neg={self.n_neg})"
-            )
 
 
 @dataclass
@@ -126,26 +112,47 @@ class Standardizer:
         return self.mean.shape[0]
 
 
-def _normalize_binary_labels(y: np.ndarray) -> np.ndarray:
-    """Map two-valued label sets onto {-1, +1}; leave other label sets alone.
+def format_float(x: float) -> str:
+    """17 significant digits, which round-trip binary64 exactly."""
+    return format(float(x), ".17g")
 
-    {-1,+1} subsets pass through; any other pair maps its smaller value to -1.
-    Multiclass labels are preserved for a later group_binary call.
+
+def binary_labels(y, positive: Iterable[int] | None = None) -> np.ndarray:
+    """The +-1 labels of y, the one split of a label set into P and N.
+
+    With ``positive``, labels in that set become +1 and all others -1.
+    Without it, {-1, +1} labels pass through and any other two-valued set
+    maps its smaller value to -1. More than two values without ``positive``,
+    or a result with only one class, is a DataError.
     """
-    distinct = np.unique(y)
-    if distinct.size == 0 or set(distinct.tolist()) <= {-1, 1}:
-        return y
-    if distinct.size == 2:
-        out = np.where(y == distinct[0], -1, 1)
-        return out.astype(np.int64)
-    return y
+    y = np.asarray(y, dtype=np.int64)
+    if y.size == 0:
+        raise DataError("dataset is empty")
+    if positive is not None:
+        out = np.where(np.isin(y, list(positive)), 1, -1)
+    else:
+        distinct = np.unique(y)
+        if distinct.size > 2:
+            raise DataError(
+                f"labels take {distinct.size} values; name the positive ones to make two classes"
+            )
+        out = y if set(distinct.tolist()) <= {-1, 1} else np.where(y == distinct[0], -1, 1)
+    n_pos = int(np.count_nonzero(out == 1))
+    if n_pos in (0, y.size):
+        if positive is not None:
+            raise DataError(f"grouping produced no {'positive' if n_pos == 0 else 'negative'} instances")
+        raise DataError(
+            f"need at least one instance of each class (n_pos={n_pos}, n_neg={y.size - n_pos})"
+        )
+    return out.astype(np.int64)
 
 
 def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
     """Parse LibSVM sparse text ("<label> <idx>:<val> ...", 1-based indices).
 
-    Blank lines are skipped. ``dim`` overrides the inferred feature count so
-    that separately parsed train/test files share a feature space.
+    Labels are kept as written. Blank lines are skipped. ``dim`` overrides
+    the inferred feature count so that separately parsed train/test files
+    share a feature space.
 
     Raises ParseError (with line number) on malformed tokens, non-increasing
     indices within a line, non-numeric values, or non-integral labels.
@@ -207,8 +214,7 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
         (np.asarray(data), np.asarray(col, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
         shape=(len(labels), dim),
     )
-    y = _normalize_binary_labels(np.asarray(labels, dtype=np.int64))
-    return Dataset(X, y, dim)
+    return Dataset(X, np.asarray(labels, dtype=np.int64), dim)
 
 
 def to_libsvm(data: Dataset) -> str:
@@ -220,21 +226,9 @@ def to_libsvm(data: Dataset) -> str:
     for i in range(data.n):
         row = data.row(i)
         parts = [str(int(data.y[i]))]
-        parts.extend(f"{idx + 1}:{val:.17g}" for idx, val in zip(row.indices, row.values))
+        parts.extend(f"{idx + 1}:{format_float(val)}" for idx, val in zip(row.indices, row.values))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def group_binary(data: Dataset, positive_set: Iterable[int]) -> Dataset:
-    """Relabel: labels in positive_set become +1, everything else -1."""
-    positive = set(int(v) for v in positive_set)
-    y = np.where(np.isin(data.y, list(positive)), 1, -1).astype(np.int64)
-    out = Dataset(data.X, y, data.dim)
-    if out.n_pos == 0:
-        raise DataError("grouping produced no positive instances")
-    if out.n_neg == 0:
-        raise DataError("grouping produced no negative instances")
-    return out
 
 
 def _column_moments(X: Matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -69,6 +69,21 @@ class NystroemMap:
     def rank(self) -> int:
         return self.projection.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.landmarks.dim
+
+    def features(self, X: Matrix) -> np.ndarray:
+        """The n x rank embedding of X's rows, in chunks of rows."""
+        n = X.shape[0]
+        out = np.empty((n, self.rank))
+        step = _chunk_rows(self.landmarks.v)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            E = kernel_matrix(X[lo:hi], self.landmarks.centroids, self.kernel)
+            out[lo:hi] = E @ self.projection.T
+        return out
+
 
 @dataclass
 class RffMap:
@@ -92,8 +107,23 @@ class RffMap:
         return self.frequencies.shape[0]
 
     @property
+    def dim(self) -> int:
+        return self.frequencies.shape[1]
+
+    @property
     def scale(self) -> float:
         return float(np.sqrt(2.0 / self.frequencies.shape[0]))
+
+    def features(self, X: Matrix) -> np.ndarray:
+        """The n x rank embedding of X's rows, in chunks of rows."""
+        n = X.shape[0]
+        out = np.empty((n, self.rank))
+        step = _chunk_rows(self.rank)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            proj = np.asarray(X[lo:hi] @ self.frequencies.T)
+            out[lo:hi] = self.scale * np.cos(proj + self.phases)
+        return out
 
 
 @dataclass
@@ -297,28 +327,6 @@ def fit_rff(
     return RffMap(freqs, phases, kernel, seed=seed)
 
 
-def _nystroem_features(m: NystroemMap, X: Matrix) -> np.ndarray:
-    n = X.shape[0]
-    out = np.empty((n, m.rank))
-    step = _chunk_rows(m.landmarks.v)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        E = kernel_matrix(X[lo:hi], m.landmarks.centroids, m.kernel)
-        out[lo:hi] = E @ m.projection.T
-    return out
-
-
-def _rff_features(m: RffMap, X: Matrix) -> np.ndarray:
-    n = X.shape[0]
-    out = np.empty((n, m.rank))
-    step = _chunk_rows(m.rank)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        proj = np.asarray(X[lo:hi] @ m.frequencies.T)
-        out[lo:hi] = m.scale * np.cos(proj + m.phases)
-    return out
-
-
 def _check_dim(map_dim: int, data_dim: int):
     if map_dim != data_dim:
         raise DataError(f"embedding expects dimension {map_dim}, data has {data_dim}")
@@ -326,25 +334,12 @@ def _check_dim(map_dim: int, data_dim: int):
 
 def embed(m: NystroemMap | RffMap, data: Dataset) -> EmbeddedDataset:
     """Map a whole dataset into the embedded space, carrying labels over."""
-    if isinstance(m, NystroemMap):
-        _check_dim(m.landmarks.dim, data.dim)
-        feats = _nystroem_features(m, data.X)
-    else:
-        _check_dim(m.frequencies.shape[1], data.dim)
-        feats = _rff_features(m, data.X)
-    return EmbeddedDataset(feats, data.y)
+    _check_dim(m.dim, data.dim)
+    return EmbeddedDataset(m.features(data.X), data.y)
 
 
 def embed_point(m: NystroemMap | RffMap, x) -> np.ndarray:
     """Embed one point (SparseVector or 1-D dense vector)."""
-    d = m.landmarks.dim if isinstance(m, NystroemMap) else m.frequencies.shape[1]
-    if isinstance(x, SparseVector):
-        if x.indices.size and x.indices[-1] >= d:
-            raise DataError(f"feature index {int(x.indices[-1])} outside dimension {d}")
-        xv = x.to_dense(d)
-    else:
-        xv = np.asarray(x, dtype=np.float64)
-    _check_dim(d, xv.shape[0])
-    if isinstance(m, NystroemMap):
-        return _nystroem_features(m, xv.reshape(1, -1)).ravel()
-    return _rff_features(m, xv.reshape(1, -1)).ravel()
+    xv = x.to_dense(m.dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
+    _check_dim(m.dim, xv.shape[0])
+    return m.features(xv.reshape(1, -1)).ravel()

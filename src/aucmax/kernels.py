@@ -62,7 +62,7 @@ def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
         dot = float(x.values[ix] @ y.values[iy]) if common.size else 0.0
         d2 = max(nx + ny - 2.0 * dot, 0.0)
     else:
-        xv = x.to_dense(max(x.indices[-1] + 1, len(y))) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
+        xv = x.to_dense(len(y)) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
         yv = y.to_dense(len(xv)) if isinstance(y, SparseVector) else np.asarray(y, dtype=np.float64)
         if xv.shape != yv.shape:
             raise DataError(f"dimension mismatch: {xv.shape} vs {yv.shape}")

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, SparseVector, Standardizer, standardize_apply
-from .embedding import LandmarkSet, NystroemMap, RffMap, embed, embed_point
+from .dataio import Dataset, SparseVector, Standardizer, format_float, standardize_apply
+from .embedding import LandmarkSet, NystroemMap, RffMap, embed_point
 from .errors import DataError, ParseError
 from .kernels import GaussianKernelParams
 
@@ -70,17 +70,18 @@ class TrainedPipeline:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.linear.r != self.embedding_rank:
+        if self.embedding.dim != self.standardizer.dim:
+            raise DataError(
+                f"embedding expects dimension {self.embedding.dim}, standardizer has "
+                f"{self.standardizer.dim}"
+            )
+        if self.linear.r != self.embedding.rank:
             raise DataError(
                 f"weight length {self.linear.r} does not match embedding rank "
-                f"{self.embedding_rank}"
+                f"{self.embedding.rank}"
             )
         if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
             raise DataError("embedding_id does not match the embedding: the weights belong to another one")
-
-    @property
-    def embedding_rank(self) -> int:
-        return self.embedding.rank
 
     @property
     def dim(self) -> int:
@@ -89,8 +90,8 @@ class TrainedPipeline:
     def score(self, data: Dataset) -> np.ndarray:
         if data.dim != self.dim:
             raise DataError(f"model expects dimension {self.dim}, data has {data.dim}")
-        emb = embed(self.embedding, standardize_apply(self.standardizer, data))
-        return emb.features @ self.linear.w
+        standardized = standardize_apply(self.standardizer, data)
+        return self.embedding.features(standardized.X) @ self.linear.w
 
     def score_point(self, x: SparseVector | np.ndarray) -> float:
         xv = x.to_dense(self.dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
@@ -98,10 +99,6 @@ class TrainedPipeline:
             raise DataError(f"model expects dimension {self.dim}, point has {xv.shape[0]}")
         z = (xv - self.standardizer.mean) / self.standardizer.stdev
         return float(embed_point(self.embedding, z) @ self.linear.w)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _positive(text: str) -> float:
@@ -160,7 +157,7 @@ def _write_matrix(out: list[str], name: str, M: np.ndarray):
     M = np.atleast_2d(M)
     out.append(f"{name} {M.shape[0]} {M.shape[1]}")
     for row in M:
-        out.append(" ".join(_fmt(v) for v in row))
+        out.append(" ".join(format_float(v) for v in row))
 
 
 def save_model(path: str, pipe: TrainedPipeline):
@@ -204,7 +201,7 @@ def save_model(path: str, pipe: TrainedPipeline):
         matrices = _SCHEMA[section][1]
         for key, value in values.items():
             if key not in matrices and value is not None:
-                lines.append(f"{key} {_fmt(value) if isinstance(value, float) else value}")
+                lines.append(f"{key} {format_float(value) if isinstance(value, float) else value}")
         for matrix in matrices:
             _write_matrix(lines, matrix, values[matrix])
 

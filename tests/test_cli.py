@@ -13,6 +13,7 @@ import pytest
 
 from aucmax.cli import build_parser, main
 from aucmax.dataio import parse_libsvm, to_libsvm
+from aucmax.model import load_model
 from aucmax.synthetic import make_rings
 
 
@@ -117,7 +118,6 @@ class TestTrainPredictEval:
         run(capsys, ["predict", "--model", model, "--data", rings_file,
                      "--scores", str(scores_path)])
 
-        from aucmax.model import load_model
         pipe = load_model(model)
         with open(rings_file) as fh:
             data = parse_libsvm(fh)
@@ -354,9 +354,9 @@ class TestExitCodes:
     def test_bad_positive_labels(self, capsys, tmp_path):
         multi = tmp_path / "multi.libsvm"
         multi.write_text("0 1:1.0\n1 1:2.0\n2 1:3.0\n2 1:4.0\n")
-        assert run(capsys, ["kmeans", "--data", str(multi), "--landmarks", "2",
+        assert run(capsys, ["train-batch", "--data", str(multi), "--landmarks", "2",
                             "--positive-labels", "x,y",
-                            "--out", str(tmp_path / "c")])[0] == 2
+                            "--model", str(tmp_path / "m")])[0] == 2
 
     def test_positive_labels_grouping(self, capsys, tmp_path):
         multi = tmp_path / "multi.libsvm"
@@ -373,6 +373,49 @@ class TestExitCodes:
         assert code == 0
         assert 0.0 <= float(parse_kv(out)["train_auc"]) <= 1.0
 
+
+
+def relabeled(rings_file, path, new_label) -> str:
+    """A copy of rings_file with row i's label y replaced by new_label(i, y)."""
+    with open(rings_file) as src, open(path, "w") as out:
+        for i, line in enumerate(src):
+            label, _, features = line.partition(" ")
+            out.write(f"{new_label(i, int(label))} {features}")
+    return str(path)
+
+
+class TestLabelSets:
+    """predict reads no labels; training splits any label set the same way."""
+
+    def test_predict_ignores_labels(self, capsys, tmp_path, rings_file):
+        model = str(tmp_path / "m.model")
+        assert run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "16",
+                            "--model", model])[0] == 0
+        written = []
+        for name, new_label in (("pm1", lambda i, y: y), ("zeros", lambda i, y: 0),
+                                ("three", lambda i, y: i % 3)):
+            data = relabeled(rings_file, tmp_path / f"{name}.libsvm", new_label)
+            scores = tmp_path / f"{name}.scores"
+            assert run(capsys, ["predict", "--model", model, "--data", data,
+                                "--scores", str(scores)])[0] == 0
+            written.append(scores.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
+    def weights(self, capsys, tmp_path, data, *flags):
+        model = str(tmp_path / "w.model")
+        assert run(capsys, ["train-batch", "--data", data, "--landmarks", "16",
+                            "--model", model, *flags])[0] == 0
+        return load_model(model).linear.w
+
+    def test_positive_labels_on_two_valued_file(self, capsys, tmp_path, rings_file):
+        three_seven = relabeled(rings_file, tmp_path / "37.libsvm", lambda i, y: 7 if y == 1 else 3)
+        seven_three = relabeled(rings_file, tmp_path / "73.libsvm", lambda i, y: 3 if y == 1 else 7)
+        plain = self.weights(capsys, tmp_path, three_seven)
+        np.testing.assert_array_equal(
+            self.weights(capsys, tmp_path, three_seven, "--positive-labels", "7"), plain)
+        np.testing.assert_array_equal(
+            self.weights(capsys, tmp_path, three_seven, "--positive-labels", "3"),
+            self.weights(capsys, tmp_path, seven_three))
 
 # option -> (default, required) for every subcommand; argparse's -h is left out
 OPTIONS = {
@@ -469,7 +512,6 @@ OPTIONS = {
     "kmeans": {
         "--data": (None, True),
         "--seed": (0, False),
-        "--positive-labels": (None, False),
         "--landmarks": (1600, False),
         "--kmeans-iters": (100, False),
         "--out": (None, True),

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aucmax.dataio import (
     Dataset,
     SparseVector,
-    group_binary,
+    binary_labels,
     parse_libsvm,
     split,
     standardize_apply,
@@ -34,6 +36,11 @@ class TestSparseVector:
         with pytest.raises(DataError):
             SparseVector([0], [np.inf])
 
+    def test_to_dense_rejects_index_outside_dim(self):
+        with pytest.raises(DataError, match="outside dimension 5"):
+            SparseVector([1, 5], [1.0, 2.0]).to_dense(5)
+        np.testing.assert_array_equal(SparseVector([], []).to_dense(2), [0.0, 0.0])
+
 
 class TestParseLibsvm:
     def test_basic_two_rows(self):
@@ -48,8 +55,8 @@ class TestParseLibsvm:
     def test_empty_stream(self):
         ds = parse_libsvm("")
         assert ds.n == 0
-        with pytest.raises(DataError):
-            ds.require_both_classes()
+        with pytest.raises(DataError, match="empty"):
+            binary_labels(ds.y)
 
     def test_nonincreasing_indices_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -76,9 +83,10 @@ class TestParseLibsvm:
             parse_libsvm("+1 0:1")
 
     def test_zero_one_labels_remapped(self):
-        # smaller label becomes the negative class
+        # parsing keeps the labels; binary_labels makes the smaller one negative
         ds = parse_libsvm("0 1:1\n1 1:2")
-        np.testing.assert_array_equal(ds.y, [-1, 1])
+        np.testing.assert_array_equal(ds.y, [0, 1])
+        np.testing.assert_array_equal(binary_labels(ds.y), [-1, 1])
 
     def test_multiclass_labels_kept(self):
         ds = parse_libsvm("1 1:1\n2 1:2\n7 1:3")
@@ -107,23 +115,44 @@ class TestParseLibsvm:
         assert (again.X != ds.X).nnz == 0
 
 
-class TestGroupBinary:
+class TestBinaryLabels:
     def test_definition(self):
-        ds = Dataset(sp.csr_matrix(np.eye(4)), np.array([1, 2, 3, 4]), 4)
-        out = group_binary(ds, {1, 2})
-        np.testing.assert_array_equal(out.y, [1, 1, -1, -1])
+        np.testing.assert_array_equal(binary_labels([1, 2, 3, 4], {1, 2}), [1, 1, -1, -1])
 
     def test_no_negatives_errors(self):
-        ds = Dataset(sp.csr_matrix(np.eye(2)), np.array([1, 1]), 2)
-        with pytest.raises(DataError):
-            group_binary(ds, {1})
+        with pytest.raises(DataError, match="no negative"):
+            binary_labels([1, 1], {1})
 
-    def test_rows_unchanged(self):
-        X = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
-        ds = Dataset(X, np.array([3, 5, 3]), 4)
-        out = group_binary(ds, {5})
-        assert (out.X != X).nnz == 0
-        np.testing.assert_array_equal(out.y, [-1, 1, -1])
+    def test_input_unchanged(self):
+        y = np.array([3, 5, 3])
+        np.testing.assert_array_equal(binary_labels(y, {5}), [-1, 1, -1])
+        np.testing.assert_array_equal(y, [3, 5, 3])
+
+    def test_multiclass_needs_positive_set(self):
+        with pytest.raises(DataError, match="3 values"):
+            binary_labels([1, 2, 7])
+
+    @given(
+        st.lists(st.integers(-3, 3), max_size=12),
+        st.none() | st.frozensets(st.integers(-4, 4), max_size=3),
+    )
+    def test_rule(self, labels, positive):
+        # a positive set decides; otherwise exactly two values, the smaller
+        # one negative (so {-1, +1} passes through); both classes or DataError
+        y = np.array(labels, dtype=np.int64)
+        if positive is not None:
+            expected = np.where(np.isin(y, list(positive)), 1, -1)
+        elif len(set(labels)) == 2:
+            expected = np.where(y == min(labels), -1, 1)
+        else:
+            expected = None
+        if expected is None or len(set(expected.tolist())) < 2:
+            with pytest.raises(DataError):
+                binary_labels(y, positive)
+        else:
+            out = binary_labels(y, positive)
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, expected)
 
 
 class TestStandardize:

@@ -32,6 +32,12 @@ class TestGaussianKernel:
         x = SparseVector([0, 3], [1.0, -2.0])
         assert gaussian_kernel(x, x, GaussianKernelParams(1.0)) == 1.0
 
+    def test_empty_sparse_against_dense(self):
+        p = GaussianKernelParams(1.0)
+        assert gaussian_kernel(SparseVector([], []), np.zeros(3), p) == 1.0
+        with pytest.raises(DataError):
+            gaussian_kernel(SparseVector([3], [1.0]), np.zeros(3), p)
+
     def test_value_at_two_sigma2(self):
         # ||x - y||^2 = 2 sigma2 gives exactly exp(-1)
         p = GaussianKernelParams(2.0)

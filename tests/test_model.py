@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aucmax.batch import BatchConfig, train_batch
-from aucmax.dataio import Dataset, standardize_apply, standardize_fit
+from aucmax.dataio import Dataset, SparseVector, Standardizer, standardize_apply, standardize_fit
 from aucmax.embedding import embed, fit_nystroem, fit_rff, kmeans
 from aucmax.errors import DataError, ParseError
 from aucmax.kernels import GaussianKernelParams, bandwidth_heuristic
@@ -69,6 +69,17 @@ class TestPipelineScoring:
         bad = Dataset(np.ones((3, 5)), np.array([1, -1, 1]), 5)
         with pytest.raises(DataError, match="dimension"):
             pipe.score(bad)
+
+    @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
+    def test_embedding_dim_must_match_standardizer(self, embedding):
+        _, pipe = fit_pipeline(embedding=embedding)
+        with pytest.raises(DataError, match="standardizer has 3"):
+            TrainedPipeline(Standardizer(np.zeros(3), np.ones(3)), pipe.embedding, pipe.linear)
+
+    def test_score_point_index_outside_dim(self):
+        _, pipe = fit_pipeline()
+        with pytest.raises(DataError, match="outside dimension 2"):
+            pipe.score_point(SparseVector([5], [1.0]))
 
 
 class TestModelFile:
