@@ -27,7 +27,7 @@ from .dataio import (
     standardize_fit,
 )
 from .embedding import embed, fit_nystroem, fit_rff, kmeans
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, ParseError
 from .kernels import GaussianKernelParams, bandwidth_heuristic
 from .metrics import auc
 from .model import TrainedPipeline, load_model, save_model
@@ -253,16 +253,11 @@ def cmd_eval_auc(args) -> int:
                 scores.append(float(line))
             except ValueError:
                 raise DataError(f"{args.scores}:{lineno}: not a number: {line!r}")
-    labels = []
     with open(args.labels) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                labels.append(int(float(tokens[0])))
-            except ValueError:
-                raise DataError(f"{args.labels}:{lineno}: not an integer label: {tokens[0]!r}")
+        try:
+            labels = parse_libsvm(fh).y
+        except ParseError as exc:
+            raise DataError(f"{args.labels}: {exc}") from None
     result = auc(np.asarray(scores), binary_labels(labels), "strict" if args.strict else "half")
     print(f"{result.auc:.6f}")
     return 0

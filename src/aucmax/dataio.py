@@ -117,6 +117,11 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def format_floats(values: np.ndarray) -> str:
+    """format_float of each value, space-separated, made by one % format."""
+    return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
+
+
 def binary_labels(y, positive: Iterable[int] | None = None) -> np.ndarray:
     """The +-1 labels of y, the one split of a label set into P and N.
 

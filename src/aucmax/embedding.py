@@ -8,6 +8,7 @@ embedding. Embedded data is always dense n x r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,7 +59,9 @@ class NystroemMap:
     seed: int | None = None
 
     def __post_init__(self):
-        self.projection = np.asarray(self.projection, dtype=np.float64)
+        # one memory layout for fitted and loaded maps: fold's matrix-vector
+        # product rounds differently on a transposed layout
+        self.projection = np.ascontiguousarray(self.projection, dtype=np.float64)
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         if self.projection.shape != (self.eigenvalues.shape[0], self.landmarks.v):
             raise DataError("projection shape does not match rank and landmark count")
@@ -73,16 +76,33 @@ class NystroemMap:
     def dim(self) -> int:
         return self.landmarks.dim
 
+    @cached_property
+    def _landmark_sq_norms(self) -> np.ndarray:
+        return row_sq_norms(self.landmarks.centroids)
+
+    def _kernel_times(self, X: Matrix, M: np.ndarray) -> np.ndarray:
+        """kappa(X, U) @ M, in chunks of X's rows."""
+        out = np.empty((X.shape[0], *M.shape[1:]))
+        step = _chunk_rows(self.landmarks.v)
+        for lo in range(0, X.shape[0], step):
+            rows = X[lo : lo + step]
+            K = kernel_matrix(rows, self.landmarks.centroids, self.kernel, self._landmark_sq_norms)
+            out[lo : lo + K.shape[0]] = K @ M
+        return out
+
     def features(self, X: Matrix) -> np.ndarray:
         """The n x rank embedding of X's rows, in chunks of rows."""
-        n = X.shape[0]
-        out = np.empty((n, self.rank))
-        step = _chunk_rows(self.landmarks.v)
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            E = kernel_matrix(X[lo:hi], self.landmarks.centroids, self.kernel)
-            out[lo:hi] = E @ self.projection.T
-        return out
+        return self._kernel_times(X, self.projection.T)
+
+    def fold(self, w: np.ndarray) -> np.ndarray:
+        """The weights over the kernel values that make score equal features(X) @ w:
+        beta = projection.T @ w, one per landmark."""
+        return self.projection.T @ w
+
+    def score(self, X: Matrix, beta: np.ndarray) -> np.ndarray:
+        """kappa(x, U) @ beta for each row x of X, beta from fold: O(v d) per row,
+        with no rank x v product."""
+        return self._kernel_times(X, beta)
 
 
 @dataclass
@@ -124,6 +144,14 @@ class RffMap:
             proj = np.asarray(X[lo:hi] @ self.frequencies.T)
             out[lo:hi] = self.scale * np.cos(proj + self.phases)
         return out
+
+    def fold(self, w: np.ndarray) -> np.ndarray:
+        """The features are explicit, so the weights need no folding."""
+        return w
+
+    def score(self, X: Matrix, w: np.ndarray) -> np.ndarray:
+        """features(X) @ w."""
+        return self.features(X) @ w
 
 
 @dataclass
@@ -305,7 +333,7 @@ def fit_nystroem(
         raise NumericalError("every eigenvalue fell below the drop threshold")
     r = retained if rank_cap is None else min(rank_cap, retained)
     lam = vals[:r]
-    projection = (vecs[:, :r] / np.sqrt(lam)).T
+    projection = np.divide(vecs[:, :r].T, np.sqrt(lam)[:, None], order="C")
     return NystroemMap(landmarks, kernel, projection, lam, seed=seed)
 
 

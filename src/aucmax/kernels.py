@@ -39,12 +39,16 @@ def row_sq_norms(X: Matrix) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def pairwise_sq_dists(A: Matrix, B: Matrix) -> np.ndarray:
-    """All-pairs ||a - b||^2 via ||a||^2 + ||b||^2 - 2<a,b>, clamped at 0."""
+def pairwise_sq_dists(A: Matrix, B: Matrix, b_sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs ||a - b||^2 via ||a||^2 + ||b||^2 - 2<a,b>, clamped at 0.
+
+    ``b_sq_norms``, when given, is row_sq_norms(B), computed once by a caller
+    that holds B fixed.
+    """
     if A.shape[1] != B.shape[1]:
         raise DataError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     na = row_sq_norms(A)
-    nb = row_sq_norms(B)
+    nb = row_sq_norms(B) if b_sq_norms is None else b_sq_norms
     cross = A @ B.T
     if sp.issparse(cross):
         cross = cross.toarray()
@@ -71,13 +75,16 @@ def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
     return float(np.exp(-d2 / (2.0 * params.sigma2)))
 
 
-def kernel_matrix(rows_a: Matrix, rows_b: Matrix, params: GaussianKernelParams) -> np.ndarray:
+def kernel_matrix(
+    rows_a: Matrix, rows_b: Matrix, params: GaussianKernelParams, b_sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Dense Gaussian kernel matrix between the rows of rows_a and of rows_b.
 
     Each argument is a dense array or a sparse matrix; both must have the
     same width. Symmetric with unit diagonal when both are the same rows.
+    ``b_sq_norms`` is as in :func:`pairwise_sq_dists`.
     """
-    d2 = pairwise_sq_dists(rows_a, rows_b)
+    d2 = pairwise_sq_dists(rows_a, rows_b, b_sq_norms)
     return np.exp(d2 / (-2.0 * params.sigma2))
 
 

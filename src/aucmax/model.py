@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, SparseVector, Standardizer, format_float, standardize_apply
-from .embedding import LandmarkSet, NystroemMap, RffMap, embed_point
+from .dataio import Dataset, SparseVector, Standardizer, format_float, format_floats, standardize_apply
+from .embedding import LandmarkSet, NystroemMap, RffMap
 from .errors import DataError, ParseError
 from .kernels import GaussianKernelParams
 
@@ -62,12 +62,18 @@ def embedding_digest(m: NystroemMap | RffMap) -> str:
 
 @dataclass
 class TrainedPipeline:
-    """standardize -> embed -> dot product, the full scoring path."""
+    """standardize -> embed -> dot product, the full scoring path.
+
+    Scoring goes through the weights folded once into the embedding
+    (``embedding.fold``): a Nystroem score is kappa(x, U) @ (projection.T @ w),
+    which equals embed(x) @ w up to rounding in the last bits.
+    """
 
     standardizer: Standardizer
     embedding: NystroemMap | RffMap
     linear: LinearModel
     meta: dict = field(default_factory=dict)
+    folded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.embedding.dim != self.standardizer.dim:
@@ -82,6 +88,7 @@ class TrainedPipeline:
             )
         if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
             raise DataError("embedding_id does not match the embedding: the weights belong to another one")
+        self.folded = self.embedding.fold(self.linear.w)
 
     @property
     def dim(self) -> int:
@@ -91,14 +98,14 @@ class TrainedPipeline:
         if data.dim != self.dim:
             raise DataError(f"model expects dimension {self.dim}, data has {data.dim}")
         standardized = standardize_apply(self.standardizer, data)
-        return self.embedding.features(standardized.X) @ self.linear.w
+        return self.embedding.score(standardized.X, self.folded)
 
     def score_point(self, x: SparseVector | np.ndarray) -> float:
         xv = x.to_dense(self.dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
         if xv.shape[0] != self.dim:
             raise DataError(f"model expects dimension {self.dim}, point has {xv.shape[0]}")
         z = (xv - self.standardizer.mean) / self.standardizer.stdev
-        return float(embed_point(self.embedding, z) @ self.linear.w)
+        return float(self.embedding.score(z.reshape(1, -1), self.folded)[0])
 
 
 def _positive(text: str) -> float:
@@ -153,11 +160,12 @@ _SCHEMA = {
 }
 
 
-def _write_matrix(out: list[str], name: str, M: np.ndarray):
+def _write_matrix(fh, name: str, M: np.ndarray):
     M = np.atleast_2d(M)
-    out.append(f"{name} {M.shape[0]} {M.shape[1]}")
+    fh.write(f"{name} {M.shape[0]} {M.shape[1]}\n")
+    # one row at a time: formatting the whole matrix at once would box every value
     for row in M:
-        out.append(" ".join(format_float(v) for v in row))
+        fh.write(format_floats(row) + "\n")
 
 
 def save_model(path: str, pipe: TrainedPipeline):
@@ -195,18 +203,16 @@ def save_model(path: str, pipe: TrainedPipeline):
         },
     }
 
-    lines = [_MAGIC]
-    for section, values in sections.items():
-        lines.append(f"[{section}]")
-        matrices = _SCHEMA[section][1]
-        for key, value in values.items():
-            if key not in matrices and value is not None:
-                lines.append(f"{key} {format_float(value) if isinstance(value, float) else value}")
-        for matrix in matrices:
-            _write_matrix(lines, matrix, values[matrix])
-
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_MAGIC + "\n")
+        for section, values in sections.items():
+            fh.write(f"[{section}]\n")
+            matrices = _SCHEMA[section][1]
+            for key, value in values.items():
+                if key not in matrices and value is not None:
+                    fh.write(f"{key} {format_float(value) if isinstance(value, float) else value}\n")
+            for matrix in matrices:
+                _write_matrix(fh, matrix, values[matrix])
 
 
 class _Section(dict):
@@ -232,6 +238,21 @@ def _parse(kind, key: str, text: str, line: int):
         return kind(text)
     except ValueError as exc:
         raise ParseError(f"bad value for {key!r}: {exc}", line) from None
+
+
+def _parse_block(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
+    """The matrix in one numpy call, or None where the lines do not parse to it.
+
+    np.loadtxt accepts a subset of what float() accepts and gives the same
+    bits, so a block it parses reads as the row-by-row loop would read it.
+    """
+    if not lines:
+        return None
+    try:
+        M = np.loadtxt(lines, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return M if M.shape == shape else None
 
 
 class _Reader:
@@ -261,6 +282,11 @@ class _Reader:
                     f"{shape[0]} x {shape[1]}",
                     self.pos,
                 )
+            M = _parse_block(self.lines[self.pos : self.pos + rows], shape)
+            if M is not None:
+                self.pos += rows
+                return M
+            # the block has a bad cell, a short row or a missing line: find it row by row
             M = np.empty((rows, cols))
             for i in range(rows):
                 vals = self.next().split()

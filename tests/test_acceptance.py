@@ -276,23 +276,30 @@ def test_criterion_08_iteration_cost_independent_of_n():
         y[0], y[1] = 1, -1
         return EmbeddedDataset(X, y)
 
-    def seconds_per_iter(data, epochs):
+    def seconds_per_iter(data, runs):
         # the solver loop's own seconds: they leave out the O(n r) copy of
         # the rows into per-class arrays that precedes the iterations
-        model = train_sgd(data, SgdConfig(lam=1e-6, epochs=epochs, seed=1))
-        return model.diagnostics["seconds"] / (data.n * epochs)
+        seconds = sum(
+            train_sgd(data, SgdConfig(lam=1e-6, epochs=1, seed=1)).diagnostics["seconds"]
+            for _ in range(runs)
+        )
+        return seconds / (data.n * runs)
 
     warm_up = dataset(2000)
     for _ in range(2):
         seconds_per_iter(warm_up, 1)
-    # equal work at both sizes, 100 000 iterations each, so each rep spans
-    # as many of the host's speed spells at one size as at the other
-    sizes = [(dataset(10_000), 10), (dataset(100_000), 1)]
+    # equal work at both sizes, 100 000 iterations per rep: ten one-epoch runs
+    # at n=1e4 against one at n=1e5, so each rep spans as many of the host's
+    # speed spells at one size as at the other. Five of the small runs go
+    # before the large run and five after, so a change of the host's speed
+    # during a rep reaches both sizes alike.
+    small_data, large_data = dataset(10_000), dataset(100_000)
     best = [np.inf, np.inf]
-    # alternate the sizes rep by rep, so a slow spell of the host slows both
-    for _ in range(5):
-        for k, (data, epochs) in enumerate(sizes):
-            best[k] = min(best[k], seconds_per_iter(data, epochs))
+    for _ in range(10):
+        before = seconds_per_iter(small_data, 5)
+        large = seconds_per_iter(large_data, 1)
+        after = seconds_per_iter(small_data, 5)
+        best = [min(best[0], (before + after) / 2), min(best[1], large)]
     small, large = best
     ratio = max(small, large) / min(small, large)
     ok = ratio < 1.2

@@ -150,6 +150,14 @@ class TestEvalAuc:
         assert run(capsys, ["eval-auc", "--scores", str(tmp_path / "s.txt"),
                             "--labels", str(tmp_path / "l.txt")])[0] == 3
 
+    def test_fractional_label_is_data_error(self, capsys, tmp_path):
+        (tmp_path / "s.txt").write_text("0.9\n0.1\n0.5\n")
+        (tmp_path / "l.txt").write_text("1\n-1\n1.7\n")
+        code, out, err = run(capsys, ["eval-auc", "--scores", str(tmp_path / "s.txt"),
+                                      "--labels", str(tmp_path / "l.txt")])
+        assert code == 3 and not out
+        assert "line 3: label '1.7' is not an integer" in err
+
     def test_malformed_score_line(self, capsys, tmp_path):
         (tmp_path / "s.txt").write_text("0.9\nnope\n")
         (tmp_path / "l.txt").write_text("1\n-1\n")
@@ -584,3 +592,17 @@ class TestCorruptModel:
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
         assert message in err
+
+    @pytest.mark.parametrize("damage", ["cell", "short-row"])
+    def test_matrix_error_names_its_line(self, capsys, tmp_path, rings_file, model_text, damage):
+        lines = model_text.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("projection "))
+        row = header + 1 + int(lines[header].split()[1]) // 2
+        values = lines[row].split()
+        lines[row] = " ".join(values[:-1] if damage == "short-row" else [*values[:2], "abc", *values[3:]])
+        path = tmp_path / "bad.model"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert f"line {row + 1}: matrix 'projection'" in err

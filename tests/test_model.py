@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from aucmax.batch import BatchConfig, train_batch
-from aucmax.dataio import Dataset, SparseVector, Standardizer, standardize_apply, standardize_fit
-from aucmax.embedding import embed, fit_nystroem, fit_rff, kmeans
+from aucmax.dataio import (
+    Dataset,
+    SparseVector,
+    Standardizer,
+    format_float,
+    standardize_apply,
+    standardize_fit,
+)
+from aucmax.embedding import LandmarkSet, embed, fit_nystroem, fit_rff, kmeans
 from aucmax.errors import DataError, ParseError
-from aucmax.kernels import GaussianKernelParams, bandwidth_heuristic
+from aucmax.kernels import GaussianKernelParams, bandwidth_heuristic, kernel_matrix
 from aucmax.metrics import auc
 from aucmax.model import (
     LinearModel,
@@ -20,13 +27,16 @@ from aucmax.sgd import SgdConfig, train_sgd
 from aucmax.synthetic import make_rings
 
 
-def fit_pipeline(solver="batch", embedding="nystroem", seed=0):
+def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0):
+    """A fitted pipeline on rings; ``duplicates`` repeats that many landmarks,
+    so the Nystroem map drops part of the landmark kernel's spectrum."""
     data = make_rings(n=240, seed=seed)
     std = standardize_fit(data)
     standardized = standardize_apply(std, data)
     kernel = bandwidth_heuristic(standardized)
     if embedding == "nystroem":
         lm = kmeans(standardized, v=16, max_iter=30, seed=seed)
+        lm = LandmarkSet(np.vstack([lm.centroids, lm.centroids[:duplicates]]))
         emb_map = fit_nystroem(lm, kernel, seed=seed)
     else:
         emb_map = fit_rff(2, 16, kernel, seed=seed)
@@ -48,21 +58,39 @@ class TestLinearModel:
             LinearModel(np.ones(2), "mystery", {})
 
 
+def explicit_scores(pipe, data):
+    """embed(x) @ w, the score through the unfolded features."""
+    standardized = standardize_apply(pipe.standardizer, data)
+    return embed(pipe.embedding, standardized).features @ pipe.linear.w
+
+
 class TestPipelineScoring:
-    def test_score_matches_manual_path(self):
-        data, pipe = fit_pipeline()
-        scores = pipe.score(data)
-        standardized = standardize_apply(pipe.standardizer, data)
-        emb = embed(pipe.embedding, standardized)
-        np.testing.assert_array_equal(scores, emb.features @ pipe.linear.w)
+    @pytest.mark.parametrize("duplicates", [0, 4])
+    def test_folded_score_matches_explicit(self, duplicates):
+        data, pipe = fit_pipeline(duplicates=duplicates)
+        emb = pipe.embedding
+        assert emb.landmarks.v == 16 + duplicates
+        assert emb.rank <= 16
+        # kappa(x, U) @ (P^T w) sums the products of embed(x) @ w in another
+        # order; its rounding error is bounded by sum |kappa| |P|^T |w|
+        Z = standardize_apply(pipe.standardizer, data).X
+        K = kernel_matrix(Z, emb.landmarks.centroids, emb.kernel)
+        scale = K @ (np.abs(emb.projection).T @ np.abs(pipe.linear.w))
+        error = np.abs(pipe.score(data) - explicit_scores(pipe, data))
+        assert np.all(error <= 1e-12 * scale)
+
+    def test_rff_score_is_explicit_bitwise(self):
+        data, pipe = fit_pipeline(embedding="rff")
+        np.testing.assert_array_equal(pipe.score(data), explicit_scores(pipe, data))
 
     def test_score_point_matches_batch_scoring(self):
-        data, pipe = fit_pipeline()
-        scores = pipe.score(data)
-        for i in (0, 7, 100):
-            np.testing.assert_allclose(
-                pipe.score_point(np.asarray(data.X[i]).ravel()), scores[i], rtol=1e-12
-            )
+        for embedding in ("nystroem", "rff"):
+            data, pipe = fit_pipeline(embedding=embedding)
+            scores = pipe.score(data)
+            for i in (0, 7, 100):
+                np.testing.assert_allclose(
+                    pipe.score_point(np.asarray(data.X[i]).ravel()), scores[i], rtol=1e-12
+                )
 
     def test_dim_mismatch(self):
         _, pipe = fit_pipeline()
@@ -111,6 +139,21 @@ class TestModelFile:
         expected = pipe.linear.hyperparameters
         assert loaded == expected
         assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in expected.items()}
+
+    def test_matrix_text_is_format_float(self, tmp_path):
+        # RFF weights need no folding, so no arithmetic touches these values
+        _, pipe = fit_pipeline(embedding="rff")
+        awkward = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-310]
+        w = np.resize(awkward, pipe.linear.r)
+        pipe = TrainedPipeline(pipe.standardizer, pipe.embedding, LinearModel(w, "batch", {}))
+        path = tmp_path / "model.txt"
+        save_model(str(path), pipe)
+        lines = path.read_text().splitlines()
+        at = lines.index(f"weights 1 {w.size}")
+        assert lines[at + 1] == " ".join(format_float(v) for v in w)
+        loaded = load_model(str(path)).linear.w
+        np.testing.assert_array_equal(loaded, w)
+        np.testing.assert_array_equal(np.signbit(loaded), np.signbit(w))
 
     def test_resave_is_byte_identical(self, tmp_path):
         _, pipe = fit_pipeline()
