@@ -21,6 +21,7 @@ from .dataio import (
     Dataset,
     binary_labels,
     format_float,
+    format_floats,
     parse_libsvm,
     split,
     standardize_apply,
@@ -118,18 +119,24 @@ def _add_sgd_flags(p: argparse.ArgumentParser, flags):
 # ---------------------------------------------------------------------------
 
 
+def _comma_list(flag: str, text: str, kind) -> list:
+    """The values of a comma-separated flag; a bad token or no value is a ConfigError."""
+    try:
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be a comma-separated list: {exc}") from None
+    if not values:
+        raise ConfigError(f"{flag} is empty")
+    return values
+
+
 def _load_grouped(args) -> Dataset:
     """--data with +-1 labels, grouped by --positive-labels when given."""
     with open(args.data) as fh:
         data = parse_libsvm(fh)
     positive = None
-    if args.positive_labels:
-        try:
-            positive = {int(tok) for tok in args.positive_labels.split(",") if tok.strip()}
-        except ValueError as exc:
-            raise ConfigError(f"--positive-labels must be comma-separated integers: {exc}")
-        if not positive:
-            raise ConfigError("--positive-labels is empty")
+    if args.positive_labels is not None:
+        positive = _comma_list("--positive-labels", args.positive_labels, int)
     return Dataset(data.X, binary_labels(data.y, positive), data.dim)
 
 
@@ -279,15 +286,10 @@ def _stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 def cmd_gridsearch(args) -> int:
     data = _load_grouped(args)
-    if args.grid:
-        try:
-            grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--grid must be comma-separated numbers: {exc}")
+    if args.grid is not None:
+        grid = _comma_list("--grid", args.grid, float)
     else:
         grid = DEFAULT_C_GRID if args.solver == "batch" else DEFAULT_LAMBDA_GRID
-    if not grid:
-        raise ConfigError("empty hyperparameter grid")
     if any(v <= 0 for v in grid):
         raise ConfigError("grid values must be positive")
     if args.folds < 2:
@@ -328,23 +330,12 @@ def cmd_gridsearch(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    try:
-        epochs_grid = (
-            sorted({int(tok) for tok in args.epochs_grid.split(",") if tok.strip()})
-            if args.epochs_grid
-            else DEFAULT_EPOCHS_GRID
-        )
-        seeds = (
-            [int(tok) for tok in args.seeds.split(",") if tok.strip()]
-            if args.seeds
-            else [args.seed]
-        )
-    except ValueError as exc:
-        raise ConfigError(f"grids must be comma-separated integers: {exc}")
-    if not epochs_grid or epochs_grid[0] < 1:
+    epochs_grid = DEFAULT_EPOCHS_GRID
+    if args.epochs_grid is not None:
+        epochs_grid = sorted(set(_comma_list("--epochs-grid", args.epochs_grid, int)))
+    if epochs_grid[0] < 1:
         raise ConfigError("epochs grid must contain positive integers")
-    if not seeds:
-        raise ConfigError("--seeds is empty")
+    seeds = [args.seed] if args.seeds is None else _comma_list("--seeds", args.seeds, int)
 
     standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
     wanted = set(epochs_grid)
@@ -380,7 +371,7 @@ def cmd_kmeans(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(f"{lm.v} {lm.dim}\n")
         for row in lm.centroids:
-            fh.write(" ".join(format_float(v) for v in row) + "\n")
+            fh.write(format_floats(row) + "\n")
     print(f"landmarks={lm.v}")
     print(f"dim={lm.dim}")
     return 0

@@ -1,8 +1,9 @@
 """LibSVM-format parsing, +-1 labels, standardization, and splits.
 
 Datasets are stored as a scipy CSR matrix (or a dense ndarray once
-standardized) plus an integer label vector. Feature indices are 1-based in
-LibSVM text and 0-based everywhere in memory.
+standardized) plus an integer label vector; :func:`dense_rows` is the one
+place rows leave CSR, and kernels and embeddings see only dense rows.
+Feature indices are 1-based in LibSVM text and 0-based everywhere in memory.
 """
 
 from __future__ import annotations
@@ -104,12 +105,30 @@ class Standardizer:
         self.stdev = np.asarray(self.stdev, dtype=np.float64)
         if self.mean.shape != self.stdev.shape or self.mean.ndim != 1:
             raise DataError("mean and stdev must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.stdev))):
+            raise DataError("mean and stdev entries must be finite")
         if np.any(self.stdev <= 0):
             raise DataError("stdev entries must be strictly positive")
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def dense_rows(X: Matrix) -> np.ndarray:
+    """X as a dense float64 array, the one place rows leave the CSR format.
+
+    A dense float64 array passes through uncopied.
+    """
+    return X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+
+
+def dense_point(x: SparseVector | np.ndarray, dim: int) -> np.ndarray:
+    """One point, a SparseVector or a 1-D array, as a dense vector of length dim."""
+    xv = x.to_dense(dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
+    if xv.shape != (dim,):
+        raise DataError(f"expected a point of dimension {dim}, got shape {xv.shape}")
+    return xv
 
 
 def format_float(x: float) -> str:
@@ -275,9 +294,7 @@ def standardize_apply(s: Standardizer, data: Dataset) -> Dataset:
     """Apply fitted statistics. Centering densifies sparse input."""
     if s.dim != data.dim:
         raise DataError(f"standardizer dim {s.dim} does not match dataset dim {data.dim}")
-    dense = data.X.toarray() if sp.issparse(data.X) else np.array(data.X, dtype=np.float64)
-    dense = (dense - s.mean) / s.stdev
-    return Dataset(dense, data.y, data.dim)
+    return Dataset((dense_rows(data.X) - s.mean) / s.stdev, data.y, data.dim)
 
 
 def split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -13,12 +13,15 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dataio import Dataset, Matrix, SparseVector
+from .dataio import Dataset, SparseVector, dense_point, dense_rows
 from .errors import ConfigError, DataError, NumericalError
-from .kernels import GaussianKernelParams, kernel_matrix, row_sq_norms
+from .kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
 
 # cap on float64 cells held by one distance/kernel chunk (~32 MB)
 _CHUNK_CELLS = 4_000_000
+
+# landmark-kernel eigenvalues at or below this share of the largest are dropped
+_EIG_DROP = 1e-12
 
 
 @dataclass
@@ -65,6 +68,8 @@ class NystroemMap:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
         if self.projection.shape != (self.eigenvalues.shape[0], self.landmarks.v):
             raise DataError("projection shape does not match rank and landmark count")
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise DataError("retained eigenvalues must be finite")
         if np.any(self.eigenvalues <= 0) or np.any(np.diff(self.eigenvalues) > 0):
             raise DataError("retained eigenvalues must be positive and non-increasing")
 
@@ -76,21 +81,22 @@ class NystroemMap:
     def dim(self) -> int:
         return self.landmarks.dim
 
+    # score multiplies kernel values, which lie in [0, 1], into the folded weights
+    value_bound = 1.0
+
     @cached_property
     def _landmark_sq_norms(self) -> np.ndarray:
         return row_sq_norms(self.landmarks.centroids)
 
-    def _kernel_times(self, X: Matrix, M: np.ndarray) -> np.ndarray:
+    def _kernel_times(self, X: np.ndarray, M: np.ndarray) -> np.ndarray:
         """kappa(X, U) @ M, in chunks of X's rows."""
         out = np.empty((X.shape[0], *M.shape[1:]))
-        step = _chunk_rows(self.landmarks.v)
-        for lo in range(0, X.shape[0], step):
-            rows = X[lo : lo + step]
-            K = kernel_matrix(rows, self.landmarks.centroids, self.kernel, self._landmark_sq_norms)
-            out[lo : lo + K.shape[0]] = K @ M
+        for rows in _row_chunks(X.shape[0], self.landmarks.v):
+            K = kernel_matrix(X[rows], self.landmarks.centroids, self.kernel, self._landmark_sq_norms)
+            out[rows] = K @ M
         return out
 
-    def features(self, X: Matrix) -> np.ndarray:
+    def features(self, X: np.ndarray) -> np.ndarray:
         """The n x rank embedding of X's rows, in chunks of rows."""
         return self._kernel_times(X, self.projection.T)
 
@@ -99,7 +105,7 @@ class NystroemMap:
         beta = projection.T @ w, one per landmark."""
         return self.projection.T @ w
 
-    def score(self, X: Matrix, beta: np.ndarray) -> np.ndarray:
+    def score(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """kappa(x, U) @ beta for each row x of X, beta from fold: O(v d) per row,
         with no rank x v product."""
         return self._kernel_times(X, beta)
@@ -134,22 +140,23 @@ class RffMap:
     def scale(self) -> float:
         return float(np.sqrt(2.0 / self.frequencies.shape[0]))
 
-    def features(self, X: Matrix) -> np.ndarray:
+    @property
+    def value_bound(self) -> float:
+        """score multiplies features, which lie within +-scale, into the weights."""
+        return self.scale
+
+    def features(self, X: np.ndarray) -> np.ndarray:
         """The n x rank embedding of X's rows, in chunks of rows."""
-        n = X.shape[0]
-        out = np.empty((n, self.rank))
-        step = _chunk_rows(self.rank)
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            proj = np.asarray(X[lo:hi] @ self.frequencies.T)
-            out[lo:hi] = self.scale * np.cos(proj + self.phases)
+        out = np.empty((X.shape[0], self.rank))
+        for rows in _row_chunks(X.shape[0], self.rank):
+            out[rows] = self.scale * np.cos(X[rows] @ self.frequencies.T + self.phases)
         return out
 
     def fold(self, w: np.ndarray) -> np.ndarray:
         """The features are explicit, so the weights need no folding."""
         return w
 
-    def score(self, X: Matrix, w: np.ndarray) -> np.ndarray:
+    def score(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         """features(X) @ w."""
         return self.features(X) @ w
 
@@ -188,44 +195,39 @@ class EmbeddedDataset:
             raise DataError("training requires at least one instance of each class")
 
 
-def _chunk_rows(n_cols: int) -> int:
-    return max(1, _CHUNK_CELLS // max(n_cols, 1))
+def _row_chunks(n_rows: int, n_cols: int) -> list[slice]:
+    """Slices covering range(n_rows), each of at most _CHUNK_CELLS / n_cols rows."""
+    step = max(1, _CHUNK_CELLS // max(n_cols, 1))
+    return [slice(lo, min(n_rows, lo + step)) for lo in range(0, n_rows, step)]
 
 
-def _assign(X: Matrix, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid labels and squared distances, chunked over rows."""
     n = X.shape[0]
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n)
     c_norms = row_sq_norms(centroids)
-    x_norms = row_sq_norms(X)
-    step = _chunk_rows(centroids.shape[0])
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        cross = X[lo:hi] @ centroids.T
-        d2 = x_norms[lo:hi, None] + c_norms[None, :] - 2.0 * np.asarray(cross)
-        np.maximum(d2, 0.0, out=d2)
+    for rows in _row_chunks(n, centroids.shape[0]):
+        d2 = pairwise_sq_dists(X[rows], centroids, c_norms)
         idx = np.argmin(d2, axis=1)
-        labels[lo:hi] = idx
-        best[lo:hi] = d2[np.arange(hi - lo), idx]
+        labels[rows] = idx
+        best[rows] = d2[np.arange(d2.shape[0]), idx]
     return labels, best
 
 
-def _min_sq_dist_to(X: Matrix, point: np.ndarray) -> np.ndarray:
-    cross = np.asarray(X @ point)
-    d2 = row_sq_norms(X) + float(point @ point) - 2.0 * cross
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def _kmeanspp(X: Matrix, v: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp(X: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted seeding; returns v distinct row indices."""
     n = X.shape[0]
+    x_norms = row_sq_norms(X)
+
+    def sq_dists_to(i: int) -> np.ndarray:
+        return pairwise_sq_dists(X[i : i + 1], X, x_norms)[0]
+
     chosen = np.empty(v, dtype=np.int64)
     chosen[0] = rng.integers(n)
     picked = np.zeros(n, dtype=bool)
     picked[chosen[0]] = True
-    d2 = _min_sq_dist_to(X, _row_dense(X, chosen[0]))
+    d2 = sq_dists_to(chosen[0])
     d2[chosen[0]] = 0.0
     for k in range(1, v):
         total = float(d2.sum())
@@ -239,19 +241,13 @@ def _kmeanspp(X: Matrix, v: int, rng: np.random.Generator) -> np.ndarray:
             idx = min(idx, n - 1)
         chosen[k] = idx
         picked[idx] = True
-        np.minimum(d2, _min_sq_dist_to(X, _row_dense(X, idx)), out=d2)
+        np.minimum(d2, sq_dists_to(idx), out=d2)
         d2[idx] = 0.0
     return chosen
 
 
-def _row_dense(X: Matrix, i: int) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.getrow(i).todense()).ravel()
-    return np.asarray(X[i], dtype=np.float64)
-
-
 def _lloyd(
-    X: Matrix, centroids: np.ndarray, max_iter: int
+    X: np.ndarray, centroids: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, list[float]]:
     """Alternate assignment/update until fixpoint; returns inertia history."""
     n, v = X.shape[0], centroids.shape[0]
@@ -266,7 +262,7 @@ def _lloyd(
         indicator = sp.csr_matrix(
             (np.ones(n), labels, np.arange(n + 1)), shape=(n, v)
         )
-        sums = np.asarray((indicator.T @ X).todense() if sp.issparse(X) else indicator.T @ X)
+        sums = indicator.T @ X
         counts = np.bincount(labels, minlength=v).astype(np.float64)
         empty = np.flatnonzero(counts == 0)
         nonempty = counts > 0
@@ -277,7 +273,7 @@ def _lloyd(
             claim = d2.copy()
             for c in empty:
                 far = int(np.argmax(claim))
-                centroids[c] = _row_dense(X, far)
+                centroids[c] = X[far]
                 claim[far] = -np.inf
     return centroids, history
 
@@ -286,7 +282,7 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
     """Landmark selection: distance-weighted seeding plus Lloyd refinement.
 
     Deterministic for a given seed. Empty clusters are re-seeded from the
-    point farthest from its assigned centroid.
+    point farthest from its assigned centroid. CSR rows are densified.
     """
     if v < 1:
         raise ConfigError(f"landmark count must be >= 1, got {v}")
@@ -294,13 +290,9 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
         raise DataError(f"landmark count {v} exceeds instance count {data.n}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    rng = np.random.default_rng(seed)
-    idx = _kmeanspp(data.X, v, rng)
-    if sp.issparse(data.X):
-        init = np.asarray(data.X[idx].todense(), dtype=np.float64)
-    else:
-        init = np.array(data.X[idx], dtype=np.float64)
-    centroids, _ = _lloyd(data.X, init, max_iter)
+    X = dense_rows(data.X)
+    idx = _kmeanspp(X, v, np.random.default_rng(seed))
+    centroids, _ = _lloyd(X, X[idx], max_iter)
     return LandmarkSet(centroids)
 
 
@@ -308,16 +300,13 @@ def fit_nystroem(
     landmarks: LandmarkSet,
     kernel: GaussianKernelParams,
     rank_cap: int | None = None,
-    eig_drop: float = 1e-12,
     seed: int | None = None,
 ) -> NystroemMap:
     """Eigendecompose the landmark kernel matrix and build the whitening map.
 
-    Eigenvalues at or below eig_drop * lambda_max are discarded, which is the
+    Eigenvalues at or below _EIG_DROP * lambda_max are discarded, which is the
     pseudo-inverse treatment of (near-)singular W from duplicate landmarks.
     """
-    if eig_drop < 0:
-        raise ConfigError(f"eig_drop must be >= 0, got {eig_drop}")
     if rank_cap is not None and rank_cap < 1:
         raise ConfigError(f"rank cap must be >= 1, got {rank_cap}")
     W = kernel_matrix(landmarks.centroids, landmarks.centroids, kernel)
@@ -327,7 +316,7 @@ def fit_nystroem(
     lam_max = float(vals[0])
     if not np.isfinite(lam_max) or lam_max <= 0:
         raise NumericalError("landmark kernel matrix has no positive eigenvalue")
-    keep = vals > eig_drop * lam_max
+    keep = vals > _EIG_DROP * lam_max
     retained = int(np.count_nonzero(keep))
     if retained == 0:
         raise NumericalError("every eigenvalue fell below the drop threshold")
@@ -355,19 +344,13 @@ def fit_rff(
     return RffMap(freqs, phases, kernel, seed=seed)
 
 
-def _check_dim(map_dim: int, data_dim: int):
-    if map_dim != data_dim:
-        raise DataError(f"embedding expects dimension {map_dim}, data has {data_dim}")
-
-
 def embed(m: NystroemMap | RffMap, data: Dataset) -> EmbeddedDataset:
-    """Map a whole dataset into the embedded space, carrying labels over."""
-    _check_dim(m.dim, data.dim)
-    return EmbeddedDataset(m.features(data.X), data.y)
+    """Map a whole dataset, CSR rows densified, into the embedded space with its labels."""
+    if m.dim != data.dim:
+        raise DataError(f"embedding expects dimension {m.dim}, data has {data.dim}")
+    return EmbeddedDataset(m.features(dense_rows(data.X)), data.y)
 
 
-def embed_point(m: NystroemMap | RffMap, x) -> np.ndarray:
+def embed_point(m: NystroemMap | RffMap, x: SparseVector | np.ndarray) -> np.ndarray:
     """Embed one point (SparseVector or 1-D dense vector)."""
-    xv = x.to_dense(m.dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
-    _check_dim(m.dim, xv.shape[0])
-    return m.features(xv.reshape(1, -1)).ravel()
+    return m.features(dense_point(x, m.dim).reshape(1, -1)).ravel()

@@ -5,9 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .dataio import Dataset, Matrix, SparseVector
+from .dataio import Dataset, Matrix, SparseVector, dense_rows
 from .errors import ConfigError, DataError
 
 
@@ -33,26 +32,20 @@ class GaussianKernelParams:
         return 1.0 / (2.0 * self.sigma2)
 
 
-def row_sq_norms(X: Matrix) -> np.ndarray:
-    if sp.issparse(X):
-        return np.asarray(X.multiply(X).sum(axis=1)).ravel()
+def row_sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def pairwise_sq_dists(A: Matrix, B: Matrix, b_sq_norms: np.ndarray | None = None) -> np.ndarray:
+def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | None = None) -> np.ndarray:
     """All-pairs ||a - b||^2 via ||a||^2 + ||b||^2 - 2<a,b>, clamped at 0.
 
-    ``b_sq_norms``, when given, is row_sq_norms(B), computed once by a caller
-    that holds B fixed.
+    The one distance formula; both arguments are dense. ``b_sq_norms``, when
+    given, is row_sq_norms(B), computed once by a caller that holds B fixed.
     """
     if A.shape[1] != B.shape[1]:
         raise DataError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    na = row_sq_norms(A)
     nb = row_sq_norms(B) if b_sq_norms is None else b_sq_norms
-    cross = A @ B.T
-    if sp.issparse(cross):
-        cross = cross.toarray()
-    d2 = na[:, None] + nb[None, :] - 2.0 * np.asarray(cross)
+    d2 = row_sq_norms(A)[:, None] + nb[None, :] - 2.0 * (A @ B.T)
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -80,12 +73,15 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Dense Gaussian kernel matrix between the rows of rows_a and of rows_b.
 
-    Each argument is a dense array or a sparse matrix; both must have the
-    same width. Symmetric with unit diagonal when both are the same rows.
+    Each argument is a dense array or a sparse matrix, which is densified;
+    both must have the same width. Symmetric with unit diagonal when both
+    are the same rows.
     ``b_sq_norms`` is as in :func:`pairwise_sq_dists`.
     """
-    d2 = pairwise_sq_dists(rows_a, rows_b, b_sq_norms)
-    return np.exp(d2 / (-2.0 * params.sigma2))
+    K = pairwise_sq_dists(dense_rows(rows_a), dense_rows(rows_b), b_sq_norms)
+    # in place: a chunk of rows holds one distance-sized array, not three
+    K /= -2.0 * params.sigma2
+    return np.exp(K, out=K)
 
 
 def bandwidth_heuristic(data: Dataset, cap: int = 80000) -> GaussianKernelParams:
@@ -95,12 +91,8 @@ def bandwidth_heuristic(data: Dataset, cap: int = 80000) -> GaussianKernelParams
     m = min(data.n, cap)
     if m < 2:
         raise DataError("bandwidth heuristic needs at least 2 instances")
-    head = data.X[:m]
-    if sp.issparse(head):
-        center = np.asarray(head.mean(axis=0)).ravel()
-    else:
-        center = head.mean(axis=0)
-    d2 = pairwise_sq_dists(head, center.reshape(1, -1)).ravel()
+    head = dense_rows(data.X[:m])
+    d2 = pairwise_sq_dists(head, head.mean(axis=0, keepdims=True)).ravel()
     sigma2 = float(d2.mean())
     # identical rows produce only round-off here; treat that as zero spread
     scale = float(np.mean(row_sq_norms(head)))

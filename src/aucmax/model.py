@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Dataset, SparseVector, Standardizer, format_float, format_floats, standardize_apply
+from .dataio import (
+    Dataset,
+    SparseVector,
+    Standardizer,
+    dense_point,
+    format_float,
+    format_floats,
+    standardize_apply,
+)
 from .embedding import LandmarkSet, NystroemMap, RffMap
 from .errors import DataError, ParseError
 from .kernels import GaussianKernelParams
@@ -88,7 +96,12 @@ class TrainedPipeline:
             )
         if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
             raise DataError("embedding_id does not match the embedding: the weights belong to another one")
-        self.folded = self.embedding.fold(self.linear.w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.folded = self.embedding.fold(self.linear.w)
+            reach = float(np.abs(self.folded).sum()) * self.embedding.value_bound
+        # |score| <= reach, so a finite reach keeps every score finite
+        if not np.isfinite(reach):
+            raise DataError("weights are too large: folded into the embedding, scores would overflow")
 
     @property
     def dim(self) -> int:
@@ -101,10 +114,7 @@ class TrainedPipeline:
         return self.embedding.score(standardized.X, self.folded)
 
     def score_point(self, x: SparseVector | np.ndarray) -> float:
-        xv = x.to_dense(self.dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
-        if xv.shape[0] != self.dim:
-            raise DataError(f"model expects dimension {self.dim}, point has {xv.shape[0]}")
-        z = (xv - self.standardizer.mean) / self.standardizer.stdev
+        z = (dense_point(x, self.dim) - self.standardizer.mean) / self.standardizer.stdev
         return float(self.embedding.score(z.reshape(1, -1), self.folded)[0])
 
 

@@ -245,6 +245,19 @@ class TestGridsearch:
         assert run(capsys, ["gridsearch", "--data", rings_file, "--solver", "batch",
                             "--grid", "1", "--folds", "1"])[0] == 2
 
+    @pytest.mark.parametrize("value", ["1,zebra", ",", ""], ids=["bad-token", "no-token", "empty"])
+    @pytest.mark.parametrize("flag", ["--positive-labels", "--grid", "--epochs-grid", "--seeds"])
+    def test_bad_comma_list_exits_two(self, capsys, tmp_path, rings_file, flag, value):
+        command = {
+            "--positive-labels": ["train-batch", "--model", str(tmp_path / "m")],
+            "--grid": ["gridsearch", "--solver", "batch"],
+            "--epochs-grid": ["convergence", "--report", str(tmp_path / "r.csv")],
+            "--seeds": ["convergence", "--report", str(tmp_path / "r.csv")],
+        }[flag]
+        code, _, err = run(capsys, [*command, "--data", rings_file, flag, value])
+        assert code == 2
+        assert err.startswith(f"error: {flag} ")
+
 
 class TestConvergence:
     def test_report_structure(self, capsys, tmp_path, rings_file):
@@ -578,10 +591,16 @@ class TestCorruptModel:
         ("linear", r"^trained_by \S+\n", "", "line "),
         ("linear", r"^embedding_id \S+\n", "", "line "),
         ("linear", r"^embedding_id \S+$", "embedding_id", "line "),
+        ("standardizer", r"^(mean 1 \d+\n)\S+", r"\1nan", "finite"),
+        ("standardizer", r"^(stdev 1 \d+\n)\S+", r"\1nan", "finite"),
+        ("standardizer", r"^(stdev 1 \d+\n)\S+", r"\1inf", "finite"),
+        ("nystroem", r"^(eigenvalues 1 \d+\n)\S+", r"\1nan", "finite"),
+        ("linear", r"^(weights 1 \d+\n)\S+ \S+", r"\g<1>1.7e308 1.7e308", "overflow"),
     ], ids=["matrix-cell", "missing-dim", "matrix-header", "sigma2-text", "seed-text",
             "c-text", "sigma2-negative", "foreign-embedding-id", "linear-r", "nystroem-v",
             "nystroem-r", "nystroem-d", "missing-trained-by", "missing-embedding-id",
-            "empty-embedding-id"])
+            "empty-embedding-id", "nan-mean", "nan-stdev", "inf-stdev", "nan-eigenvalue",
+            "overflowing-weights"])
     def test_exits_three(self, capsys, tmp_path, rings_file, model_text, section, pattern, repl, message):
         head, header, body = model_text.partition(f"[{section}]\n")
         body, n = re.subn(pattern, repl, body, count=1, flags=re.M)
@@ -592,6 +611,7 @@ class TestCorruptModel:
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
         assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("damage", ["cell", "short-row"])
     def test_matrix_error_names_its_line(self, capsys, tmp_path, rings_file, model_text, damage):

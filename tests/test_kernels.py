@@ -113,7 +113,7 @@ class TestKernelMatrix:
         p = GaussianKernelParams(1.1)
         K_sparse = kernel_matrix(sp.csr_matrix(dense), sp.csr_matrix(dense), p)
         K_dense = kernel_matrix(dense, dense, p)
-        np.testing.assert_allclose(K_sparse, K_dense, atol=1e-12)
+        np.testing.assert_array_equal(K_sparse, K_dense)
 
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
@@ -168,7 +168,7 @@ class TestBandwidthHeuristic:
         y = np.where(rng.random(30) < 0.5, 1, -1)
         a = bandwidth_heuristic(Dataset(dense, y, 5))
         b = bandwidth_heuristic(Dataset(sp.csr_matrix(dense), y, 5))
-        np.testing.assert_allclose(a.sigma2, b.sigma2, rtol=1e-12)
+        assert a.sigma2 == b.sigma2
 
     def test_default_cap(self):
         import inspect

@@ -144,7 +144,10 @@ class TestModelFile:
         # RFF weights need no folding, so no arithmetic touches these values
         _, pipe = fit_pipeline(embedding="rff")
         awkward = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-310]
-        w = np.resize(awkward, pipe.linear.r)
+        # the largest float once: repeated, it would let a score overflow, and
+        # TrainedPipeline refuses such weights
+        w = np.zeros(pipe.linear.r)
+        w[: len(awkward)] = awkward
         pipe = TrainedPipeline(pipe.standardizer, pipe.embedding, LinearModel(w, "batch", {}))
         path = tmp_path / "model.txt"
         save_model(str(path), pipe)
