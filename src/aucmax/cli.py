@@ -184,9 +184,10 @@ def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, e
     if args.positive_labels:
         meta["positive_labels"] = args.positive_labels
     pipe = TrainedPipeline(standardizer, emb_map, linear, meta=meta)
-    save_model(args.model, pipe)
+    # both AUCs first: a held-out part of one class fails here, before any file is written
     train_auc = auc(emb_train.features @ linear.w, emb_train.y).auc
     test_auc = auc(emb_test.features @ linear.w, emb_test.y).auc
+    save_model(args.model, pipe)
     print(f"train_auc={train_auc:.6f}")
     print(f"test_auc={test_auc:.6f}")
     print(f"embedding_seconds={embedding_seconds:.3f}")

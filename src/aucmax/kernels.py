@@ -51,21 +51,25 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | Non
 
 
 def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
-    """kappa for a single pair; accepts SparseVector or 1-D dense vectors."""
+    """kappa for a single pair; accepts SparseVector or 1-D dense vectors.
+
+    A SparseVector is densified to the other point's length. A pair of
+    SparseVectors is densified over the union of their stored indices, so
+    the cost grows with the stored entries, not with the largest index.
+    """
     if isinstance(x, SparseVector) and isinstance(y, SparseVector):
-        nx = float(x.values @ x.values)
-        ny = float(y.values @ y.values)
-        common, ix, iy = np.intersect1d(x.indices, y.indices, return_indices=True)
-        dot = float(x.values[ix] @ y.values[iy]) if common.size else 0.0
-        d2 = max(nx + ny - 2.0 * dot, 0.0)
+        union = np.union1d(x.indices, y.indices)
+        x, y = (SparseVector(np.searchsorted(union, v.indices), v.values) for v in (x, y))
+        dim = union.size
     else:
-        xv = x.to_dense(len(y)) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
-        yv = y.to_dense(len(xv)) if isinstance(y, SparseVector) else np.asarray(y, dtype=np.float64)
-        if xv.shape != yv.shape:
-            raise DataError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
-        diff = xv - yv
-        d2 = float(diff @ diff)
-    return float(np.exp(-d2 / (2.0 * params.sigma2)))
+        dim = len(y if isinstance(x, SparseVector) else x)
+    xv, yv = (
+        v.to_dense(dim) if isinstance(v, SparseVector) else np.asarray(v, dtype=np.float64) for v in (x, y)
+    )
+    if xv.shape != yv.shape:
+        raise DataError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
+    diff = xv - yv
+    return float(np.exp(-float(diff @ diff) / (2.0 * params.sigma2)))
 
 
 def kernel_matrix(

@@ -7,6 +7,26 @@ iterations (pulling the regularizer out of the per-step update), and folds
 the iterate into a running mean once every askip iterations. The averaged
 vector is the returned model; with averaging disabled the final iterate is
 returned instead.
+
+Most iterations take no step, so the loop spends little Python work on
+those:
+
+- Scaled iterate (Bottou, "Stochastic Gradient Descent Tricks", 2012). The
+  iterate is w = a v. A shrink multiplies the scalar a, and the margin test
+  w.d < 1 becomes d.v < 1/a. The scale depends on t alone, so each epoch's
+  margin thresholds 1/a and step coefficients 1/(lambda (t + t0) a) are
+  computed up front as arrays, and a is folded into v at the epoch's end.
+- Lazy average. With A the sum of the scales at the captures so far, a step
+  v += c d also adds A c d to a vector R. The sum of the captured iterates
+  is then A v - R, so a capture is one scalar addition.
+- Blocks. Each epoch runs in blocks of _BLOCK pairs whose difference rows D
+  are gathered in one call. The scan takes the margins of the next _WINDOW
+  rows from one product and steps at the first one below its threshold; a
+  step makes the later margins stale, so the next window starts at the
+  following row. R takes each block's steps in one product.
+
+The result is deterministic per seed but not bit-identical to the literal
+loop, which computes each margin as w.d and each step as d / (lambda (t + t0)).
 """
 
 from __future__ import annotations
@@ -47,6 +67,21 @@ class SgdConfig:
             )
 
 
+# Pairs per block. Large enough that the block's fixed numpy calls (gather,
+# the R update) cost little per iteration; small enough that D stays in
+# cache.
+_BLOCK = 128
+
+# Rows whose margins come from one product. A step discards the margins
+# after it, so a wide window wastes work where steps are frequent and a
+# narrow one pays the product's call overhead where they are rare. With
+# BLAS at one thread, 32 rows took 1.20 us per iteration on criterion 08's
+# data (r = 64, 49% of iterations step) against 1.35 for the whole rest of
+# the block, and 0.35 against 0.36 on the rings-sgd training rows (r = 97,
+# 6% step); 8 rows took 1.14 and 0.45.
+_WINDOW = 32
+
+
 def train_sgd(
     data: EmbeddedDataset, cfg: SgdConfig, epoch_callback=None
 ) -> LinearModel:
@@ -65,40 +100,55 @@ def train_sgd(
     epochs may update w in place, so a callback that keeps it must copy it.
     """
     data.require_both_classes()
-    n = data.n
-    Xp = np.ascontiguousarray(data.features[data.pos_idx])
-    Xn = np.ascontiguousarray(data.features[data.neg_idx])
-    n_pos, n_neg = Xp.shape[0], Xn.shape[0]
-
+    n, F = data.n, data.features
     rng = np.random.default_rng(cfg.seed)
     lam, t0, rskip, askip, averaging = cfg.lam, cfg.t0, cfg.rskip, cfg.askip, cfg.averaging
-    w = np.zeros(data.r)
-    # the vector the run reports: the iterate itself until the first capture
-    w_avg = w
+    # the iterate over its scale; the scale is 1 at the start of each epoch
+    v = np.zeros(data.r)
+    # the sum of the iterates captured in the epochs before this one
+    captured = np.zeros(data.r)
     q = 0
-    t = 0
+    steps = 0
 
     elapsed = 0.0
     for epoch in range(1, cfg.epochs + 1):
         t_start = time.perf_counter()
-        pos_draw = rng.integers(0, n_pos, size=n)
-        neg_draw = rng.integers(0, n_neg, size=n)
-        for i, j in zip(pos_draw.tolist(), neg_draw.tolist()):
-            t += 1
-            x_diff = Xp[i] - Xn[j]
-            if w @ x_diff < 1.0:
-                w += x_diff / (lam * (t + t0))
-            if t % rskip == 0:
-                w *= 1.0 - rskip / (t + t0)
-            if averaging and t % askip == 0:
-                w_avg = w.copy() if q == 0 else (q * w_avg + w) / (q + 1)
-                q += 1
+        pos_rows = data.pos_idx[rng.integers(0, data.pos_idx.size, size=n)]
+        neg_rows = data.neg_idx[rng.integers(0, data.neg_idx.size, size=n)]
+
+        t = np.arange((epoch - 1) * n + 1, epoch * n + 1)
+        # the scale after iteration t's shrink, and at its margin test
+        scale_after = np.cumprod(np.where(t % rskip == 0, 1.0 - rskip / (t + t0), 1.0))
+        scale = np.concatenate(([1.0], scale_after[:-1]))
+        threshold = 1.0 / scale
+        coef = 1.0 / (lam * (t + t0) * scale)
+        if averaging:
+            at_capture = t % askip == 0
+            # A, the sum of the scales at the captures, after each iteration
+            A = np.cumsum(np.where(at_capture, scale_after, 0.0))
+            # a step c d at iteration t adds A c d to R, with A as it stood
+            # before t; lazy holds that A c
+            lazy = np.concatenate(([0.0], A[:-1])) * coef
+            R = np.zeros(data.r)
+
+        for lo in range(0, n, _BLOCK):
+            blk = slice(lo, min(lo + _BLOCK, n))
+            D = F.take(pos_rows[blk], axis=0) - F.take(neg_rows[blk], axis=0)
+            hits = _scan_block(D, v, threshold[blk], coef[blk])
+            steps += len(hits)
+            if averaging and hits:
+                R += lazy[blk][hits] @ D[hits]
+
+        if averaging:
+            captured += A[-1] * v - R
+            q += int(np.count_nonzero(at_capture))
+        v *= scale_after[-1]
         elapsed += time.perf_counter() - t_start
         if epoch_callback is not None:
-            epoch_callback(epoch, w_avg, elapsed)
+            epoch_callback(epoch, captured / q if q else v, elapsed)
 
     return LinearModel(
-        w_avg,
+        captured / q if q else v,
         trained_by="sgd",
         hyperparameters={
             "lambda": cfg.lam,
@@ -112,7 +162,33 @@ def train_sgd(
         diagnostics={
             "iterations": cfg.epochs * n,
             "captures": q,
+            "steps": steps,
             "seconds": elapsed,
         },
     )
 
+
+def _scan_block(D, v, threshold, coef):
+    """Step v in place at each row of D whose margin falls below its
+    threshold, in order; the stepped rows.
+
+    Steps use BLAS daxpy, one call where numpy needs two and a temporary.
+    scipy.linalg is imported here: its import takes about 25 ms, which every
+    CLI start would pay at module level.
+    """
+    from scipy.linalg.blas import daxpy
+
+    hits = []
+    k = 0
+    while k < len(D):
+        end = k + _WINDOW
+        below = D[k:end] @ v < threshold[k:end]
+        j = int(below.argmax())
+        if not below[j]:
+            k = end
+            continue
+        k += j
+        daxpy(D[k], v, a=coef[k])
+        hits.append(k)
+        k += 1
+    return hits

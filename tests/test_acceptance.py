@@ -277,8 +277,7 @@ def test_criterion_08_iteration_cost_independent_of_n():
         return EmbeddedDataset(X, y)
 
     def seconds_per_iter(data, runs):
-        # the solver loop's own seconds: they leave out the O(n r) copy of
-        # the rows into per-class arrays that precedes the iterations
+        # the solver loop's own seconds, as train_sgd reports them
         seconds = sum(
             train_sgd(data, SgdConfig(lam=1e-6, epochs=1, seed=1)).diagnostics["seconds"]
             for _ in range(runs)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aucmax.cli import build_parser, main
-from aucmax.dataio import parse_libsvm, to_libsvm
+from aucmax.dataio import Dataset, parse_libsvm, split, to_libsvm
 from aucmax.model import load_model
 from aucmax.synthetic import make_rings
 
@@ -361,6 +361,24 @@ class TestExitCodes:
         bad.write_text("1 1:1.0\n1 1:2.0\n")
         assert run(capsys, ["train-batch", "--data", str(bad),
                             "--model", str(tmp_path / "m")])[0] == 3
+
+    @pytest.mark.parametrize("command", ["train-batch", "train-sgd"])
+    def test_single_class_holdout_writes_no_model(self, capsys, tmp_path, command):
+        # 3 positives in 30 rows; the first seed whose 6 held-out rows are all
+        # negative leaves both classes in training, so only scoring fails
+        data = Dataset(np.arange(60.0).reshape(30, 2), np.array([1] * 3 + [-1] * 27), 2)
+        seed = next(s for s in range(100) if set(split(data, 0.2, s)[1].y) == {-1})
+        path = tmp_path / "holdout.libsvm"
+        path.write_text(to_libsvm(data))
+        model = tmp_path / "m.model"
+        epochs = ["--epochs", "1"] if command == "train-sgd" else []
+        code, _, err = run(capsys, [
+            command, "--data", str(path), "--landmarks", "4", *epochs,
+            "--seed", str(seed), "--model", str(model),
+        ])
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not model.exists()
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

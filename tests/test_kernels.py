@@ -1,5 +1,7 @@
 """Tests for the Gaussian kernel, kernel matrices, and the bandwidth rule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -75,6 +77,21 @@ class TestGaussianKernel:
             np.testing.assert_allclose(
                 gaussian_kernel(xs, ys, p), gaussian_kernel(xv, yv, p), rtol=1e-12
             )
+
+    def test_sparse_pair_with_a_huge_index(self):
+        # a length-1e9 dense copy would take 8 GB; the pair holds three entries
+        p = GaussianKernelParams(1.0)
+        x = SparseVector([3, 10**9], [1.0, 2.0])
+        y = SparseVector([10**9], [0.5])
+        tracemalloc.start()
+        try:
+            k = gaussian_kernel(x, y, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ||x - y||^2 = 1 + 1.5^2
+        assert k == np.exp(-3.25 / 2.0)
+        assert peak < 1 << 20
 
 
 class TestKernelMatrix:

@@ -37,18 +37,21 @@ class TestHingeSubgradient:
         for t in range(1, 7):
             expected += 0.001 / (UNIT["lam"] * (t + UNIT["t0"]))
         np.testing.assert_array_equal(model.w, [expected])
+        assert model.diagnostics["steps"] == 6
 
     def test_outside_margin(self):
         # the first step lands at margin 4; no later iteration moves w
         data = constant_pair(2, [1.0, 0.0], [-1.0, 0.0])
-        _, snapshots = run(data, **UNIT, epochs=3, rskip=1000, askip=1000, averaging=False)
+        model, snapshots = run(data, **UNIT, epochs=3, rskip=1000, askip=1000, averaging=False)
         np.testing.assert_array_equal(snapshots, [[2.0, 0.0]] * 3)
+        assert model.diagnostics["steps"] == 1
 
     def test_boundary_is_zero(self):
         # lam (1 + t0) == 4: the first step is 0.5 and leaves a margin of exactly 1
         data = constant_pair(2, [1.0], [-1.0])
         model, _ = run(data, lam=2.0**-8, t0=1023, epochs=3, rskip=1000, askip=1000, averaging=False)
         np.testing.assert_array_equal(model.w, [0.5])
+        assert model.diagnostics["steps"] == 1
 
 
 class TestSgdStep:
@@ -57,6 +60,7 @@ class TestSgdStep:
         data = constant_pair(2, [1.0, -0.5], [-1.0, 0.5])
         model, _ = run(data, lam=0.01, t0=100, epochs=1, averaging=False)
         np.testing.assert_array_equal(model.w, np.array([2.0, -1.0]) / (0.01 * (1 + 100)))
+        assert model.diagnostics["steps"] == 1
 
     def test_inactive_leaves_w(self):
         # only the first iteration steps, yet every iteration counts toward
@@ -67,6 +71,7 @@ class TestSgdStep:
         assert captured[0, 0] == 2.0 and captured[1, 0] < 2.0
         np.testing.assert_allclose(model.w, captured.mean(axis=0), rtol=1e-14, atol=0)
         assert model.diagnostics["captures"] == 3
+        assert model.diagnostics["steps"] == 1
 
     def test_step_size_decreases(self):
         data = constant_pair(2, [0.001], [0.0])  # stays inside the margin
@@ -87,6 +92,8 @@ class TestScheduledRegularize:
         data = constant_pair(16, [1.0, 2.0], [1.0, 2.0])
         model, _ = run(data, **UNIT, epochs=2, rskip=4, askip=1000, averaging=False)
         np.testing.assert_array_equal(model.w, np.zeros(2))
+        # a margin of 0 is inside the margin, so all 32 iterations step
+        assert model.diagnostics["steps"] == 32
 
     def test_cumulative_product_over_epoch(self):
         # 64 iterations: only the first steps, then shrinks at t = 16, 32, 48, 64
@@ -164,6 +171,59 @@ def separable_1d(n_pos=20, n_neg=30):
     return EmbeddedDataset(X, y)
 
 
+def reference_data(name):
+    """Datasets for the reference loop. The two 300-row sets end each epoch
+    in a partial block. After the first block, "few-steps" data steps on
+    about one pair in twenty and "many-steps" data on about half of them."""
+    rng = np.random.default_rng(2)
+    n, r = (30, 4) if name == "few-rows" else (300, 5)
+    X = rng.standard_normal((n, r))
+    y = np.where(rng.random(n) < 0.4, 1, -1)
+    y[0], y[1] = 1, -1
+    if name == "few-steps":
+        X += 0.5 * y[:, None]
+    return EmbeddedDataset(X, y)
+
+
+def literal_loop(data, cfg):
+    """The solver written out: each epoch's pairs drawn up front, a hinge
+    step inside the margin, a shrink every rskip iterations and a capture
+    into the running mean every askip iterations. Returns the weights, the
+    captures and the steps."""
+    draws = np.random.default_rng(cfg.seed)
+    Xp, Xn = data.features[data.y == 1], data.features[data.y == -1]
+    w = np.zeros(data.r)
+    w_avg, q, t, steps = None, 0, 0, 0
+    for _ in range(cfg.epochs):
+        pos = draws.integers(0, Xp.shape[0], size=data.n)
+        neg = draws.integers(0, Xn.shape[0], size=data.n)
+        for k in range(data.n):
+            t += 1
+            x = Xp[pos[k]] - Xn[neg[k]]
+            if float(w @ x) < 1.0:
+                w = w + x / (cfg.lam * (t + cfg.t0))
+                steps += 1
+            if t % cfg.rskip == 0:
+                w = w * (1.0 - cfg.rskip / (t + cfg.t0))
+            if cfg.averaging and t % cfg.askip == 0:
+                w_avg = w.copy() if q == 0 else (q * w_avg + w) / (q + 1)
+                q += 1
+    return (w_avg if q else w), q, steps
+
+
+def assert_matches_reference_loop(dataset, averaging, rskip, askip):
+    # the scaled iterate computes each margin as a (D @ v) and each step
+    # with a coefficient, so it agrees with the loop to rounding, not bits
+    data = reference_data(dataset)
+    cfg = SgdConfig(lam=1e-4, t0=100, epochs=3, rskip=rskip, askip=askip, seed=42, averaging=averaging)
+    model = train_sgd(data, cfg)
+    w, captures, steps = literal_loop(data, cfg)
+    assert (captures > 0) == averaging
+    assert np.linalg.norm(model.w - w) <= 1e-10 * np.linalg.norm(w)
+    assert model.diagnostics["captures"] == captures
+    assert model.diagnostics["steps"] == steps
+
+
 class TestTrainSgd:
     def test_separable_reaches_perfect_auc(self):
         data = separable_1d()
@@ -191,37 +251,13 @@ class TestTrainSgd:
     @pytest.mark.parametrize("rskip, askip", [(16, 16), (7, 5)], ids=["skips-16-16", "skips-7-5"])
     @pytest.mark.parametrize("averaging", [True, False], ids=["averaged", "last-iterate"])
     def test_matches_reference_loop(self, averaging, rskip, askip):
-        rng = np.random.default_rng(2)
-        X = rng.standard_normal((30, 4))
-        y = np.where(rng.random(30) < 0.4, 1, -1)
-        y[0], y[1] = 1, -1
-        data = EmbeddedDataset(X, y)
-        cfg = SgdConfig(lam=1e-4, t0=100, epochs=3, rskip=rskip, askip=askip, seed=42, averaging=averaging)
-        model = train_sgd(data, cfg)
+        assert_matches_reference_loop("few-rows", averaging, rskip, askip)
 
-        # the solver written out: each epoch's pairs drawn up front, a hinge
-        # step inside the margin, a shrink every rskip iterations and a
-        # capture into the running mean every askip iterations
-        draws = np.random.default_rng(42)
-        Xp, Xn = X[y == 1], X[y == -1]
-        w = np.zeros(4)
-        w_avg, q, t = None, 0, 0
-        for _ in range(cfg.epochs):
-            pos = draws.integers(0, Xp.shape[0], size=30)
-            neg = draws.integers(0, Xn.shape[0], size=30)
-            for k in range(30):
-                t += 1
-                x = Xp[pos[k]] - Xn[neg[k]]
-                if float(w @ x) < 1.0:
-                    w = w + x / (cfg.lam * (t + cfg.t0))
-                if t % rskip == 0:
-                    w = w * (1.0 - rskip / (t + cfg.t0))
-                if averaging and t % askip == 0:
-                    w_avg = w.copy() if q == 0 else (q * w_avg + w) / (q + 1)
-                    q += 1
-        assert (q > 0) == averaging
-        np.testing.assert_array_equal(model.w, w_avg if averaging else w)
-        assert model.diagnostics["captures"] == q
+    @pytest.mark.parametrize("dataset", ["few-steps", "many-steps"])
+    @pytest.mark.parametrize("rskip, askip", [(16, 16), (7, 5)], ids=["skips-16-16", "skips-7-5"])
+    @pytest.mark.parametrize("averaging", [True, False], ids=["averaged", "last-iterate"])
+    def test_matches_reference_loop_across_blocks(self, averaging, rskip, askip, dataset):
+        assert_matches_reference_loop(dataset, averaging, rskip, askip)
 
     def test_shorter_run_is_prefix_of_longer(self):
         # same seed: epoch e weights of a long run equal a run stopped at e
