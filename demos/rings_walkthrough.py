@@ -24,7 +24,7 @@ from aucmax.synthetic import make_rings
 
 # 1. data: 2000 points, 3:1 negative-to-positive
 data = make_rings(n=2000, seed=0, imbalance=3.0, noise=0.3)
-print(f"{data.n} points, {data.n_pos} positive / {data.n_neg} negative")
+print(f"{data.n} points, {np.count_nonzero(data.y == 1)} positive / {np.count_nonzero(data.y == -1)} negative")
 
 train, test = split(data, 0.2, seed=0)
 scaler = standardize_fit(train)

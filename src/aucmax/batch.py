@@ -11,6 +11,22 @@ A pair (i, j) is active when s_j > s_i - 1 with s = Xw. Both classes derive
 their active sets from that one float comparison, so the counts seen from
 the positive side and from the negative side agree exactly and the implied
 Hessian is exactly symmetric.
+
+Each Newton step solves H s = -g by conjugate gradient, and two things keep
+that solve cheap:
+
+- Active-row HVPs. A row with no active pair has a zero coefficient in the
+  Hessian-vector product, and every partner of an active row is active, so
+  H v = v + 2C X_A^T alpha_A(X_A v) over the active rows A is exact (the
+  active-set trick of primal SVM Newton methods, Chapelle 2007). Active
+  positives are a prefix of the sorted thresholds and active negatives a
+  suffix of the sorted negative scores. When at most half of the rows are
+  active, X_A is gathered once per aggregate; otherwise the product runs
+  over X itself and no copy is made.
+- Jacobi preconditioning. CG is preconditioned by the exact diagonal of
+  H = I + 2C X^T L X at the current aggregates, L being the active-pair
+  Laplacian (Hsia, Chiang & Lin, ACML 2018). It still stops on the
+  unpreconditioned residual, so cg_tol keeps its meaning.
 """
 
 from __future__ import annotations
@@ -53,6 +69,9 @@ class PairAggregates:
     an O(1) lookup per instance.
     """
 
+    # columns per block of hessian_diagonal, bounding its temporaries to rows x 64
+    DIAG_COLUMNS = 64
+
     def __init__(self, scores: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray):
         self.scores = scores
         self.pos_idx = pos_idx
@@ -82,6 +101,20 @@ class PairAggregates:
         self.s_pos = s_pos
         self.s_neg = s_neg
 
+        # Active positives lead the sorted thresholds and active negatives
+        # trail the sorted negative scores. `rows` lists both, in those
+        # orders: the rows alpha() and hessian_diagonal() cover.
+        self.n_act_pos = int(np.count_nonzero(self.c_pos))
+        tail = neg_idx.size - int(np.count_nonzero(self.c_neg))
+        pos_act = self.order_pos[: self.n_act_pos]
+        neg_act = self.order_neg[tail:]
+        self.rows = np.concatenate([pos_idx[pos_act], neg_idx[neg_act]])
+        # each active positive's first partner, counted from the first active negative
+        self.k_act = self.k[pos_act] - tail
+        self.m_act = self.m[neg_act]
+        self.c_act = np.concatenate([self.c_pos[pos_act], self.c_neg[neg_act]]).astype(np.float64)
+        self._gathered = None
+
     @staticmethod
     def _suffix(x: np.ndarray) -> np.ndarray:
         out = np.zeros(x.size + 1)
@@ -98,19 +131,17 @@ class PairAggregates:
     def active_pairs(self) -> int:
         return int(self.c_pos.sum())
 
-    def loss(self, p: int = 2) -> float:
-        """Pair-loss sum at the aggregate's scores (no regularizer, no C)."""
+    def loss(self) -> float:
+        """Squared hinge pair-loss sum at the aggregate's scores (no regularizer, no C)."""
         c = self.c_pos.astype(np.float64)
         one_minus = 1.0 - self.s_pos
         S = self.suff_s_neg[self.k]
-        if p == 1:
-            return float(np.sum(c * one_minus + S))
         Q = self.suff_q_neg[self.k]
         return float(np.sum(c * one_minus**2 + 2.0 * one_minus * S + Q))
 
-    def objective(self, w: np.ndarray, C: float, p: int = 2) -> float:
+    def objective(self, w: np.ndarray, C: float) -> float:
         """F(w), for the w whose scores built these aggregates."""
-        return 0.5 * float(w @ w) + C * self.loss(p)
+        return 0.5 * float(w @ w) + C * self.loss()
 
     def gamma(self) -> np.ndarray:
         """Per-instance pair-sum coefficients: the gradient is w + 2C X^T gamma."""
@@ -125,26 +156,60 @@ class PairAggregates:
         """Squared hinge gradient, for the w whose scores X @ w built these aggregates."""
         return w + 2.0 * C * (X.T @ self.gamma())
 
+    def active_features(self, X):
+        """(M, sel) with M[sel] == X[rows]: the matrix the HVP multiplies and
+        the positions of the active rows in it.
+
+        When at most half of the rows are active, M is the gathered X[rows],
+        made on the first call, and sel takes all of it. Otherwise M is X.
+        """
+        if 2 * self.rows.size > X.shape[0]:
+            return X, self.rows
+        if self._gathered is None:
+            self._gathered = X[self.rows]
+        return self._gathered, slice(None)
+
     def alpha(self, proj: np.ndarray) -> np.ndarray:
-        """Coefficients for the Hessian-vector product given proj = Xv."""
-        a = np.zeros(self.scores.size)
-        p_pos = proj[self.pos_idx]
-        p_neg = proj[self.neg_idx]
-        suff_p = self._suffix(p_neg[self.order_neg])
-        pref_p = self._prefix(p_pos[self.order_pos])
-        a[self.pos_idx] = self.c_pos * p_pos - suff_p[self.k]
-        a[self.neg_idx] = self.c_neg * p_neg - pref_p[self.m]
-        return a
+        """Hessian-vector coefficients on the active rows, given proj = X[rows] @ v.
+
+        Every other row's coefficient is exactly zero.
+        """
+        p_pos = proj[: self.n_act_pos]
+        p_neg = proj[self.n_act_pos :]
+        suff_p = self._suffix(p_neg)
+        pref_p = self._prefix(p_pos)
+        return np.concatenate(
+            [self.c_act[: self.n_act_pos] * p_pos - suff_p[self.k_act],
+             self.c_act[self.n_act_pos :] * p_neg - pref_p[self.m_act]]
+        )
+
+    def hessian_diagonal(self, X, C: float) -> np.ndarray:
+        """diag(H) = 1 + 2C diag(X^T L X), L the active-pair Laplacian.
+
+        Column j is sum_i c_i x_ij^2 - 2 sum_p x_pj S_pj over the active
+        rows, where S_p sums the rows of p's active partners: a suffix sum
+        of the sorted negatives. That is sum over active pairs of
+        (x_pj - x_kj)^2 >= 0, so rounding below 0 is clamped. Computed
+        DIAG_COLUMNS columns at a time.
+        """
+        M, sel = self.active_features(X)
+        npos = self.n_act_pos
+        quad = np.empty(X.shape[1])
+        for lo in range(0, quad.size, self.DIAG_COLUMNS):
+            B = M[sel, lo : lo + self.DIAG_COLUMNS]
+            S = np.cumsum(B[npos:][::-1], axis=0)[::-1]
+            quad[lo : lo + B.shape[1]] = self.c_act @ (B * B) - 2.0 * np.einsum(
+                "ij,ij->j", B[:npos], S[self.k_act]
+            )
+        return 1.0 + 2.0 * C * np.maximum(quad, 0.0)
 
 
-def pairwise_objective(w: np.ndarray, data: EmbeddedDataset, C: float, p: int = 2) -> float:
-    """F(w) for the hinge (p=1) or squared hinge (p=2) pair loss."""
+def pairwise_objective(w: np.ndarray, data: EmbeddedDataset, C: float) -> float:
+    """F(w) for the squared hinge pair loss."""
     if C <= 0:
         raise ConfigError(f"C must be positive, got {C}")
-    if p not in (1, 2):
-        raise ConfigError(f"p must be 1 or 2, got {p}")
     w = np.asarray(w, dtype=np.float64)
-    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx).objective(w, C, p)
+    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx).objective(w, C)
 
 
 def grad_fast(w: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
@@ -154,26 +219,34 @@ def grad_fast(w: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
 
 
 def hvp_fast(agg: PairAggregates, v: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
-    """Generalized-Hessian product at the weights the aggregates were built from."""
-    proj = data.features @ v
-    return v + 2.0 * C * (data.features.T @ agg.alpha(proj))
+    """Generalized-Hessian product at the weights the aggregates were built from.
+
+    Only the active rows enter it; see PairAggregates.active_features.
+    """
+    M, sel = agg.active_features(data.features)
+    a = np.zeros(M.shape[0])
+    a[sel] = agg.alpha((M @ v)[sel])
+    return v + 2.0 * C * (M.T @ a)
 
 
 def conjugate_gradient(
-    apply_H, g: np.ndarray, cg_tol: float, cg_max: int
+    apply_H, g: np.ndarray, cg_tol: float, cg_max: int, inv_diag: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[float]]:
     """Solve H s = -g for symmetric positive definite H.
 
-    Returns the approximate solution and the residual-norm history
-    (including the initial residual). Stops when the residual drops below
-    cg_tol * ||g|| or after cg_max iterations.
+    With inv_diag, the inverse of a positive diagonal approximating H, runs
+    preconditioned CG. Returns the approximate solution and the history of
+    the unpreconditioned residual norm (including the initial residual).
+    Stops when that residual drops below cg_tol * ||g|| or after cg_max
+    iterations.
     """
     b = -g
     s = np.zeros_like(g)
     r = b.copy()
-    d = r.copy()
-    rr = float(r @ r)
-    b_norm = float(np.sqrt(rr))
+    z = r if inv_diag is None else inv_diag * r
+    d = z.copy()
+    rz = float(r @ z)
+    b_norm = float(np.sqrt(r @ r))
     history = [b_norm]
     if b_norm == 0.0:
         return s, history
@@ -184,15 +257,16 @@ def conjugate_gradient(
         if dHd <= 0:
             # cannot happen for identity-plus-PSD; bail out defensively
             raise NumericalError("conjugate gradient met a non-positive curvature direction")
-        step = rr / dHd
+        step = rz / dHd
         s += step * d
         r -= step * Hd
-        rr_new = float(r @ r)
-        history.append(float(np.sqrt(rr_new)))
+        history.append(float(np.sqrt(r @ r)))
         if history[-1] <= threshold:
             break
-        d = r + (rr_new / rr) * d
-        rr = rr_new
+        z = r if inv_diag is None else inv_diag * r
+        rz_new = float(r @ z)
+        d = z + (rz_new / rz) * d
+        rz = rz_new
     return s, history
 
 
@@ -219,13 +293,22 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
 
     grad_norms = [g0_norm]
     objectives = [agg.objective(w, C)]
+    cg_iterations: list[int] = []
+    active_rows: list[int] = []
+    halvings = 0
     outer = 0
     converged = g0_norm <= tol
 
     while not converged and outer < cfg.max_outer:
-        direction, _ = conjugate_gradient(
-            lambda v: hvp_fast(agg, v, data, C), g, cfg.cg_tol, cfg.cg_max
+        active_rows.append(int(agg.rows.size))
+        direction, history = conjugate_gradient(
+            lambda v: hvp_fast(agg, v, data, C),
+            g,
+            cfg.cg_tol,
+            cfg.cg_max,
+            1.0 / agg.hessian_diagonal(X, C),
         )
+        cg_iterations.append(len(history) - 1)
         x_dir = X @ direction
         current = objectives[-1]
 
@@ -239,6 +322,7 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
             if trial_obj < current:
                 accepted = True
                 break
+            halvings += 1
             eta *= 0.5
         if not accepted:
             gn = float(np.linalg.norm(g))
@@ -275,6 +359,13 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
             "converged": bool(converged),
             "grad_norms": grad_norms,
             "objectives": objectives,
+            # one entry per CG solve: per Newton step, plus the solve of a
+            # line search that stopped at float resolution
+            "cg_iterations": cg_iterations,
+            "active_rows": active_rows,
+            "hvps": sum(cg_iterations),
+            # rejected line-search trials, each halving the step
+            "linesearch_halvings": halvings,
             "seconds": elapsed,
         },
     )

@@ -94,8 +94,13 @@ def _add_batch_flags(p: argparse.ArgumentParser):
     p.add_argument("--c", type=float, default=1.0, help="pair-loss weight C (default 1)")
     p.add_argument("--grad-tol", type=float, default=None, help="gradient-norm stop (default relative)")
     p.add_argument("--max-outer", type=int, default=100)
-    p.add_argument("--cg-tol", type=float, default=1e-3)
-    p.add_argument("--cg-max", type=int, default=200)
+    p.add_argument(
+        "--cg-tol",
+        type=float,
+        default=1e-3,
+        help="CG stop: unpreconditioned residual relative to the gradient norm (default 1e-3)",
+    )
+    p.add_argument("--cg-max", type=int, default=200, help="CG iteration cap per Newton step (default 200)")
 
 
 # every SGD flag, declared once; each subcommand adds the ones it takes
@@ -192,6 +197,8 @@ def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, e
     print(f"test_auc={test_auc:.6f}")
     print(f"embedding_seconds={embedding_seconds:.3f}")
     print(f"training_seconds={linear.diagnostics['seconds']:.3f}")
+    if "converged" in linear.diagnostics:  # the batch solver's; SGD has no stopping test
+        print(f"converged={int(linear.diagnostics['converged'])}")
     print(f"model={args.model}")
     return 0
 

@@ -71,14 +71,6 @@ class Dataset:
     def n(self) -> int:
         return self.X.shape[0]
 
-    @property
-    def n_pos(self) -> int:
-        return int(np.sum(self.y == 1))
-
-    @property
-    def n_neg(self) -> int:
-        return int(np.sum(self.y == -1))
-
     def row(self, i: int) -> SparseVector:
         if sp.issparse(self.X):
             r = self.X.getrow(i)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import aucmax.batch
 from aucmax.batch import (
     BatchConfig,
     PairAggregates,
@@ -67,6 +68,26 @@ def random_instance(rng, n_max=60, r_max=8, spread=1.0):
     return EmbeddedDataset(X, y)
 
 
+def instances_by_active_share(rng, gathered, count=60):
+    """(data, w) pairs whose active rows are at most half of the rows
+    (gathered=True) or more than half. A class offset along the first column
+    and a weight of varying length spread the margins, so that anywhere from
+    none to all of the rows have an active pair."""
+    found = []
+    while len(found) < count:
+        data = random_instance(rng)
+        X = data.features.copy()
+        X[:, 0] += rng.uniform(0.0, 3.0) * data.y
+        data = EmbeddedDataset(X, data.y)
+        w = rng.standard_normal(data.r) * rng.uniform(0.05, 0.5)
+        w[0] = rng.uniform(0.0, 2.0)
+        s = data.features @ w
+        rows = {i for pair in active_pairs(s, data.y) for i in pair}
+        if (2 * len(rows) <= data.n) == gathered:
+            found.append((data, w))
+    return found
+
+
 class TestPairAggregates:
     def test_counts_match_enumeration(self):
         rng = np.random.default_rng(0)
@@ -93,6 +114,28 @@ class TestPairAggregates:
         assert agg.active_pairs == len(pairs)
         assert int(agg.c_pos.sum()) == int(agg.c_neg.sum()) == len(pairs)
 
+    def test_active_rows_are_the_rows_of_active_pairs(self):
+        rng = np.random.default_rng(13)
+        for gathered in (True, False):
+            for data, w in instances_by_active_share(rng, gathered, count=30):
+                s = data.features @ w
+                agg = PairAggregates(s, data.pos_idx, data.neg_idx)
+                expected = {i for pair in active_pairs(s, data.y) for i in pair}
+                assert sorted(agg.rows.tolist()) == sorted(expected)
+
+    def test_hessian_diagonal_matches_bruteforce(self, monkeypatch):
+        # three columns per block, so most instances span several blocks
+        monkeypatch.setattr(PairAggregates, "DIAG_COLUMNS", 3)
+        rng = np.random.default_rng(14)
+        for gathered in (True, False):
+            for data, w in instances_by_active_share(rng, gathered, count=40):
+                C = float(rng.uniform(0.05, 4.0))
+                agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+                got = agg.hessian_diagonal(data.features, C)
+                eye = np.eye(data.r)
+                expected = [brute_hvp(w, eye[j], data.features, data.y, C)[j] for j in range(data.r)]
+                np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
+
     def test_loss_matches_brute(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
@@ -100,7 +143,7 @@ class TestPairAggregates:
             w = rng.standard_normal(data.r)
             expected = brute_objective(w, data.features, data.y, C=1.0) - 0.5 * float(w @ w)
             agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
-            np.testing.assert_allclose(agg.loss(2), expected, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(agg.loss(), expected, rtol=1e-9, atol=1e-12)
 
 
 class TestGradFast:
@@ -178,6 +221,23 @@ class TestHvpFast:
             got = hvp_fast(self._agg(w, data), v, data, C)
             np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
+    @pytest.mark.parametrize("gathered", [True, False], ids=["at-most-half-active", "over-half-active"])
+    def test_matches_bruteforce_on_each_branch(self, gathered):
+        rng = np.random.default_rng(15 + gathered)
+        for data, w in instances_by_active_share(rng, gathered):
+            agg = self._agg(w, data)
+            M, _ = agg.active_features(data.features)
+            # the gathered copy holds exactly the active rows; otherwise X is used as is
+            assert (M is not data.features) == gathered
+            if gathered:
+                np.testing.assert_array_equal(M, data.features[agg.rows])
+            v = rng.standard_normal(data.r)
+            C = float(rng.uniform(0.05, 4.0))
+            expected = brute_hvp(w, v, data.features, data.y, C)
+            np.testing.assert_allclose(hvp_fast(agg, v, data, C), expected, rtol=1e-8, atol=1e-12)
+            # the copy is made once per aggregate
+            assert agg.active_features(data.features)[0] is M
+
     def test_quadratic_form_at_least_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -230,6 +290,23 @@ class TestConjugateGradient:
         s, history = conjugate_gradient(lambda v: v, np.zeros(3), 1e-10, 10)
         np.testing.assert_array_equal(s, np.zeros(3))
         assert history == [0.0]
+
+    def test_jacobi_solves_diagonal_system_in_one_iteration(self):
+        h = np.array([2.0, 5.0, 0.1, 40.0, 7.5])
+        g = np.array([1.0, -3.0, 0.2, 8.0, -0.5])
+        s, history = conjugate_gradient(lambda v: h * v, g, 1e-10, 50, inv_diag=1.0 / h)
+        np.testing.assert_allclose(s, -g / h, rtol=1e-14)
+        assert len(history) == 2
+
+    def test_jacobi_stops_on_unpreconditioned_residual(self):
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal((30, 30))
+        H = A @ A.T + np.diag(rng.uniform(1.0, 200.0, 30))
+        g = rng.standard_normal(30)
+        tol = 1e-6
+        s, history = conjugate_gradient(lambda v: H @ v, g, tol, 200, inv_diag=1.0 / np.diag(H))
+        np.testing.assert_allclose(history[-1], np.linalg.norm(H @ s + g), rtol=1e-6)
+        assert history[-1] <= tol * np.linalg.norm(g) < history[-2]
 
     def test_respects_iteration_cap(self):
         rng = np.random.default_rng(7)
@@ -323,6 +400,54 @@ class TestTrainBatch:
         a = train_batch(data, BatchConfig(C=0.5))
         b = train_batch(data, BatchConfig(C=0.5))
         np.testing.assert_array_equal(a.w, b.w)
+
+    @pytest.mark.parametrize(
+        "seed, offset, C",
+        # separated classes: the active rows fall from all to under half over the steps;
+        # overlapping classes at a large C: the line search halves the step
+        [(17, 3.0, 1.0), (35, 0.0, 20.0)],
+        ids=["shrinking-active-set", "line-search-halves"],
+    )
+    def test_counters_match_the_work_done(self, monkeypatch, seed, offset, C):
+        calls = {"hvp": 0, "aggregates": 0}
+        hvp = aucmax.batch.hvp_fast
+
+        def counted_hvp(*args):
+            calls["hvp"] += 1
+            return hvp(*args)
+
+        class CountedAggregates(PairAggregates):
+            def __init__(self, *args):
+                calls["aggregates"] += 1
+                super().__init__(*args)
+
+        # the same call points the benchmark tracer wraps
+        monkeypatch.setattr(aucmax.batch, "hvp_fast", counted_hvp)
+        monkeypatch.setattr(aucmax.batch, "PairAggregates", CountedAggregates)
+        data = random_instance(np.random.default_rng(seed), n_max=60, r_max=6)
+        data = EmbeddedDataset(data.features + offset * data.y[:, None], data.y)
+        diag = train_batch(data, BatchConfig(C=C)).diagnostics
+        assert diag["converged"]
+        assert diag["hvps"] == calls["hvp"] == sum(diag["cg_iterations"]) > 0
+        assert len(diag["cg_iterations"]) == len(diag["active_rows"]) == diag["outer_iterations"]
+        # one aggregate at the start, then one per line-search trial
+        assert calls["aggregates"] == 1 + diag["outer_iterations"] + diag["linesearch_halvings"]
+        # every pair is active at w = 0
+        assert diag["active_rows"][0] == data.n
+        if offset:
+            assert 2 * diag["active_rows"][-1] <= data.n
+        else:
+            assert diag["linesearch_halvings"] > 0
+
+    def test_max_outer_reached_is_not_converged(self):
+        rng = np.random.default_rng(18)
+        data = random_instance(rng, n_max=60, r_max=6)
+        # separated classes: the active pairs at the optimum are not the ones at w = 0
+        data = EmbeddedDataset(data.features + 3.0 * data.y[:, None], data.y)
+        diag = train_batch(data, BatchConfig(C=1.0, max_outer=1)).diagnostics
+        assert diag["outer_iterations"] == 1
+        assert diag["grad_norms"][-1] > diag["grad_norms"][0] * 1e-4
+        assert not diag["converged"]
 
     def test_default_grad_tol_relative_to_start(self):
         data = separable_1d(5, 5)

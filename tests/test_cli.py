@@ -89,6 +89,25 @@ class TestTrainPredictEval:
         elapsed = [float(r[3]) for r in body]
         assert elapsed == sorted(elapsed)
 
+    def test_converged_line(self, capsys, tmp_path, rings_file):
+        argv = ["train-batch", "--data", rings_file, "--landmarks", "16",
+                "--model", str(tmp_path / "m")]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        keys = [line.partition("=")[0] for line in out.splitlines()]
+        assert keys == ["train_auc", "test_auc", "embedding_seconds", "training_seconds",
+                        "converged", "model"]
+        assert parse_kv(out)["converged"] == "1"
+        code, out, _ = run(capsys, [*argv, "--max-outer", "1"])
+        assert code == 0
+        assert parse_kv(out)["converged"] == "0"
+
+    def test_sgd_prints_no_converged_line(self, capsys, tmp_path, rings_file):
+        code, out, _ = run(capsys, ["train-sgd", "--data", rings_file, "--landmarks", "16",
+                                    "--epochs", "1", "--model", str(tmp_path / "m")])
+        assert code == 0
+        assert "converged" not in parse_kv(out)
+
     def test_rff_embedding_path(self, capsys, tmp_path, rings_file):
         model = str(tmp_path / "m.model")
         code, out, _ = run(capsys, [

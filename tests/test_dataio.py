@@ -254,11 +254,11 @@ class TestSplit:
         X = rng.standard_normal((n, 2))
         y = np.where(rng.random(n) < 0.25, 1, -1)
         ds = Dataset(X, y, 2)
-        full_ratio = ds.n_pos / n
+        full_ratio = np.count_nonzero(ds.y == 1) / n
         bad = 0
         for seed in range(20):
             tr, _ = split(ds, 0.2, seed=seed)
-            if abs(tr.n_pos / tr.n - full_ratio) > 0.03:
+            if abs(np.count_nonzero(tr.y == 1) / tr.n - full_ratio) > 0.03:
                 bad += 1
         assert bad == 0
 

@@ -9,7 +9,7 @@ from aucmax.errors import ConfigError, DataError
 from aucmax.metrics import auc, auc_bruteforce
 
 
-def brute_objective(w, X, y, C, p):
+def brute_objective(w, X, y, C):
     """Literal double sum over all positive/negative pairs."""
     s = X @ w
     total = 0.0
@@ -17,7 +17,7 @@ def brute_objective(w, X, y, C, p):
         for j in np.flatnonzero(y == -1):
             d = 1.0 - s[i] + s[j]
             if d > 0:
-                total += d**p
+                total += d**2
     return 0.5 * float(w @ w) + C * total
 
 
@@ -128,8 +128,7 @@ class TestObjective:
         rng = np.random.default_rng(4)
         data = _embedded(rng, 20, 3)
         n_pairs = data.pos_idx.size * data.neg_idx.size
-        for p in (1, 2):
-            assert pairwise_objective(np.zeros(3), data, C=2.5, p=p) == 2.5 * n_pairs
+        assert pairwise_objective(np.zeros(3), data, C=2.5) == 2.5 * n_pairs
 
     def test_inactive_single_pair(self):
         # margin 2 keeps the pair out of the loss; only the regularizer remains
@@ -137,7 +136,7 @@ class TestObjective:
         data = EmbeddedDataset(X, np.array([1, -1]))
         w = np.array([1.0, 0.5])
         np.testing.assert_allclose(
-            pairwise_objective(w, data, C=1.0, p=2), 0.5 * (1.0 + 0.25), rtol=1e-15
+            pairwise_objective(w, data, C=1.0), 0.5 * (1.0 + 0.25), rtol=1e-15
         )
 
     def test_matches_bruteforce(self):
@@ -148,18 +147,11 @@ class TestObjective:
             data = _embedded(rng, n, r)
             w = rng.standard_normal(r)
             C = float(rng.uniform(0.1, 5.0))
-            for p in (1, 2):
-                expected = brute_objective(w, data.features, data.y, C, p)
-                np.testing.assert_allclose(pairwise_objective(w, data, C, p), expected, rtol=1e-9)
+            expected = brute_objective(w, data.features, data.y, C)
+            np.testing.assert_allclose(pairwise_objective(w, data, C), expected, rtol=1e-9)
 
     def test_rejects_bad_c(self):
         rng = np.random.default_rng(6)
         data = _embedded(rng, 10, 2)
         with pytest.raises(ConfigError):
             pairwise_objective(np.zeros(2), data, C=0.0)
-
-    def test_rejects_bad_p(self):
-        rng = np.random.default_rng(7)
-        data = _embedded(rng, 10, 2)
-        with pytest.raises(ConfigError):
-            pairwise_objective(np.zeros(2), data, C=1.0, p=3)

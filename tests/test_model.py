@@ -203,8 +203,8 @@ class TestMakeRings:
     def test_sizes_and_imbalance(self):
         data = make_rings(n=2000, seed=1, imbalance=3.0)
         assert data.n == 2000
-        assert data.n_pos == 500
-        assert data.n_neg == 1500
+        assert np.count_nonzero(data.y == 1) == 500
+        assert np.count_nonzero(data.y == -1) == 1500
 
     def test_radii_separate_classes(self):
         data = make_rings(n=1000, seed=2)
