@@ -230,12 +230,12 @@ def hvp_fast(agg: PairAggregates, v: np.ndarray, data: EmbeddedDataset, C: float
 
 
 def conjugate_gradient(
-    apply_H, g: np.ndarray, cg_tol: float, cg_max: int, inv_diag: np.ndarray | None = None
+    apply_H, g: np.ndarray, cg_tol: float, cg_max: int, inv_diag: np.ndarray
 ) -> tuple[np.ndarray, list[float]]:
-    """Solve H s = -g for symmetric positive definite H.
+    """Solve H s = -g for symmetric positive definite H by preconditioned CG.
 
-    With inv_diag, the inverse of a positive diagonal approximating H, runs
-    preconditioned CG. Returns the approximate solution and the history of
+    inv_diag is the inverse of a positive diagonal approximating H; all
+    ones gives plain CG. Returns the approximate solution and the history of
     the unpreconditioned residual norm (including the initial residual).
     Stops when that residual drops below cg_tol * ||g|| or after cg_max
     iterations.
@@ -243,8 +243,8 @@ def conjugate_gradient(
     b = -g
     s = np.zeros_like(g)
     r = b.copy()
-    z = r if inv_diag is None else inv_diag * r
-    d = z.copy()
+    z = inv_diag * r
+    d = z
     rz = float(r @ z)
     b_norm = float(np.sqrt(r @ r))
     history = [b_norm]
@@ -263,7 +263,7 @@ def conjugate_gradient(
         history.append(float(np.sqrt(r @ r)))
         if history[-1] <= threshold:
             break
-        z = r if inv_diag is None else inv_diag * r
+        z = inv_diag * r
         rz_new = float(r @ z)
         d = z + (rz_new / rz) * d
         rz = rz_new

@@ -1,9 +1,9 @@
 """LibSVM-format parsing, +-1 labels, standardization, and splits.
 
-Datasets are stored as a scipy CSR matrix (or a dense ndarray once
-standardized) plus an integer label vector; :func:`dense_rows` is the one
-place rows leave CSR, and kernels and embeddings see only dense rows.
-Feature indices are 1-based in LibSVM text and 0-based everywhere in memory.
+A dataset is a dense float64 n x dim array plus an integer label vector:
+the parser fills the array from the sparse text, so every consumer sees
+dense rows. Feature indices are 1-based in LibSVM text and 0-based
+everywhere in memory.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DataError, ParseError
 
-Matrix = sp.csr_matrix | np.ndarray
+# the largest 1-based feature index whose column numpy can address
+_MAX_INDEX = int(np.iinfo(np.intp).max)
 
 
 @dataclass
@@ -48,17 +48,23 @@ class SparseVector:
 
 @dataclass
 class Dataset:
-    """Labeled instances: an n x dim matrix plus integer labels.
+    """Labeled instances: a dense float64 n x dim array plus integer labels.
 
     Labels are kept as written; :func:`binary_labels` makes them +-1 for
     training. Values are treated as immutable after construction.
     """
 
-    X: Matrix
+    X: np.ndarray
     y: np.ndarray
     dim: int
 
     def __post_init__(self):
+        try:
+            self.X = np.asarray(self.X, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DataError(f"X must be a numeric array, got {type(self.X).__name__}") from None
+        if self.X.ndim != 2:
+            raise DataError(f"X must be 2-D, got shape {self.X.shape}")
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.shape[0] != self.y.shape[0]:
             raise DataError(
@@ -70,15 +76,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    def row(self, i: int) -> SparseVector:
-        if sp.issparse(self.X):
-            r = self.X.getrow(i)
-            order = np.argsort(r.indices)
-            return SparseVector(r.indices[order], r.data[order])
-        dense = self.X[i]
-        idx = np.nonzero(dense)[0]
-        return SparseVector(idx, dense[idx])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
@@ -105,14 +102,6 @@ class Standardizer:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-
-def dense_rows(X: Matrix) -> np.ndarray:
-    """X as a dense float64 array, the one place rows leave the CSR format.
-
-    A dense float64 array passes through uncopied.
-    """
-    return X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
 
 
 def dense_point(x: SparseVector | np.ndarray, dim: int) -> np.ndarray:
@@ -171,7 +160,9 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
     share a feature space.
 
     Raises ParseError (with line number) on malformed tokens, non-increasing
-    indices within a line, non-numeric values, or non-integral labels.
+    or unaddressable indices within a line, non-numeric values, or
+    non-integral labels, and DataError when the dense n x dim array cannot
+    be allocated.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -217,6 +208,9 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
             col.append(prev)
             data.append(val)
         indptr.append(len(data))
+        # indices increase along a line, so its last one is its largest
+        if prev + 1 > _MAX_INDEX:
+            raise ParseError(f"feature index {prev + 1} exceeds the largest addressable {_MAX_INDEX}", lineno)
         if prev > max_index:
             max_index = prev
 
@@ -226,43 +220,34 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
     elif dim < inferred:
         raise DataError(f"explicit dim {dim} is smaller than max feature index {inferred}")
 
-    X = sp.csr_matrix(
-        (np.asarray(data), np.asarray(col, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(labels), dim),
-    )
+    n = len(labels)
+    try:
+        X = np.zeros((n, dim))
+    except (ValueError, MemoryError):
+        raise DataError(f"cannot allocate a dense {n} x {dim} float64 feature array") from None
+    X[np.repeat(np.arange(n), np.diff(indptr)), col] = data
     return Dataset(X, np.asarray(labels, dtype=np.int64), dim)
 
 
 def to_libsvm(data: Dataset) -> str:
     """Serialize back to LibSVM text (1-based indices, 17 significant digits).
 
-    parse_libsvm(to_libsvm(d)) reproduces d's stored entries exactly.
+    Each row's nonzeros are written, so parse_libsvm(to_libsvm(d)) reproduces
+    d's values exactly; explicit ``i:0`` entries of a parsed file are not
+    written back.
     """
     lines = []
-    for i in range(data.n):
-        row = data.row(i)
-        parts = [str(int(data.y[i]))]
-        parts.extend(f"{idx + 1}:{format_float(val)}" for idx, val in zip(row.indices, row.values))
+    for label, x in zip(data.y, data.X):
+        parts = [str(int(label))]
+        parts.extend(f"{idx + 1}:{format_float(x[idx])}" for idx in np.flatnonzero(x))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _column_moments(X: Matrix) -> tuple[np.ndarray, np.ndarray]:
+def _column_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and population variance, two-pass for accuracy."""
-    n = X.shape[0]
-    if sp.issparse(X):
-        csc = X.tocsc()
-        mean = np.asarray(csc.mean(axis=0)).ravel()
-        nnz = np.diff(csc.indptr)
-        col_of = np.repeat(np.arange(X.shape[1]), nnz)
-        sq = np.zeros(X.shape[1])
-        np.add.at(sq, col_of, (csc.data - mean[col_of]) ** 2)
-        # implicit zeros contribute (0 - mean)^2 each
-        sq += (n - nnz) * mean**2
-        var = sq / n
-    else:
-        mean = X.mean(axis=0)
-        var = ((X - mean) ** 2).mean(axis=0)
+    mean = (X * (1.0 / X.shape[0])).sum(axis=0)
+    var = ((X - mean) ** 2).mean(axis=0)
     return mean, var
 
 
@@ -283,10 +268,10 @@ def standardize_fit(data: Dataset) -> Standardizer:
 
 
 def standardize_apply(s: Standardizer, data: Dataset) -> Dataset:
-    """Apply fitted statistics. Centering densifies sparse input."""
+    """Apply fitted statistics."""
     if s.dim != data.dim:
         raise DataError(f"standardizer dim {s.dim} does not match dataset dim {data.dim}")
-    return Dataset((dense_rows(data.X) - s.mean) / s.stdev, data.y, data.dim)
+    return Dataset((data.X - s.mean) / s.stdev, data.y, data.dim)
 
 
 def split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
-from .dataio import Dataset, SparseVector, dense_point, dense_rows
+from .dataio import Dataset, SparseVector, dense_point
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
 
@@ -250,7 +249,7 @@ def _lloyd(
     X: np.ndarray, centroids: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, list[float]]:
     """Alternate assignment/update until fixpoint; returns inertia history."""
-    n, v = X.shape[0], centroids.shape[0]
+    d, v = X.shape[1], centroids.shape[0]
     prev = None
     history: list[float] = []
     for _ in range(max_iter):
@@ -259,10 +258,9 @@ def _lloyd(
         if prev is not None and np.array_equal(labels, prev):
             break
         prev = labels
-        indicator = sp.csr_matrix(
-            (np.ones(n), labels, np.arange(n + 1)), shape=(n, v)
-        )
-        sums = indicator.T @ X
+        # each cell of X goes to the bin (its row's label, its column), summed in row order
+        bins = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=X.ravel(), minlength=v * d).reshape(v, d)
         counts = np.bincount(labels, minlength=v).astype(np.float64)
         empty = np.flatnonzero(counts == 0)
         nonempty = counts > 0
@@ -282,7 +280,7 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
     """Landmark selection: distance-weighted seeding plus Lloyd refinement.
 
     Deterministic for a given seed. Empty clusters are re-seeded from the
-    point farthest from its assigned centroid. CSR rows are densified.
+    point farthest from its assigned centroid.
     """
     if v < 1:
         raise ConfigError(f"landmark count must be >= 1, got {v}")
@@ -290,9 +288,8 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
         raise DataError(f"landmark count {v} exceeds instance count {data.n}")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    X = dense_rows(data.X)
-    idx = _kmeanspp(X, v, np.random.default_rng(seed))
-    centroids, _ = _lloyd(X, X[idx], max_iter)
+    idx = _kmeanspp(data.X, v, np.random.default_rng(seed))
+    centroids, _ = _lloyd(data.X, data.X[idx], max_iter)
     return LandmarkSet(centroids)
 
 
@@ -345,10 +342,10 @@ def fit_rff(
 
 
 def embed(m: NystroemMap | RffMap, data: Dataset) -> EmbeddedDataset:
-    """Map a whole dataset, CSR rows densified, into the embedded space with its labels."""
+    """Map a whole dataset into the embedded space with its labels."""
     if m.dim != data.dim:
         raise DataError(f"embedding expects dimension {m.dim}, data has {data.dim}")
-    return EmbeddedDataset(m.features(dense_rows(data.X)), data.y)
+    return EmbeddedDataset(m.features(data.X), data.y)
 
 
 def embed_point(m: NystroemMap | RffMap, x: SparseVector | np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, Matrix, SparseVector, dense_rows
+from .dataio import Dataset, SparseVector
 from .errors import ConfigError, DataError
 
 
@@ -73,16 +73,15 @@ def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
 
 
 def kernel_matrix(
-    rows_a: Matrix, rows_b: Matrix, params: GaussianKernelParams, b_sq_norms: np.ndarray | None = None
+    rows_a: np.ndarray, rows_b: np.ndarray, params: GaussianKernelParams, b_sq_norms: np.ndarray | None = None
 ) -> np.ndarray:
     """Dense Gaussian kernel matrix between the rows of rows_a and of rows_b.
 
-    Each argument is a dense array or a sparse matrix, which is densified;
-    both must have the same width. Symmetric with unit diagonal when both
-    are the same rows.
+    Both arguments are dense 2-D arrays of the same width. Symmetric with
+    unit diagonal when both are the same rows.
     ``b_sq_norms`` is as in :func:`pairwise_sq_dists`.
     """
-    K = pairwise_sq_dists(dense_rows(rows_a), dense_rows(rows_b), b_sq_norms)
+    K = pairwise_sq_dists(rows_a, rows_b, b_sq_norms)
     # in place: a chunk of rows holds one distance-sized array, not three
     K /= -2.0 * params.sigma2
     return np.exp(K, out=K)
@@ -95,7 +94,7 @@ def bandwidth_heuristic(data: Dataset, cap: int = 80000) -> GaussianKernelParams
     m = min(data.n, cap)
     if m < 2:
         raise DataError("bandwidth heuristic needs at least 2 instances")
-    head = dense_rows(data.X[:m])
+    head = data.X[:m]
     d2 = pairwise_sq_dists(head, head.mean(axis=0, keepdims=True)).ravel()
     sigma2 = float(d2.mean())
     # identical rows produce only round-off here; treat that as zero spread

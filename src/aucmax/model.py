@@ -266,9 +266,18 @@ def _parse_block(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
 
 
 class _Reader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
+    """The non-blank lines of a model file; errors name each line's number in the file."""
+
+    def __init__(self, fh):
+        numbered = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, start=1) if ln.strip()]
+        self.lines = [ln for _, ln in numbered]
+        self.numbers = [no for no, _ in numbered]
         self.pos = 0
+
+    @property
+    def lineno(self) -> int:
+        """The file line number of the last line read; 0 before the first."""
+        return self.numbers[self.pos - 1] if self.pos else 0
 
     def peek(self) -> str | None:
         return self.lines[self.pos] if self.pos < len(self.lines) else None
@@ -276,21 +285,21 @@ class _Reader:
     def next(self) -> str:
         line = self.peek()
         if line is None:
-            raise ParseError("unexpected end of model file", self.pos)
+            raise ParseError("unexpected end of model file", self.lineno)
         self.pos += 1
         return line
 
     def read_matrix(self, name: str, shape: tuple[int, int]) -> np.ndarray:
         head = self.next().split()
         if len(head) != 3 or head[0] != name:
-            raise ParseError(f"expected matrix header {name!r}", self.pos)
+            raise ParseError(f"expected matrix header {name!r}", self.lineno)
         try:
             rows, cols = int(head[1]), int(head[2])
             if (rows, cols) != shape:
                 raise ParseError(
                     f"matrix {name!r} is {rows} x {cols}, its section declares "
                     f"{shape[0]} x {shape[1]}",
-                    self.pos,
+                    self.lineno,
                 )
             M = _parse_block(self.lines[self.pos : self.pos + rows], shape)
             if M is not None:
@@ -301,19 +310,19 @@ class _Reader:
             for i in range(rows):
                 vals = self.next().split()
                 if len(vals) != cols:
-                    raise ParseError(f"matrix {name!r} row has {len(vals)} values, expected {cols}", self.pos)
+                    raise ParseError(f"matrix {name!r} row has {len(vals)} values, expected {cols}", self.lineno)
                 M[i] = [float(v) for v in vals]
         except ValueError as exc:
-            raise ParseError(f"matrix {name!r}: {exc}", self.pos) from None
+            raise ParseError(f"matrix {name!r}: {exc}", self.lineno) from None
         return M
 
     def read_section(self, name: str) -> _Section:
         """The section's scalars, typed by the schema, then its matrices."""
         line = self.next()
         if line != f"[{name}]":
-            raise ParseError(f"expected section [{name}], got {line!r}", self.pos)
+            raise ParseError(f"expected section [{name}], got {line!r}", self.lineno)
         types, matrices = _SCHEMA[name]
-        out = _Section(name, self.pos)
+        out = _Section(name, self.lineno)
         while True:
             line = self.peek()
             if line is None or line.startswith("["):
@@ -322,7 +331,7 @@ class _Reader:
             if key in matrices:
                 break
             self.next()
-            out[key] = _parse(types.get(key, str), key, "".join(text), self.pos)
+            out[key] = _parse(types.get(key, str), key, "".join(text), self.lineno)
         for matrix, shape in matrices.items():
             declared = tuple(out[size] if isinstance(size, str) else size for size in shape)
             out[matrix] = self.read_matrix(matrix, declared)
@@ -331,10 +340,9 @@ class _Reader:
 
 def load_model(path: str) -> TrainedPipeline:
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    rd = _Reader(lines)
+        rd = _Reader(fh)
     if rd.next() != _MAGIC:
-        raise ParseError("not a model file (bad magic line)", 1)
+        raise ParseError("not a model file (bad magic line)", rd.lineno)
 
     meta = rd.read_section("meta")
     meta.pop("solver", None)

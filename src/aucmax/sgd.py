@@ -172,9 +172,12 @@ def _scan_block(D, v, threshold, coef):
     """Step v in place at each row of D whose margin falls below its
     threshold, in order; the stepped rows.
 
-    Steps use BLAS daxpy, one call where numpy needs two and a temporary.
-    scipy.linalg is imported here: its import takes about 25 ms, which every
-    CLI start would pay at module level.
+    Steps use BLAS daxpy, one call where numpy needs two and a temporary:
+    at r = 97 a numpy step took 0.85 us against daxpy's 0.38 us on a 2-vCPU
+    x86 host, which counts on data where most rows step. scipy.linalg is
+    imported here, not at module level: no other module of this package
+    imports scipy, and its import costs about 0.12 CPU-s, which only SGD
+    runs should pay.
     """
     from scipy.linalg.blas import daxpy
 

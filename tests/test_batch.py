@@ -265,14 +265,14 @@ class TestHvpFast:
 class TestConjugateGradient:
     def test_identity_solved_in_one_iteration(self):
         g = np.array([1.0, -2.0, 0.5])
-        s, history = conjugate_gradient(lambda v: v, g, cg_tol=1e-10, cg_max=50)
+        s, history = conjugate_gradient(lambda v: v, g, cg_tol=1e-10, cg_max=50, inv_diag=np.ones_like(g))
         np.testing.assert_allclose(s, -g, rtol=1e-14)
         assert len(history) == 2
 
     def test_diagonal_two_by_two(self):
         H = np.diag([2.0, 5.0])
         g = np.array([4.0, -10.0])
-        s, history = conjugate_gradient(lambda v: H @ v, g, cg_tol=1e-12, cg_max=10)
+        s, history = conjugate_gradient(lambda v: H @ v, g, cg_tol=1e-12, cg_max=10, inv_diag=np.ones_like(g))
         np.testing.assert_allclose(s, [-2.0, 2.0], rtol=1e-12)
         assert len(history) <= 3
 
@@ -280,14 +280,16 @@ class TestConjugateGradient:
         # identity and well-conditioned diagonal systems keep the residual
         # monotone; that is what the histories below certify
         g = np.array([3.0, 1.0, -2.0, 0.25])
-        _, hist_id = conjugate_gradient(lambda v: v, g, 1e-12, 20)
+        _, hist_id = conjugate_gradient(lambda v: v, g, 1e-12, 20, inv_diag=np.ones_like(g))
         assert all(b <= a + 1e-12 for a, b in zip(hist_id, hist_id[1:]))
         H = np.diag([1.0, 1.5])
-        _, hist_diag = conjugate_gradient(lambda v: H @ v, np.array([1.0, 2.0]), 1e-12, 20)
+        g = np.array([1.0, 2.0])
+        _, hist_diag = conjugate_gradient(lambda v: H @ v, g, 1e-12, 20, inv_diag=np.ones_like(g))
         assert all(b <= a + 1e-12 for a, b in zip(hist_diag, hist_diag[1:]))
 
     def test_zero_gradient(self):
-        s, history = conjugate_gradient(lambda v: v, np.zeros(3), 1e-10, 10)
+        g = np.zeros(3)
+        s, history = conjugate_gradient(lambda v: v, g, 1e-10, 10, inv_diag=np.ones_like(g))
         np.testing.assert_array_equal(s, np.zeros(3))
         assert history == [0.0]
 
@@ -313,7 +315,7 @@ class TestConjugateGradient:
         A = rng.standard_normal((30, 30))
         H = A @ A.T + np.eye(30)
         g = rng.standard_normal(30)
-        _, history = conjugate_gradient(lambda v: H @ v, g, cg_tol=1e-16, cg_max=5)
+        _, history = conjugate_gradient(lambda v: H @ v, g, cg_tol=1e-16, cg_max=5, inv_diag=np.ones_like(g))
         assert len(history) <= 6
 
 

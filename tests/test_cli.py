@@ -6,11 +6,16 @@ key=value lines can be asserted directly.
 
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aucmax
 from aucmax.cli import build_parser, main
 from aucmax.dataio import Dataset, parse_libsvm, split, to_libsvm
 from aucmax.model import load_model
@@ -375,6 +380,19 @@ class TestExitCodes:
         assert code == 3
         assert "line 1" in err
 
+    @pytest.mark.parametrize("index, message", [
+        ("9223372036854775808", "line 1: feature index 9223372036854775808"),
+        ("4611686018427387904", "1 x 4611686018427387904"),
+    ], ids=["beyond-intp", "array-too-big"])
+    def test_oversized_feature_index(self, capsys, tmp_path, index, message):
+        data = tmp_path / "wide.libsvm"
+        data.write_text(f"+1 1:1 {index}:2\n")
+        code, _, err = run(capsys, ["kmeans", "--data", str(data), "--landmarks", "1",
+                                    "--out", str(tmp_path / "c.txt")])
+        assert code == 3
+        assert message in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_single_class_data(self, capsys, tmp_path):
         bad = tmp_path / "one.libsvm"
         bad.write_text("1 1:1.0\n1 1:2.0\n")
@@ -663,3 +681,34 @@ class TestCorruptModel:
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
         assert f"line {row + 1}: matrix 'projection'" in err
+
+    def test_error_names_the_file_line_past_blank_lines(self, capsys, tmp_path, rings_file, model_text):
+        lines = model_text.splitlines()
+        meta = lines.index("[meta]")
+        lines[meta + 1 : meta + 1] = ["", "", ""]
+        at = next(i for i, line in enumerate(lines) if line.startswith("sigma2 "))
+        lines[at] = "sigma2 abc"
+        path = tmp_path / "bad.model"
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert f"line {at + 1}: bad value for 'sigma2'" in err
+
+
+def test_cli_start_imports_no_scipy():
+    # scipy is left to the SGD step that needs it; importing it costs every CLI start
+    src = Path(aucmax.__file__).resolve().parents[1]
+    probe = (
+        "import sys, aucmax.cli; aucmax.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

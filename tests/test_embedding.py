@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from aucmax.dataio import Dataset, SparseVector
 from aucmax.embedding import (
@@ -78,14 +77,18 @@ class TestKmeans:
         diffs = np.diff(history)
         assert np.all(diffs <= 1e-9)
 
-    def test_sparse_matches_dense(self):
+    def test_update_sums_each_cluster_in_row_order(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((80, 6))
         X[rng.random((80, 6)) < 0.5] = 0.0
-        y = _labels(80, rng)
-        a = kmeans(Dataset(X, y, 6), v=4, max_iter=30, seed=11)
-        b = kmeans(Dataset(sp.csr_matrix(X), y, 6), v=4, max_iter=30, seed=11)
-        np.testing.assert_array_equal(a.centroids, b.centroids)
+        init = X[[3, 17, 42, 64]].copy()
+        labels = np.argmin(((X[:, None, :] - init[None]) ** 2).sum(axis=2), axis=1)
+        sums = np.zeros_like(init)
+        for i in range(80):
+            sums[labels[i]] += X[i]
+        expected = sums / np.bincount(labels, minlength=4)[:, None]
+        centroids, _ = _lloyd(X, init, max_iter=1)
+        np.testing.assert_array_equal(centroids, expected)
 
     def test_duplicate_points_handled(self):
         # more landmarks than distinct values forces the uniform fallback
@@ -180,7 +183,7 @@ class TestEmbed:
         rng = np.random.default_rng(12)
         lm = LandmarkSet(rng.standard_normal((6, 3)))
         m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=4)
-        ds = Dataset(sp.csr_matrix(rng.standard_normal((9, 3))), _labels(9, rng), 3)
+        ds = Dataset(rng.standard_normal((9, 3)), _labels(9, rng), 3)
         emb = embed(m, ds)
         assert emb.features.shape == (9, 4)
         np.testing.assert_array_equal(emb.y, ds.y)

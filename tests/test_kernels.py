@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from aucmax.dataio import Dataset, SparseVector
 from aucmax.errors import ConfigError, DataError
@@ -123,15 +122,6 @@ class TestKernelMatrix:
             for j in range(4):
                 np.testing.assert_allclose(K[i, j], gaussian_kernel(A[i], B[j], p), rtol=1e-12)
 
-    def test_sparse_input(self):
-        rng = np.random.default_rng(6)
-        dense = rng.standard_normal((8, 5))
-        dense[rng.random((8, 5)) < 0.5] = 0.0
-        p = GaussianKernelParams(1.1)
-        K_sparse = kernel_matrix(sp.csr_matrix(dense), sp.csr_matrix(dense), p)
-        K_dense = kernel_matrix(dense, dense, p)
-        np.testing.assert_array_equal(K_sparse, K_dense)
-
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
             kernel_matrix(np.ones((2, 3)), np.ones((2, 4)), GaussianKernelParams(1.0))
@@ -177,15 +167,6 @@ class TestBandwidthHeuristic:
         ds = Dataset(X, np.where(rng.random(60) < 0.5, 1, -1), 4)
         expected = np.mean(np.sum((X - X.mean(axis=0)) ** 2, axis=1))
         np.testing.assert_allclose(bandwidth_heuristic(ds).sigma2, expected, rtol=1e-12)
-
-    def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(10)
-        dense = rng.standard_normal((30, 5))
-        dense[rng.random((30, 5)) < 0.6] = 0.0
-        y = np.where(rng.random(30) < 0.5, 1, -1)
-        a = bandwidth_heuristic(Dataset(dense, y, 5))
-        b = bandwidth_heuristic(Dataset(sp.csr_matrix(dense), y, 5))
-        assert a.sigma2 == b.sigma2
 
     def test_default_cap(self):
         import inspect
