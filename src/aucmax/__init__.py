@@ -6,7 +6,7 @@ squared hinge objective with either a truncated Newton solver or a
 scheduled stochastic solver.
 """
 
-from .batch import BatchConfig, pairwise_objective, train_batch
+from .batch import BatchConfig, train_batch
 from .dataio import (
     Dataset,
     SparseVector,
@@ -69,7 +69,6 @@ __all__ = [
     "kmeans",
     "load_model",
     "parse_libsvm",
-    "pairwise_objective",
     "save_model",
     "split",
     "standardize_apply",

@@ -2,27 +2,29 @@
 
     F(w) = 1/2 ||w||^2 + C sum_{i in P} sum_{j in N} max(0, 1 - w.(x_i - x_j))^2
 
-The pair sums are never materialized. Sorting each class's scores once lets
-every per-instance quantity (active-partner counts, partner score sums,
-partner projection sums) come from binary searches plus prefix/suffix sums,
-so gradient, Hessian-vector product, and objective all cost O(n log n).
-
-A pair (i, j) is active when s_j > s_i - 1 with s = Xw. Both classes derive
-their active sets from that one float comparison, so the counts seen from
-the positive side and from the negative side agree exactly and the implied
-Hessian is exactly symmetric.
+The pair sums are never materialized. A pair (i, j) is active when
+s_j > s_i - 1 with s = Xw, and a row with no active pair contributes
+nothing to the loss, the gradient or the Hessian. Every partner of an
+active row is itself active, so the solver keeps one view, of the active
+rows A only: sorting each class's scores once makes the active positives a
+prefix of the sorted thresholds and the active negatives a suffix of the
+sorted negative scores. Binary searches then give each active row its count
+of partners, and prefix/suffix sums over A give its partner score and
+projection sums, so objective, gradient and Hessian-vector product (HVP)
+all cost O(n log n). Both classes derive their active sets from the one
+float comparison above, so the counts seen from the positive side and from
+the negative side agree exactly and the implied Hessian is exactly
+symmetric.
 
 Each Newton step solves H s = -g by conjugate gradient, and two things keep
 that solve cheap:
 
-- Active-row HVPs. A row with no active pair has a zero coefficient in the
-  Hessian-vector product, and every partner of an active row is active, so
-  H v = v + 2C X_A^T alpha_A(X_A v) over the active rows A is exact (the
-  active-set trick of primal SVM Newton methods, Chapelle 2007). Active
-  positives are a prefix of the sorted thresholds and active negatives a
-  suffix of the sorted negative scores. When at most half of the rows are
-  active, X_A is gathered once per aggregate; otherwise the product runs
-  over X itself and no copy is made.
+- Active-row HVPs. H v = v + 2C X_A^T alpha_A(X_A v) is exact (the
+  active-set trick of primal SVM Newton methods, Chapelle 2007). When at
+  most half of the rows are active, X_A is gathered once per aggregate;
+  otherwise the product runs over X itself and no copy is made. The
+  gradient w + 2C X^T gamma scatters gamma_A into an n-vector and runs over
+  X.
 - Jacobi preconditioning. CG is preconditioned by the exact diagonal of
   H = I + 2C X^T L X at the current aggregates, L being the active-pair
   Laplacian (Hsia, Chiang & Lin, ACML 2018). It still stops on the
@@ -52,67 +54,55 @@ class BatchConfig:
     def __post_init__(self):
         if not np.isfinite(self.C) or self.C <= 0:
             raise ConfigError(f"C must be finite and positive, got {self.C}")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ConfigError(f"grad_tol must be positive, got {self.grad_tol}")
+        if self.grad_tol is not None and (not np.isfinite(self.grad_tol) or self.grad_tol <= 0):
+            raise ConfigError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if self.max_outer < 1 or self.cg_max < 1:
             raise ConfigError("iteration caps must be >= 1")
-        if self.cg_tol <= 0:
-            raise ConfigError(f"cg_tol must be positive, got {self.cg_tol}")
+        if not np.isfinite(self.cg_tol) or self.cg_tol <= 0:
+            raise ConfigError(f"cg_tol must be finite and positive, got {self.cg_tol}")
 
 
 class PairAggregates:
-    """Sorted-score view of the active pairs at a fixed weight vector.
+    """The rows with an active pair at a fixed weight vector, in sorted order.
 
     Positives contribute thresholds t_i = s_i - 1; a negative j is an active
-    partner of i iff s_j > t_i. Suffix sums over the sorted negative scores
-    and prefix sums over the sorted thresholds turn every pairwise sum into
-    an O(1) lookup per instance.
+    partner of i iff s_j > t_i. `rows` lists the active positives in
+    ascending threshold order, then the active negatives in ascending score
+    order; k_act, m_act, c_act and s_act are indexed like `rows`. Positive
+    number p pairs with the negatives from k_act[p] on, and negative number q
+    with the first m_act[q] positives, so a suffix sum over the negatives or
+    a prefix sum over the positives turns each pairwise sum into an O(1)
+    lookup per row. A row with no active pair is absent: its terms are all
+    zero.
     """
 
     # columns per block of hessian_diagonal, bounding its temporaries to rows x 64
     DIAG_COLUMNS = 64
 
     def __init__(self, scores: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray):
-        self.scores = scores
-        self.pos_idx = pos_idx
-        self.neg_idx = neg_idx
-        s_pos = scores[pos_idx]
+        t_pos = scores[pos_idx] - 1.0
         s_neg = scores[neg_idx]
-        self.t_pos = s_pos - 1.0
-
-        self.order_pos = np.argsort(self.t_pos, kind="stable")
-        self.order_neg = np.argsort(s_neg, kind="stable")
-        self.t_pos_sorted = self.t_pos[self.order_pos]
-        self.s_neg_sorted = s_neg[self.order_neg]
-        self.s_pos_sorted = s_pos[self.order_pos]
-
-        # first active negative (in sorted order) for each positive
-        self.k = np.searchsorted(self.s_neg_sorted, self.t_pos, side="right")
-        # number of active positives for each negative
-        self.m = np.searchsorted(self.t_pos_sorted, s_neg, side="left")
-
-        self.c_pos = self.neg_idx.size - self.k
-        self.c_neg = self.m
-
-        self.suff_s_neg = self._suffix(self.s_neg_sorted)
-        self.suff_q_neg = self._suffix(self.s_neg_sorted**2)
-        self.pref_s_pos = self._prefix(self.s_pos_sorted)
-
-        self.s_pos = s_pos
-        self.s_neg = s_neg
+        order_pos = np.argsort(t_pos, kind="stable")
+        order_neg = np.argsort(s_neg, kind="stable")
+        t_sorted = t_pos[order_pos]
+        s_neg_sorted = s_neg[order_neg]
+        # each sorted positive's first active partner among the sorted negatives,
+        # and each sorted negative's count of active partners
+        k = np.searchsorted(s_neg_sorted, t_sorted, side="right")
+        m = np.searchsorted(t_sorted, s_neg_sorted, side="left")
 
         # Active positives lead the sorted thresholds and active negatives
-        # trail the sorted negative scores. `rows` lists both, in those
-        # orders: the rows alpha() and hessian_diagonal() cover.
-        self.n_act_pos = int(np.count_nonzero(self.c_pos))
-        tail = neg_idx.size - int(np.count_nonzero(self.c_neg))
-        pos_act = self.order_pos[: self.n_act_pos]
-        neg_act = self.order_neg[tail:]
-        self.rows = np.concatenate([pos_idx[pos_act], neg_idx[neg_act]])
+        # trail the sorted negative scores.
+        n_neg = neg_idx.size
+        self.n_act_pos = int(np.count_nonzero(k < n_neg))
+        tail = n_neg - int(np.count_nonzero(m))
+        self.rows = np.concatenate([pos_idx[order_pos[: self.n_act_pos]], neg_idx[order_neg[tail:]]])
+        k = k[: self.n_act_pos]
         # each active positive's first partner, counted from the first active negative
-        self.k_act = self.k[pos_act] - tail
-        self.m_act = self.m[neg_act]
-        self.c_act = np.concatenate([self.c_pos[pos_act], self.c_neg[neg_act]]).astype(np.float64)
+        self.k_act = k - tail
+        self.m_act = m[tail:]
+        self.c_act = np.concatenate([n_neg - k, self.m_act]).astype(np.float64)
+        self.s_act = scores[self.rows]
         self._gathered = None
 
     @staticmethod
@@ -129,32 +119,38 @@ class PairAggregates:
 
     @property
     def active_pairs(self) -> int:
-        return int(self.c_pos.sum())
+        return int(self.c_act[: self.n_act_pos].sum())
 
     def loss(self) -> float:
         """Squared hinge pair-loss sum at the aggregate's scores (no regularizer, no C)."""
-        c = self.c_pos.astype(np.float64)
-        one_minus = 1.0 - self.s_pos
-        S = self.suff_s_neg[self.k]
-        Q = self.suff_q_neg[self.k]
-        return float(np.sum(c * one_minus**2 + 2.0 * one_minus * S + Q))
+        npos = self.n_act_pos
+        one_minus = 1.0 - self.s_act[:npos]
+        s_neg = self.s_act[npos:]
+        S = self._suffix(s_neg)[self.k_act]
+        Q = self._suffix(s_neg**2)[self.k_act]
+        return float(np.sum(self.c_act[:npos] * one_minus**2 + 2.0 * one_minus * S + Q))
 
     def objective(self, w: np.ndarray, C: float) -> float:
         """F(w), for the w whose scores built these aggregates."""
         return 0.5 * float(w @ w) + C * self.loss()
 
     def gamma(self) -> np.ndarray:
-        """Per-instance pair-sum coefficients: the gradient is w + 2C X^T gamma."""
-        g = np.zeros(self.scores.size)
-        S_pos = self.suff_s_neg[self.k]
-        g[self.pos_idx] = -((1.0 - self.s_pos) * self.c_pos + S_pos)
-        S_neg = self.pref_s_pos[self.m]
-        g[self.neg_idx] = (1.0 + self.s_neg) * self.c_neg - S_neg
-        return g
+        """Pair-sum coefficients of the rows: the gradient is w + 2C X[rows]^T gamma."""
+        npos = self.n_act_pos
+        s_pos = self.s_act[:npos]
+        s_neg = self.s_act[npos:]
+        S_pos = self._suffix(s_neg)[self.k_act]
+        S_neg = self._prefix(s_pos)[self.m_act]
+        return np.concatenate(
+            [-((1.0 - s_pos) * self.c_act[:npos] + S_pos),
+             (1.0 + s_neg) * self.c_act[npos:] - S_neg]
+        )
 
     def gradient(self, w: np.ndarray, X, C: float) -> np.ndarray:
         """Squared hinge gradient, for the w whose scores X @ w built these aggregates."""
-        return w + 2.0 * C * (X.T @ self.gamma())
+        g = np.zeros(X.shape[0])
+        g[self.rows] = self.gamma()
+        return w + 2.0 * C * (X.T @ g)
 
     def active_features(self, X):
         """(M, sel) with M[sel] == X[rows]: the matrix the HVP multiplies and
@@ -202,20 +198,6 @@ class PairAggregates:
                 "ij,ij->j", B[:npos], S[self.k_act]
             )
         return 1.0 + 2.0 * C * np.maximum(quad, 0.0)
-
-
-def pairwise_objective(w: np.ndarray, data: EmbeddedDataset, C: float) -> float:
-    """F(w) for the squared hinge pair loss."""
-    if C <= 0:
-        raise ConfigError(f"C must be positive, got {C}")
-    w = np.asarray(w, dtype=np.float64)
-    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx).objective(w, C)
-
-
-def grad_fast(w: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
-    """Exact gradient of the squared hinge objective in O(n log n)."""
-    w = np.asarray(w, dtype=np.float64)
-    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx).gradient(w, data.features, C)
 
 
 def hvp_fast(agg: PairAggregates, v: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:

@@ -63,9 +63,7 @@ def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True, with_la
 
 
 def _add_kernel_flags(p: argparse.ArgumentParser):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--sigma2", type=float, default=None, help="kernel bandwidth (squared-distance units)")
-    g.add_argument("--gamma", type=float, default=None, help="kernel coefficient exp(-gamma ||x-y||^2)")
+    p.add_argument("--sigma2", type=float, default=None, help="kernel bandwidth (squared-distance units)")
     p.add_argument(
         "--bandwidth-cap",
         type=int,
@@ -148,8 +146,6 @@ def _load_grouped(args) -> Dataset:
 def _kernel_params(args, standardized: Dataset) -> GaussianKernelParams:
     if args.sigma2 is not None:
         return GaussianKernelParams(args.sigma2)
-    if args.gamma is not None:
-        return GaussianKernelParams.from_gamma(args.gamma)
     return bandwidth_heuristic(standardized, cap=args.bandwidth_cap)
 
 

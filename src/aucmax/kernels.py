@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, SparseVector
+from .dataio import Dataset
 from .errors import ConfigError, DataError
 
 
@@ -19,17 +19,6 @@ class GaussianKernelParams:
     def __post_init__(self):
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
             raise ConfigError(f"sigma2 must be finite and positive, got {self.sigma2}")
-
-    @classmethod
-    def from_gamma(cls, gamma: float) -> "GaussianKernelParams":
-        """Accept the exp(-gamma ||x-y||^2) parameterization: sigma2 = 1/(2 gamma)."""
-        if not np.isfinite(gamma) or gamma <= 0:
-            raise ConfigError(f"gamma must be finite and positive, got {gamma}")
-        return cls(1.0 / (2.0 * gamma))
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / (2.0 * self.sigma2)
 
 
 def row_sq_norms(X: np.ndarray) -> np.ndarray:
@@ -51,22 +40,9 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | Non
 
 
 def gaussian_kernel(x, y, params: GaussianKernelParams) -> float:
-    """kappa for a single pair; accepts SparseVector or 1-D dense vectors.
-
-    A SparseVector is densified to the other point's length. A pair of
-    SparseVectors is densified over the union of their stored indices, so
-    the cost grows with the stored entries, not with the largest index.
-    """
-    if isinstance(x, SparseVector) and isinstance(y, SparseVector):
-        union = np.union1d(x.indices, y.indices)
-        x, y = (SparseVector(np.searchsorted(union, v.indices), v.values) for v in (x, y))
-        dim = union.size
-    else:
-        dim = len(y if isinstance(x, SparseVector) else x)
-    xv, yv = (
-        v.to_dense(dim) if isinstance(v, SparseVector) else np.asarray(v, dtype=np.float64) for v in (x, y)
-    )
-    if xv.shape != yv.shape:
+    """kappa for a single pair of equal-length 1-D dense vectors."""
+    xv, yv = (np.asarray(v, dtype=np.float64) for v in (x, y))
+    if xv.ndim != 1 or xv.shape != yv.shape:
         raise DataError(f"dimension mismatch: {xv.shape} vs {yv.shape}")
     diff = xv - yv
     return float(np.exp(-float(diff @ diff) / (2.0 * params.sigma2)))
@@ -102,6 +78,6 @@ def bandwidth_heuristic(data: Dataset, cap: int = 80000) -> GaussianKernelParams
     if sigma2 <= 16.0 * np.finfo(np.float64).eps * max(scale, 1.0):
         raise DataError(
             "all instances used by the bandwidth heuristic coincide; "
-            "pass sigma2 (or gamma) explicitly"
+            "pass sigma2 explicitly"
         )
     return GaussianKernelParams(sigma2)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from aucmax.batch import BatchConfig, PairAggregates, grad_fast, hvp_fast, pairwise_objective, train_batch
+from aucmax.batch import BatchConfig, PairAggregates, hvp_fast, train_batch
 from aucmax.cli import main as cli_main
 from aucmax.dataio import Dataset, parse_libsvm, split, standardize_apply, standardize_fit, to_libsvm
 from aucmax.embedding import EmbeddedDataset, LandmarkSet, embed, fit_nystroem, kmeans
@@ -51,6 +51,10 @@ def _pair_instances(count: int, rng: np.random.Generator):
 @pytest.fixture(scope="module")
 def pair_instances():
     return _pair_instances(200, np.random.default_rng(20240817))
+
+
+def aggregates(data: EmbeddedDataset, w: np.ndarray) -> PairAggregates:
+    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
 
 
 def brute_active(data: EmbeddedDataset, w: np.ndarray):
@@ -168,16 +172,16 @@ def test_criterion_02_gradient_correctness(pair_instances):
     worst_fd = 0.0
     worst_brute = 0.0
     for data, w, C in pair_instances:
-        g = grad_fast(w, data, C)
+        g = aggregates(data, w).gradient(w, data.features, C)
 
         h = 1e-6
         g_fd = np.empty_like(g)
         for k in range(w.size):
             step = np.zeros_like(w)
             step[k] = h
-            g_fd[k] = (
-                pairwise_objective(w + step, data, C) - pairwise_objective(w - step, data, C)
-            ) / (2.0 * h)
+            up, down = w + step, w - step
+            f_up, f_down = (aggregates(data, v).objective(v, C) for v in (up, down))
+            g_fd[k] = (f_up - f_down) / (2.0 * h)
         denom = max(1.0, float(np.linalg.norm(g)))
         worst_fd = max(worst_fd, float(np.linalg.norm(g_fd - g)) / denom)
 
@@ -197,8 +201,7 @@ def test_criterion_03_hvp_correctness(pair_instances):
     curvature_ok = True
     for data, w, C in pair_instances:
         v = rng.standard_normal(w.size)
-        agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
-        hv = hvp_fast(agg, v, data, C)
+        hv = hvp_fast(aggregates(data, w), v, data, C)
         hv_brute = brute_hvp(data, w, v, C)
         worst = max(
             worst,

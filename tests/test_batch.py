@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 import aucmax.batch
-from aucmax.batch import (
-    BatchConfig,
-    PairAggregates,
-    conjugate_gradient,
-    grad_fast,
-    hvp_fast,
-    pairwise_objective,
-    train_batch,
-)
+from aucmax.batch import BatchConfig, PairAggregates, conjugate_gradient, hvp_fast, train_batch
 from aucmax.embedding import EmbeddedDataset
 from aucmax.errors import ConfigError
 from aucmax.metrics import auc
@@ -53,10 +45,33 @@ def brute_hvp(w, v, X, y, C):
     return out
 
 
-def brute_objective(w, X, y, C):
+def brute_loss(w, X, y):
     s = X @ w
-    total = sum((1.0 - s[i] + s[j]) ** 2 for i, j in active_pairs(s, y))
-    return 0.5 * float(w @ w) + C * total
+    return sum((1.0 - s[i] + s[j]) ** 2 for i, j in active_pairs(s, y))
+
+
+def brute_objective(w, X, y, C):
+    return 0.5 * float(w @ w) + C * brute_loss(w, X, y)
+
+
+def aggregates(w, data):
+    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+
+
+def active_counts(agg, n):
+    """Active partners of each of the n rows, read from the aggregate's rows."""
+    counts = np.zeros(n, dtype=np.int64)
+    for row, c in zip(agg.rows, agg.c_act):
+        counts[row] = c
+    return counts
+
+
+def enumerated_counts(pairs, n):
+    counts = np.zeros(n, dtype=np.int64)
+    for i, j in pairs:
+        counts[i] += 1
+        counts[j] += 1
+    return counts
 
 
 def random_instance(rng, n_max=60, r_max=8, spread=1.0):
@@ -68,19 +83,23 @@ def random_instance(rng, n_max=60, r_max=8, spread=1.0):
     return EmbeddedDataset(X, y)
 
 
-def instances_by_active_share(rng, gathered, count=60):
+def instances_by_active_share(rng, gathered, count=60, lattice=False):
     """(data, w) pairs whose active rows are at most half of the rows
     (gathered=True) or more than half. A class offset along the first column
     and a weight of varying length spread the margins, so that anywhere from
-    none to all of the rows have an active pair."""
+    none to all of the rows have an active pair. With lattice=True features
+    and weights are multiples of 1/4, so scores are exact and some margins
+    sit exactly at the threshold 1."""
     found = []
     while len(found) < count:
         data = random_instance(rng)
         X = data.features.copy()
         X[:, 0] += rng.uniform(0.0, 3.0) * data.y
-        data = EmbeddedDataset(X, data.y)
         w = rng.standard_normal(data.r) * rng.uniform(0.05, 0.5)
         w[0] = rng.uniform(0.0, 2.0)
+        if lattice:
+            X, w = np.round(4.0 * X) / 4.0, np.round(4.0 * w) / 4.0
+        data = EmbeddedDataset(X, data.y)
         s = data.features @ w
         rows = {i for pair in active_pairs(s, data.y) for i in pair}
         if (2 * len(rows) <= data.n) == gathered:
@@ -99,9 +118,8 @@ class TestPairAggregates:
             pairs = active_pairs(s, data.y)
             assert agg.active_pairs == len(pairs)
             # both sides must see the identical pair set
-            assert int(agg.c_pos.sum()) == int(agg.c_neg.sum())
-            for local_i, i in enumerate(data.pos_idx):
-                assert agg.c_pos[local_i] == sum(1 for a, _ in pairs if a == i)
+            assert agg.c_act[: agg.n_act_pos].sum() == agg.c_act[agg.n_act_pos :].sum()
+            np.testing.assert_array_equal(active_counts(agg, data.n), enumerated_counts(pairs, data.n))
 
     def test_counts_consistent_with_ties_at_boundary(self):
         # scores engineered so several margins sit exactly at the threshold
@@ -112,7 +130,8 @@ class TestPairAggregates:
         agg = PairAggregates(s, pos, neg)
         pairs = active_pairs(s, y)
         assert agg.active_pairs == len(pairs)
-        assert int(agg.c_pos.sum()) == int(agg.c_neg.sum()) == len(pairs)
+        assert agg.c_act[: agg.n_act_pos].sum() == agg.c_act[agg.n_act_pos :].sum() == len(pairs)
+        np.testing.assert_array_equal(active_counts(agg, s.size), enumerated_counts(pairs, s.size))
 
     def test_active_rows_are_the_rows_of_active_pairs(self):
         rng = np.random.default_rng(13)
@@ -141,23 +160,42 @@ class TestPairAggregates:
         for _ in range(30):
             data = random_instance(rng)
             w = rng.standard_normal(data.r)
-            expected = brute_objective(w, data.features, data.y, C=1.0) - 0.5 * float(w @ w)
-            agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
-            np.testing.assert_allclose(agg.loss(), expected, rtol=1e-9, atol=1e-12)
+            expected = brute_loss(w, data.features, data.y)
+            np.testing.assert_allclose(aggregates(w, data).loss(), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("gathered", [True, False], ids=["at-most-half-active", "over-half-active"])
+    def test_loss_and_gradient_with_inactive_rows_and_ties(self, gathered):
+        rng = np.random.default_rng(19 + gathered)
+        inactive_rows = at_threshold = 0
+        for data, w in instances_by_active_share(rng, gathered, count=40, lattice=True):
+            s = data.features @ w
+            margins = 1.0 - s[data.pos_idx, None] + s[None, data.neg_idx]
+            at_threshold += int(np.count_nonzero(margins == 0.0))
+            agg = aggregates(w, data)
+            inactive_rows += data.n - agg.rows.size
+            np.testing.assert_allclose(agg.loss(), brute_loss(w, data.features, data.y), rtol=1e-12, atol=0)
+            C = float(rng.uniform(0.05, 4.0))
+            np.testing.assert_allclose(
+                agg.gradient(w, data.features, C), brute_grad(w, data.features, data.y, C),
+                rtol=1e-10, atol=1e-12,
+            )
+        # the instances do exercise absent rows and pairs exactly at the threshold
+        assert inactive_rows > 0 and at_threshold > 0
 
 
 class TestGradFast:
     def test_single_pair_by_hand(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
         data = EmbeddedDataset(X, np.array([1, -1]))
-        g = grad_fast(np.zeros(2), data, C=1.0)
+        w = np.zeros(2)
+        g = aggregates(w, data).gradient(w, data.features, 1.0)
         np.testing.assert_allclose(g, [-2.0, 2.0], rtol=1e-15)
 
     def test_no_active_pairs_returns_w(self):
         X = np.array([[2.0], [-2.0], [3.0], [-1.5]])
         data = EmbeddedDataset(X, np.array([1, -1, 1, -1]))
         w = np.array([1.0])  # every margin is at least 3
-        np.testing.assert_array_equal(grad_fast(w, data, C=5.0), w)
+        np.testing.assert_array_equal(aggregates(w, data).gradient(w, data.features, 5.0), w)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
@@ -166,7 +204,7 @@ class TestGradFast:
             w = rng.standard_normal(data.r) * rng.uniform(0.05, 2.0)
             C = float(rng.uniform(0.05, 4.0))
             expected = brute_grad(w, data.features, data.y, C)
-            got = grad_fast(w, data, C)
+            got = aggregates(w, data).gradient(w, data.features, C)
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_matches_finite_differences(self):
@@ -175,29 +213,26 @@ class TestGradFast:
             data = random_instance(rng, n_max=40, r_max=6)
             w = rng.standard_normal(data.r) * 0.5
             C = float(rng.uniform(0.1, 2.0))
-            g = grad_fast(w, data, C)
+            g = aggregates(w, data).gradient(w, data.features, C)
             h = 1e-6
             fd = np.empty_like(g)
             for k in range(data.r):
                 e = np.zeros(data.r)
                 e[k] = h
-                fd[k] = (
-                    pairwise_objective(w + e, data, C) - pairwise_objective(w - e, data, C)
-                ) / (2 * h)
+                up, down = w + e, w - e
+                f_up, f_down = (aggregates(v, data).objective(v, C) for v in (up, down))
+                fd[k] = (f_up - f_down) / (2 * h)
             scale = max(1.0, float(np.linalg.norm(g)))
             np.testing.assert_allclose(g, fd, rtol=0, atol=1e-5 * scale)
 
 
 class TestHvpFast:
-    def _agg(self, w, data):
-        return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
-
     def test_identity_when_no_active_pairs(self):
         X = np.array([[2.0], [-2.0]])
         data = EmbeddedDataset(X, np.array([1, -1]))
         w = np.array([1.0])
         v = np.array([3.7])
-        np.testing.assert_array_equal(hvp_fast(self._agg(w, data), v, data, C=2.0), v)
+        np.testing.assert_array_equal(hvp_fast(aggregates(w, data), v, data, C=2.0), v)
 
     def test_single_active_pair_rank_one(self):
         X = np.array([[0.5, 0.0], [0.0, 0.5]])
@@ -207,7 +242,7 @@ class TestHvpFast:
         v = diff.copy()
         expected = v + 2.0 * float(diff @ diff) * diff
         np.testing.assert_allclose(
-            hvp_fast(self._agg(w, data), v, data, C=1.0), expected, rtol=1e-14
+            hvp_fast(aggregates(w, data), v, data, C=1.0), expected, rtol=1e-14
         )
 
     def test_matches_bruteforce(self):
@@ -218,14 +253,14 @@ class TestHvpFast:
             v = rng.standard_normal(data.r)
             C = float(rng.uniform(0.05, 4.0))
             expected = brute_hvp(w, v, data.features, data.y, C)
-            got = hvp_fast(self._agg(w, data), v, data, C)
+            got = hvp_fast(aggregates(w, data), v, data, C)
             np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
     @pytest.mark.parametrize("gathered", [True, False], ids=["at-most-half-active", "over-half-active"])
     def test_matches_bruteforce_on_each_branch(self, gathered):
         rng = np.random.default_rng(15 + gathered)
         for data, w in instances_by_active_share(rng, gathered):
-            agg = self._agg(w, data)
+            agg = aggregates(w, data)
             M, _ = agg.active_features(data.features)
             # the gathered copy holds exactly the active rows; otherwise X is used as is
             assert (M is not data.features) == gathered
@@ -245,7 +280,7 @@ class TestHvpFast:
             w = rng.standard_normal(data.r)
             v = rng.standard_normal(data.r)
             C = float(rng.uniform(0.05, 4.0))
-            Hv = hvp_fast(self._agg(w, data), v, data, C)
+            Hv = hvp_fast(aggregates(w, data), v, data, C)
             assert float(v @ Hv) >= float(v @ v) - 1e-10
 
     def test_symmetry(self):
@@ -253,7 +288,7 @@ class TestHvpFast:
         for _ in range(50):
             data = random_instance(rng)
             w = rng.standard_normal(data.r)
-            agg = self._agg(w, data)
+            agg = aggregates(w, data)
             u = rng.standard_normal(data.r)
             v = rng.standard_normal(data.r)
             C = 1.3
@@ -331,7 +366,7 @@ class TestTrainBatch:
         model = train_batch(data, BatchConfig(C=1.0))
         scores = data.features @ model.w
         assert auc(scores, data.y).auc == 1.0
-        final = pairwise_objective(model.w, data, C=1.0)
+        final = aggregates(model.w, data).objective(model.w, 1.0)
         assert final < 1.0 * data.pos_idx.size * data.neg_idx.size
 
     def test_tiny_c_shrinks_weights(self):
@@ -366,7 +401,7 @@ class TestTrainBatch:
         model = train_batch(
             data, BatchConfig(C=C, grad_tol=1e-10, cg_tol=1e-8, max_outer=200)
         )
-        f_solver = pairwise_objective(model.w, data, C)
+        f_solver = aggregates(model.w, data).objective(model.w, C)
 
         diffs = X[y == 1][:, None, :] - X[y == -1][None, :, :]
         diffs = diffs.reshape(-1, 2)
@@ -391,9 +426,10 @@ class TestTrainBatch:
         for _ in range(50):
             a = rng.standard_normal(data.r)
             b = rng.standard_normal(data.r)
-            fa = pairwise_objective(a, data, C)
-            fb = pairwise_objective(b, data, C)
-            fm = pairwise_objective(0.5 * (a + b), data, C)
+            fa = aggregates(a, data).objective(a, C)
+            fb = aggregates(b, data).objective(b, C)
+            m = 0.5 * (a + b)
+            fm = aggregates(m, data).objective(m, C)
             assert fm <= 0.5 * (fa + fb) + 1e-12
 
     def test_deterministic(self):
@@ -465,6 +501,12 @@ class TestTrainBatch:
         with pytest.raises(ConfigError):
             BatchConfig(C=1.0, max_outer=0)
 
+    @pytest.mark.parametrize("field", ["grad_tol", "cg_tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_tolerance(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            BatchConfig(C=1.0, **{field: value})
+
 
 class TestGradScaling:
     def test_near_linear_in_n(self):
@@ -482,7 +524,7 @@ class TestGradScaling:
             best = np.inf
             for _ in range(5):
                 t0 = time.perf_counter()
-                grad_fast(w, data, C=1.0)
+                aggregates(w, data).gradient(w, data.features, 1.0)
                 best = min(best, time.perf_counter() - t0)
             return best
 

@@ -107,6 +107,12 @@ class TestTrainPredictEval:
         assert code == 0
         assert parse_kv(out)["converged"] == "0"
 
+    def test_sigma2_flag_fixes_the_bandwidth(self, capsys, tmp_path, rings_file):
+        model = str(tmp_path / "m.model")
+        assert run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "8",
+                            "--sigma2", "2.5", "--model", model])[0] == 0
+        assert load_model(model).embedding.kernel.sigma2 == 2.5
+
     def test_sgd_prints_no_converged_line(self, capsys, tmp_path, rings_file):
         code, out, _ = run(capsys, ["train-sgd", "--data", rings_file, "--landmarks", "16",
                                     "--epochs", "1", "--model", str(tmp_path / "m")])
@@ -417,6 +423,17 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--grad-tol", "inf"), ("--grad-tol", "nan"),
+                                             ("--cg-tol", "nan")],
+                             ids=["grad-tol-inf", "grad-tol-nan", "cg-tol-nan"])
+    def test_non_finite_tolerance_exits_two(self, capsys, tmp_path, rings_file, flag, value):
+        model = tmp_path / "m.model"
+        code, _, err = run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "5",
+                                    flag, value, "--model", str(model)])
+        assert code == 2
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not model.exists()
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -501,7 +518,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--gamma": (None, False),
         "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
@@ -520,7 +536,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--gamma": (None, False),
         "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
@@ -550,7 +565,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--gamma": (None, False),
         "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
@@ -571,7 +585,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--gamma": (None, False),
         "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
@@ -597,7 +610,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--gamma": (None, False),
         "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),

@@ -1,11 +1,9 @@
 """Tests for the Gaussian kernel, kernel matrices, and the bandwidth rule."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from aucmax.dataio import Dataset, SparseVector
+from aucmax.dataio import Dataset
 from aucmax.errors import ConfigError, DataError
 from aucmax.kernels import (
     GaussianKernelParams,
@@ -17,11 +15,6 @@ from aucmax.kernels import (
 
 
 class TestParams:
-    def test_gamma_conversion(self):
-        p = GaussianKernelParams.from_gamma(0.25)
-        assert p.sigma2 == 2.0
-        assert GaussianKernelParams(2.0).gamma == 0.25
-
     def test_rejects_bad_sigma2(self):
         for bad in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ConfigError):
@@ -30,14 +23,8 @@ class TestParams:
 
 class TestGaussianKernel:
     def test_zero_distance_is_one(self):
-        x = SparseVector([0, 3], [1.0, -2.0])
+        x = np.array([1.0, 0.0, 0.0, -2.0])
         assert gaussian_kernel(x, x, GaussianKernelParams(1.0)) == 1.0
-
-    def test_empty_sparse_against_dense(self):
-        p = GaussianKernelParams(1.0)
-        assert gaussian_kernel(SparseVector([], []), np.zeros(3), p) == 1.0
-        with pytest.raises(DataError):
-            gaussian_kernel(SparseVector([3], [1.0]), np.zeros(3), p)
 
     def test_value_at_two_sigma2(self):
         # ||x - y||^2 = 2 sigma2 gives exactly exp(-1)
@@ -50,11 +37,14 @@ class TestGaussianKernel:
         rng = np.random.default_rng(0)
         p = GaussianKernelParams(0.7)
         for _ in range(50):
-            idx_x = np.sort(rng.choice(12, size=4, replace=False))
-            idx_y = np.sort(rng.choice(12, size=5, replace=False))
-            x = SparseVector(idx_x, rng.standard_normal(4))
-            y = SparseVector(idx_y, rng.standard_normal(5))
+            x, y = rng.standard_normal((2, 12))
             assert gaussian_kernel(x, y, p) == gaussian_kernel(y, x, p)
+
+    @pytest.mark.parametrize("x, y", [(np.zeros(3), np.zeros(4)), (np.zeros((2, 3)), np.zeros((2, 3)))],
+                             ids=["lengths", "two-d"])
+    def test_shape_mismatch_is_data_error(self, x, y):
+        with pytest.raises(DataError):
+            gaussian_kernel(x, y, GaussianKernelParams(1.0))
 
     def test_range(self):
         rng = np.random.default_rng(1)
@@ -63,34 +53,6 @@ class TestGaussianKernel:
             x, y = rng.standard_normal((2, 6))
             k = gaussian_kernel(x, y, p)
             assert 0.0 < k <= 1.0
-
-    def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(2)
-        p = GaussianKernelParams(3.0)
-        for _ in range(30):
-            xv, yv = rng.standard_normal((2, 9))
-            xv[rng.random(9) < 0.5] = 0.0
-            yv[rng.random(9) < 0.5] = 0.0
-            xs = SparseVector(np.nonzero(xv)[0], xv[np.nonzero(xv)[0]])
-            ys = SparseVector(np.nonzero(yv)[0], yv[np.nonzero(yv)[0]])
-            np.testing.assert_allclose(
-                gaussian_kernel(xs, ys, p), gaussian_kernel(xv, yv, p), rtol=1e-12
-            )
-
-    def test_sparse_pair_with_a_huge_index(self):
-        # a length-1e9 dense copy would take 8 GB; the pair holds three entries
-        p = GaussianKernelParams(1.0)
-        x = SparseVector([3, 10**9], [1.0, 2.0])
-        y = SparseVector([10**9], [0.5])
-        tracemalloc.start()
-        try:
-            k = gaussian_kernel(x, y, p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # ||x - y||^2 = 1 + 1.5^2
-        assert k == np.exp(-3.25 / 2.0)
-        assert peak < 1 << 20
 
 
 class TestKernelMatrix:

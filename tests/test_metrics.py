@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aucmax.batch import pairwise_objective
+from aucmax.batch import PairAggregates
 from aucmax.embedding import EmbeddedDataset
 from aucmax.errors import ConfigError, DataError
 from aucmax.metrics import auc, auc_bruteforce
@@ -128,16 +128,17 @@ class TestObjective:
         rng = np.random.default_rng(4)
         data = _embedded(rng, 20, 3)
         n_pairs = data.pos_idx.size * data.neg_idx.size
-        assert pairwise_objective(np.zeros(3), data, C=2.5) == 2.5 * n_pairs
+        w = np.zeros(3)
+        agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+        assert agg.objective(w, C=2.5) == 2.5 * n_pairs
 
     def test_inactive_single_pair(self):
         # margin 2 keeps the pair out of the loss; only the regularizer remains
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
         data = EmbeddedDataset(X, np.array([1, -1]))
         w = np.array([1.0, 0.5])
-        np.testing.assert_allclose(
-            pairwise_objective(w, data, C=1.0), 0.5 * (1.0 + 0.25), rtol=1e-15
-        )
+        agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+        np.testing.assert_allclose(agg.objective(w, C=1.0), 0.5 * (1.0 + 0.25), rtol=1e-15)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(5)
@@ -148,10 +149,5 @@ class TestObjective:
             w = rng.standard_normal(r)
             C = float(rng.uniform(0.1, 5.0))
             expected = brute_objective(w, data.features, data.y, C)
-            np.testing.assert_allclose(pairwise_objective(w, data, C), expected, rtol=1e-9)
-
-    def test_rejects_bad_c(self):
-        rng = np.random.default_rng(6)
-        data = _embedded(rng, 10, 2)
-        with pytest.raises(ConfigError):
-            pairwise_objective(np.zeros(2), data, C=0.0)
+            agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+            np.testing.assert_allclose(agg.objective(w, C), expected, rtol=1e-9)
