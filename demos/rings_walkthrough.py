@@ -19,7 +19,6 @@ from aucmax import (
     standardize_fit,
     train_batch,
 )
-from aucmax.embedding import EmbeddedDataset
 from aucmax.synthetic import make_rings
 
 # 1. data: 2000 points, 3:1 negative-to-positive
@@ -32,7 +31,7 @@ train_std = standardize_apply(scaler, train)
 test_std = standardize_apply(scaler, test)
 
 # 2. baseline: Newton solver straight on the 2 raw coordinates
-raw = train_batch(EmbeddedDataset(train_std.X, train_std.y), BatchConfig(C=1.0))
+raw = train_batch(train_std, BatchConfig(C=1.0))
 raw_auc = auc(test_std.X @ raw.w, test_std.y).auc
 print(f"raw 2-D features:   test AUC {raw_auc:.4f}")
 
@@ -48,7 +47,7 @@ print(f"embedding rank {mapping.rank} from {landmarks.v} landmarks")
 
 # 4. same solver, embedded features
 model = train_batch(train_emb, BatchConfig(C=1.0))
-emb_auc = auc(test_emb.features @ model.w, test_emb.y).auc
+emb_auc = auc(test_emb.X @ model.w, test_emb.y).auc
 print(f"64-landmark embedding: test AUC {emb_auc:.4f}")
 print(f"Newton iterations: {model.diagnostics['outer_iterations']}, "
       f"converged: {model.diagnostics['converged']}")

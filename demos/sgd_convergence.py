@@ -34,12 +34,13 @@ mapping = fit_nystroem(kmeans(train_std, v=64, seed=0),
 train_emb = embed(mapping, train_std)
 test_emb = embed(mapping, test_std)
 
-batch_auc = auc(test_emb.features @ train_batch(train_emb, BatchConfig(C=1.0)).w,
+batch_auc = auc(test_emb.X @ train_batch(train_emb, BatchConfig(C=1.0)).w,
                 test_emb.y).auc
 print(f"batch solver test AUC: {batch_auc:.4f}")
 
 # lambda paired to C = 1 through the pair count
-lam = 1.0 / (train_emb.pos_idx.size * train_emb.neg_idx.size)
+pos_idx, neg_idx = train_emb.class_indices()
+lam = 1.0 / (pos_idx.size * neg_idx.size)
 checkpoints = [1, 2, 5, 10, 20, 50]
 
 curves = {}
@@ -48,7 +49,7 @@ for label, averaging in (("averaged", True), ("last iterate", False)):
 
     def record(epoch, w, elapsed, snapshots=snapshots):
         if epoch in checkpoints:
-            snapshots[epoch] = auc(test_emb.features @ w, test_emb.y).auc
+            snapshots[epoch] = auc(test_emb.X @ w, test_emb.y).auc
 
     cfg = SgdConfig(lam=lam, epochs=checkpoints[-1], seed=0, averaging=averaging)
     train_sgd(train_emb, cfg, epoch_callback=record)

@@ -19,7 +19,6 @@ from .dataio import (
     to_libsvm,
 )
 from .embedding import (
-    EmbeddedDataset,
     LandmarkSet,
     NystroemMap,
     RffMap,
@@ -35,6 +34,9 @@ from .metrics import AucResult, auc, auc_bruteforce
 from .model import LinearModel, TrainedPipeline, load_model, save_model
 from .sgd import SgdConfig, train_sgd
 
+# the old name of Dataset, kept because benchmarks/run.py, its only user, imports it
+EmbeddedDataset = Dataset
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "EmbeddedDataset",
     "GaussianKernelParams",
     "LandmarkSet",
     "LinearModel",

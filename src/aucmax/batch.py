@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedDataset
+from .dataio import Dataset
 from .errors import ConfigError, NumericalError
 from .model import LinearModel
 
@@ -200,12 +200,12 @@ class PairAggregates:
         return 1.0 + 2.0 * C * np.maximum(quad, 0.0)
 
 
-def hvp_fast(agg: PairAggregates, v: np.ndarray, data: EmbeddedDataset, C: float) -> np.ndarray:
+def hvp_fast(agg: PairAggregates, v: np.ndarray, data: Dataset, C: float) -> np.ndarray:
     """Generalized-Hessian product at the weights the aggregates were built from.
 
     Only the active rows enter it; see PairAggregates.active_features.
     """
-    M, sel = agg.active_features(data.features)
+    M, sel = agg.active_features(data.X)
     a = np.zeros(M.shape[0])
     a[sel] = agg.alpha((M @ v)[sel])
     return v + 2.0 * C * (M.T @ a)
@@ -252,15 +252,16 @@ def conjugate_gradient(
     return s, history
 
 
-def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
+def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
     """Newton iterations with CG inner solves and a halving line search.
 
-    Starts from w = 0 and stops when the gradient norm falls below the
-    tolerance (default 1e-4 * max(1, initial gradient norm)) or after
-    max_outer steps. Every accepted step strictly decreases the objective.
+    data's rows, usually embedded, carry +-1 labels of both classes. Starts
+    from w = 0 and stops when the gradient norm falls below the tolerance
+    (default 1e-4 * max(1, initial gradient norm)) or after max_outer
+    steps. Every accepted step strictly decreases the objective.
     """
-    data.require_both_classes()
-    X = data.features
+    pos_idx, neg_idx = data.class_indices()
+    X = data.X
     n, r = X.shape
     C = cfg.C
 
@@ -268,7 +269,7 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
     scores = np.zeros(n)
     t_start = time.perf_counter()
 
-    agg = PairAggregates(scores, data.pos_idx, data.neg_idx)
+    agg = PairAggregates(scores, pos_idx, neg_idx)
     g = agg.gradient(w, X, C)
     g0_norm = float(np.linalg.norm(g))
     tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-4 * max(1.0, g0_norm)
@@ -299,7 +300,7 @@ def train_batch(data: EmbeddedDataset, cfg: BatchConfig) -> LinearModel:
         for _ in range(31):
             trial_scores = scores + eta * x_dir
             trial_w = w + eta * direction
-            trial_agg = PairAggregates(trial_scores, data.pos_idx, data.neg_idx)
+            trial_agg = PairAggregates(trial_scores, pos_idx, neg_idx)
             trial_obj = trial_agg.objective(trial_w, C)
             if trial_obj < current:
                 accepted = True

@@ -22,6 +22,7 @@ from .dataio import (
     binary_labels,
     format_float,
     format_floats,
+    open_text,
     parse_libsvm,
     split,
     standardize_apply,
@@ -44,6 +45,13 @@ DEFAULT_EPOCHS_GRID = [1, 2, 3, 4, 5, 10, 20, 50, 100, 200, 300, 400]
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take only non-negative seeds."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {text}")
+    return int(text)
+
+
 def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True, with_labels: bool = True):
     p.add_argument("--data", required=True, help="LibSVM-format input file")
     if with_split:
@@ -53,7 +61,7 @@ def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True, with_la
             default=0.2,
             help="held-out fraction for the random split (default 0.2)",
         )
-    p.add_argument("--seed", type=int, default=0, help="seed for every random stage")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for every random stage")
     if with_labels:
         p.add_argument(
             "--positive-labels",
@@ -126,8 +134,8 @@ def _comma_list(flag: str, text: str, kind) -> list:
     """The values of a comma-separated flag; a bad token or no value is a ConfigError."""
     try:
         values = [kind(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} must be a comma-separated list: {exc}") from None
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
     if not values:
         raise ConfigError(f"{flag} is empty")
     return values
@@ -135,12 +143,12 @@ def _comma_list(flag: str, text: str, kind) -> list:
 
 def _load_grouped(args) -> Dataset:
     """--data with +-1 labels, grouped by --positive-labels when given."""
-    with open(args.data) as fh:
+    with open_text(args.data) as fh:
         data = parse_libsvm(fh)
     positive = None
     if args.positive_labels is not None:
         positive = _comma_list("--positive-labels", args.positive_labels, int)
-    return Dataset(data.X, binary_labels(data.y, positive), data.dim)
+    return Dataset(data.X, binary_labels(data.y, positive))
 
 
 def _kernel_params(args, standardized: Dataset) -> GaussianKernelParams:
@@ -186,8 +194,8 @@ def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, e
         meta["positive_labels"] = args.positive_labels
     pipe = TrainedPipeline(standardizer, emb_map, linear, meta=meta)
     # both AUCs first: a held-out part of one class fails here, before any file is written
-    train_auc = auc(emb_train.features @ linear.w, emb_train.y).auc
-    test_auc = auc(emb_test.features @ linear.w, emb_test.y).auc
+    train_auc = auc(emb_train.X @ linear.w, emb_train.y).auc
+    test_auc = auc(emb_test.X @ linear.w, emb_test.y).auc
     save_model(args.model, pipe)
     print(f"train_auc={train_auc:.6f}")
     print(f"test_auc={test_auc:.6f}")
@@ -221,8 +229,8 @@ def cmd_train_sgd(args) -> int:
         rows.append(
             (
                 epoch,
-                auc(emb_train.features @ w, emb_train.y).auc,
-                auc(emb_test.features @ w, emb_test.y).auc,
+                auc(emb_train.X @ w, emb_train.y).auc,
+                auc(emb_test.X @ w, emb_test.y).auc,
                 elapsed,
             )
         )
@@ -240,7 +248,7 @@ def cmd_train_sgd(args) -> int:
 
 def cmd_predict(args) -> int:
     pipe = load_model(args.model)
-    with open(args.data) as fh:
+    with open_text(args.data) as fh:
         try:
             data = parse_libsvm(fh, dim=pipe.dim)
         except DataError as exc:
@@ -255,7 +263,7 @@ def cmd_predict(args) -> int:
 
 def cmd_eval_auc(args) -> int:
     scores = []
-    with open(args.scores) as fh:
+    with open_text(args.scores) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -264,7 +272,7 @@ def cmd_eval_auc(args) -> int:
                 scores.append(float(line))
             except ValueError:
                 raise DataError(f"{args.scores}:{lineno}: not a number: {line!r}")
-    with open(args.labels) as fh:
+    with open_text(args.labels) as fh:
         try:
             labels = parse_libsvm(fh).y
         except ParseError as exc:
@@ -274,9 +282,8 @@ def cmd_eval_auc(args) -> int:
     return 0
 
 
-def _stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    pos = np.flatnonzero(y == 1)
-    neg = np.flatnonzero(y == -1)
+def _stratified_folds(data: Dataset, k: int, seed: int) -> list[np.ndarray]:
+    pos, neg = data.class_indices()
     if pos.size < k or neg.size < k:
         raise DataError(
             f"{k}-fold split leaves a fold without both classes "
@@ -299,7 +306,7 @@ def cmd_gridsearch(args) -> int:
     if args.folds < 2:
         raise ConfigError(f"need at least 2 folds, got {args.folds}")
 
-    folds = _stratified_folds(data.y, args.folds, args.seed)
+    folds = _stratified_folds(data, args.folds, args.seed)
     all_idx = np.arange(data.n)
     rows = []
     for fold_id, val_idx in enumerate(folds):
@@ -312,7 +319,7 @@ def cmd_gridsearch(args) -> int:
             else:
                 linear = train_sgd(emb_train, _sgd_config(args, lam=value))
             seconds = time.perf_counter() - t0
-            score = auc(emb_val.features @ linear.w, emb_val.y).auc
+            score = auc(emb_val.X @ linear.w, emb_val.y).auc
             rows.append((value, fold_id, score, seconds))
 
     means = {value: np.mean([r[2] for r in rows if r[0] == value]) for value in grid}
@@ -339,7 +346,7 @@ def cmd_convergence(args) -> int:
         epochs_grid = sorted(set(_comma_list("--epochs-grid", args.epochs_grid, int)))
     if epochs_grid[0] < 1:
         raise ConfigError("epochs grid must contain positive integers")
-    seeds = [args.seed] if args.seeds is None else _comma_list("--seeds", args.seeds, int)
+    seeds = [args.seed] if args.seeds is None else _comma_list("--seeds", args.seeds, _seed)
 
     standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
     wanted = set(epochs_grid)
@@ -350,7 +357,7 @@ def cmd_convergence(args) -> int:
 
             def snapshot(epoch, w, elapsed, variant=variant, seed=seed):
                 if epoch in wanted:
-                    score = auc(emb_test.features @ w, emb_test.y).auc
+                    score = auc(emb_test.X @ w, emb_test.y).auc
                     rows.append((variant, epoch, seed, score, elapsed))
 
             train_sgd(emb_train, cfg, epoch_callback=snapshot)
@@ -367,10 +374,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_kmeans(args) -> int:
-    with open(args.data) as fh:
+    with open_text(args.data) as fh:
         data = parse_libsvm(fh)
-    if data.n < 1:
-        raise DataError("dataset is empty")
     lm = kmeans(data, v=args.landmarks, max_iter=args.kmeans_iters, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(f"{lm.v} {lm.dim}\n")
@@ -388,10 +393,10 @@ def cmd_embed(args) -> int:
     seconds = time.perf_counter() - t0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{k}" for k in range(emb.r)])
+        writer.writerow(["label"] + [f"f{k}" for k in range(emb.dim)])
         for i in range(emb.n):
-            writer.writerow([int(emb.y[i])] + [format_float(v) for v in emb.features[i]])
-    print(f"rank={emb.r}")
+            writer.writerow([int(emb.y[i])] + [format_float(v) for v in emb.X[i]])
+    print(f"rank={emb.dim}")
     print(f"embedding_seconds={seconds:.3f}")
     return 0
 
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = {ConfigError: 2, FileNotFoundError: 2, DataError: 3, NumericalError: 4}
+_EXIT_CODES = {ConfigError: 2, OSError: 2, DataError: 3, NumericalError: 4}
 
 
 def main(argv=None) -> int:

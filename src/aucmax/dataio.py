@@ -2,13 +2,14 @@
 
 A dataset is a dense float64 n x dim array plus an integer label vector:
 the parser fills the array from the sparse text, so every consumer sees
-dense rows. Feature indices are 1-based in LibSVM text and 0-based
-everywhere in memory.
+dense rows, and the standardized and embedded rows keep that type. Feature
+indices are 1-based in LibSVM text and 0-based everywhere in memory.
 """
 
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -48,7 +49,7 @@ class SparseVector:
 
 @dataclass
 class Dataset:
-    """Labeled instances: a dense float64 n x dim array plus integer labels.
+    """Labeled rows, raw, standardized or embedded: a dense finite float64 n x dim X and int labels y.
 
     Labels are kept as written; :func:`binary_labels` makes them +-1 for
     training. Values are treated as immutable after construction.
@@ -56,7 +57,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    dim: int
 
     def __post_init__(self):
         try:
@@ -65,21 +65,33 @@ class Dataset:
             raise DataError(f"X must be a numeric array, got {type(self.X).__name__}") from None
         if self.X.ndim != 2:
             raise DataError(f"X must be 2-D, got shape {self.X.shape}")
+        if not np.all(np.isfinite(self.X)):
+            raise DataError("feature values must be finite")
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.shape[0] != self.y.shape[0]:
             raise DataError(
                 f"row count {self.X.shape[0]} does not match label count {self.y.shape[0]}"
             )
-        if self.X.shape[1] != self.dim:
-            raise DataError(f"matrix has {self.X.shape[1]} columns, expected dim={self.dim}")
 
     @property
     def n(self) -> int:
         return self.X.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
+
     def subset(self, indices: np.ndarray) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.X[indices], self.y[indices], self.dim)
+        return Dataset(self.X[indices], self.y[indices])
+
+    def class_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pos_idx, neg_idx) for a solver; a DataError unless labels are +-1 with both classes present."""
+        pos_idx, neg_idx = np.flatnonzero(self.y == 1), np.flatnonzero(self.y == -1)
+        if pos_idx.size + neg_idx.size != self.n:
+            raise DataError("training needs +-1 labels; binary_labels makes them")
+        if pos_idx.size == 0 or neg_idx.size == 0:
+            raise DataError("training requires at least one instance of each class")
+        return pos_idx, neg_idx
 
 
 @dataclass
@@ -110,6 +122,16 @@ def dense_point(x: SparseVector | np.ndarray, dim: int) -> np.ndarray:
     if xv.shape != (dim,):
         raise DataError(f"expected a point of dimension {dim}, got shape {xv.shape}")
     return xv
+
+
+@contextmanager
+def open_text(path: str):
+    """The text file at path, open for reading; undecodable bytes are a DataError naming it."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
 
 
 def format_float(x: float) -> str:
@@ -160,9 +182,9 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
     share a feature space.
 
     Raises ParseError (with line number) on malformed tokens, non-increasing
-    or unaddressable indices within a line, non-numeric values, or
-    non-integral labels, and DataError when the dense n x dim array cannot
-    be allocated.
+    or unaddressable indices within a line, non-numeric values, or labels
+    that are not integers or do not fit int64, and DataError when the dense
+    n x dim array cannot be allocated.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -183,6 +205,8 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
             raise ParseError(f"label {tokens[0]!r} is not numeric", lineno) from None
         if not np.isfinite(raw) or raw != int(raw):
             raise ParseError(f"label {tokens[0]!r} is not an integer", lineno)
+        if not -(2**63) <= int(raw) < 2**63:
+            raise ParseError(f"label {tokens[0]!r} does not fit a 64-bit integer", lineno)
         labels.append(int(raw))
 
         prev = -1
@@ -226,7 +250,7 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
     except (ValueError, MemoryError):
         raise DataError(f"cannot allocate a dense {n} x {dim} float64 feature array") from None
     X[np.repeat(np.arange(n), np.diff(indptr)), col] = data
-    return Dataset(X, np.asarray(labels, dtype=np.int64), dim)
+    return Dataset(X, labels)
 
 
 def to_libsvm(data: Dataset) -> str:
@@ -270,8 +294,8 @@ def standardize_fit(data: Dataset) -> Standardizer:
 def standardize_apply(s: Standardizer, data: Dataset) -> Dataset:
     """Apply fitted statistics."""
     if s.dim != data.dim:
-        raise DataError(f"standardizer dim {s.dim} does not match dataset dim {data.dim}")
-    return Dataset((data.X - s.mean) / s.stdev, data.y, data.dim)
+        raise DataError(f"standardizer expects dimension {s.dim}, data has {data.dim}")
+    return Dataset((data.X - s.mean) / s.stdev, data.y)
 
 
 def split(data: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -2,12 +2,12 @@
 
 k-means landmarks, the Nystroem map built from the eigendecomposition of the
 landmark kernel matrix, and a random-Fourier-feature map as the baseline
-embedding. Embedded data is always dense n x r.
+embedding. embed returns a plain Dataset of dense n x rank rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -160,40 +160,6 @@ class RffMap:
         return self.features(X) @ w
 
 
-@dataclass
-class EmbeddedDataset:
-    """Dense embedded instances with positive/negative index sets."""
-
-    features: np.ndarray
-    y: np.ndarray
-    pos_idx: np.ndarray = field(init=False)
-    neg_idx: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.y.shape[0]:
-            raise DataError("features must be n x r with one label per row")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("embedded features must be finite")
-        if not np.all((self.y == 1) | (self.y == -1)):
-            raise DataError("labels must be +-1 at embedding time")
-        self.pos_idx = np.flatnonzero(self.y == 1)
-        self.neg_idx = np.flatnonzero(self.y == -1)
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.features.shape[1]
-
-    def require_both_classes(self):
-        if self.pos_idx.size == 0 or self.neg_idx.size == 0:
-            raise DataError("training requires at least one instance of each class")
-
-
 def _row_chunks(n_rows: int, n_cols: int) -> list[slice]:
     """Slices covering range(n_rows), each of at most _CHUNK_CELLS / n_cols rows."""
     step = max(1, _CHUNK_CELLS // max(n_cols, 1))
@@ -341,11 +307,11 @@ def fit_rff(
     return RffMap(freqs, phases, kernel, seed=seed)
 
 
-def embed(m: NystroemMap | RffMap, data: Dataset) -> EmbeddedDataset:
-    """Map a whole dataset into the embedded space with its labels."""
+def embed(m: NystroemMap | RffMap, data: Dataset) -> Dataset:
+    """The n x rank embedded rows of a whole dataset, with its labels."""
     if m.dim != data.dim:
         raise DataError(f"embedding expects dimension {m.dim}, data has {data.dim}")
-    return EmbeddedDataset(m.features(data.X), data.y)
+    return Dataset(m.features(data.X), data.y)
 
 
 def embed_point(m: NystroemMap | RffMap, x: SparseVector | np.ndarray) -> np.ndarray:

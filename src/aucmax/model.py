@@ -20,6 +20,7 @@ from .dataio import (
     dense_point,
     format_float,
     format_floats,
+    open_text,
     standardize_apply,
 )
 from .embedding import LandmarkSet, NystroemMap, RffMap
@@ -108,8 +109,6 @@ class TrainedPipeline:
         return self.standardizer.dim
 
     def score(self, data: Dataset) -> np.ndarray:
-        if data.dim != self.dim:
-            raise DataError(f"model expects dimension {self.dim}, data has {data.dim}")
         standardized = standardize_apply(self.standardizer, data)
         return self.embedding.score(standardized.X, self.folded)
 
@@ -339,7 +338,7 @@ class _Reader:
 
 
 def load_model(path: str) -> TrainedPipeline:
-    with open(path) as fh:
+    with open_text(path) as fh:
         rd = _Reader(fh)
     if rd.next() != _MAGIC:
         raise ParseError("not a model file (bad magic line)", rd.lineno)

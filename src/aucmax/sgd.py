@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedDataset
+from .dataio import Dataset
 from .errors import ConfigError
 from .model import LinearModel
 
@@ -60,6 +60,8 @@ class SgdConfig:
             raise ConfigError("rskip and askip must be >= 1")
         if self.t0 < 0:
             raise ConfigError(f"t0 must be >= 0, got {self.t0}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.t0 + 1 <= self.rskip:
             # keeps every shrink factor 1 - rskip/(t + t0) strictly positive
             raise ConfigError(
@@ -83,10 +85,11 @@ _WINDOW = 32
 
 
 def train_sgd(
-    data: EmbeddedDataset, cfg: SgdConfig, epoch_callback=None
+    data: Dataset, cfg: SgdConfig, epoch_callback=None
 ) -> LinearModel:
     """Run epochs * n iterations of the pair-sampling hinge solver.
 
+    data's rows, usually embedded, carry +-1 labels of both classes.
     Deterministic for a given seed. One epoch is n iterations; the index
     blocks for each epoch are drawn up front, so a run at fewer epochs is
     an exact prefix of a longer run with the same seed. The returned
@@ -99,22 +102,22 @@ def train_sgd(
     cumulative solver time; callback cost is excluded from that time. Later
     epochs may update w in place, so a callback that keeps it must copy it.
     """
-    data.require_both_classes()
-    n, F = data.n, data.features
+    pos_idx, neg_idx = data.class_indices()
+    n, F = data.n, data.X
     rng = np.random.default_rng(cfg.seed)
     lam, t0, rskip, askip, averaging = cfg.lam, cfg.t0, cfg.rskip, cfg.askip, cfg.averaging
     # the iterate over its scale; the scale is 1 at the start of each epoch
-    v = np.zeros(data.r)
+    v = np.zeros(data.dim)
     # the sum of the iterates captured in the epochs before this one
-    captured = np.zeros(data.r)
+    captured = np.zeros(data.dim)
     q = 0
     steps = 0
 
     elapsed = 0.0
     for epoch in range(1, cfg.epochs + 1):
         t_start = time.perf_counter()
-        pos_rows = data.pos_idx[rng.integers(0, data.pos_idx.size, size=n)]
-        neg_rows = data.neg_idx[rng.integers(0, data.neg_idx.size, size=n)]
+        pos_rows = pos_idx[rng.integers(0, pos_idx.size, size=n)]
+        neg_rows = neg_idx[rng.integers(0, neg_idx.size, size=n)]
 
         t = np.arange((epoch - 1) * n + 1, epoch * n + 1)
         # the scale after iteration t's shrink, and at its margin test
@@ -129,7 +132,7 @@ def train_sgd(
             # a step c d at iteration t adds A c d to R, with A as it stood
             # before t; lazy holds that A c
             lazy = np.concatenate(([0.0], A[:-1])) * coef
-            R = np.zeros(data.r)
+            R = np.zeros(data.dim)
 
         for lo in range(0, n, _BLOCK):
             blk = slice(lo, min(lo + _BLOCK, n))

@@ -38,4 +38,4 @@ def make_rings(
     X = np.vstack([ring(n_pos, r_pos), ring(n_neg, r_neg)])
     y = np.concatenate([np.ones(n_pos, dtype=np.int64), -np.ones(n_neg, dtype=np.int64)])
     order = rng.permutation(n)
-    return Dataset(X[order], y[order], 2)
+    return Dataset(X[order], y[order])

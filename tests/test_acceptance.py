@@ -14,7 +14,7 @@ import pytest
 from aucmax.batch import BatchConfig, PairAggregates, hvp_fast, train_batch
 from aucmax.cli import main as cli_main
 from aucmax.dataio import Dataset, parse_libsvm, split, standardize_apply, standardize_fit, to_libsvm
-from aucmax.embedding import EmbeddedDataset, LandmarkSet, embed, fit_nystroem, kmeans
+from aucmax.embedding import LandmarkSet, embed, fit_nystroem, kmeans
 from aucmax.kernels import bandwidth_heuristic, kernel_matrix
 from aucmax.metrics import auc, auc_bruteforce
 from aucmax.sgd import SgdConfig, train_sgd
@@ -41,7 +41,7 @@ def _pair_instances(count: int, rng: np.random.Generator):
         y = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 1, -1)
         y[: max(1, n // 10)] = 1
         y[-max(1, n // 10):] = -1
-        data = EmbeddedDataset(X, y)
+        data = Dataset(X, y)
         w = rng.standard_normal(r) * rng.uniform(0.1, 2.0)
         C = float(rng.choice([0.1, 1.0, 10.0]))
         out.append((data, w, C))
@@ -53,17 +53,18 @@ def pair_instances():
     return _pair_instances(200, np.random.default_rng(20240817))
 
 
-def aggregates(data: EmbeddedDataset, w: np.ndarray) -> PairAggregates:
-    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+def aggregates(data: Dataset, w: np.ndarray) -> PairAggregates:
+    return PairAggregates(data.X @ w, *data.class_indices())
 
 
-def brute_active(data: EmbeddedDataset, w: np.ndarray):
+def brute_active(data: Dataset, w: np.ndarray):
     """Literal active-pair scan with the solver's own float comparison."""
-    s = data.features @ w
+    s = data.X @ w
+    pos_idx, neg_idx = data.class_indices()
     pairs = []
-    for i in data.pos_idx:
+    for i in pos_idx:
         t = s[i] - 1.0
-        for j in data.neg_idx:
+        for j in neg_idx:
             if s[j] > t:
                 pairs.append((i, j))
     return s, pairs
@@ -73,7 +74,7 @@ def brute_grad(data, w, C):
     s, pairs = brute_active(data, w)
     g = w.copy()
     for i, j in pairs:
-        diff = data.features[i] - data.features[j]
+        diff = data.X[i] - data.X[j]
         g -= 2.0 * C * (1.0 - (s[i] - s[j])) * diff
     return g
 
@@ -82,7 +83,7 @@ def brute_hvp(data, w, v, C):
     s, pairs = brute_active(data, w)
     hv = v.copy()
     for i, j in pairs:
-        diff = data.features[i] - data.features[j]
+        diff = data.X[i] - data.X[j]
         hv += 2.0 * C * float(diff @ v) * diff
     return hv
 
@@ -101,7 +102,7 @@ class RingsBenchmark:
         std_train = standardize_apply(std, train)
         std_test = standardize_apply(std, test)
 
-        raw_model = train_batch(EmbeddedDataset(std_train.X, std_train.y), BatchConfig(C=1.0))
+        raw_model = train_batch(std_train, BatchConfig(C=1.0))
         self.raw_auc = auc(std_test.X @ raw_model.w, std_test.y).auc
 
         landmarks = kmeans(std_train, v=64, seed=0)
@@ -112,9 +113,8 @@ class RingsBenchmark:
         self.batch_auc = self.test_auc(batch_model.w)
         self.batch_seconds = time.perf_counter() - t0
 
-        n_pos = self.embedded_train.pos_idx.size
-        n_neg = self.embedded_train.neg_idx.size
-        self.lam = 1.0 / (n_pos * n_neg)
+        pos_idx, neg_idx = self.embedded_train.class_indices()
+        self.lam = 1.0 / (pos_idx.size * neg_idx.size)
 
         t0 = time.perf_counter()
         self.sgd_auc = {}
@@ -127,7 +127,7 @@ class RingsBenchmark:
         self.sgd_seconds = time.perf_counter() - t0
 
     def test_auc(self, w):
-        return auc(self.embedded_test.features @ w, self.embedded_test.y).auc
+        return auc(self.embedded_test.X @ w, self.embedded_test.y).auc
 
 
 @pytest.fixture(scope="module")
@@ -172,7 +172,7 @@ def test_criterion_02_gradient_correctness(pair_instances):
     worst_fd = 0.0
     worst_brute = 0.0
     for data, w, C in pair_instances:
-        g = aggregates(data, w).gradient(w, data.features, C)
+        g = aggregates(data, w).gradient(w, data.X, C)
 
         h = 1e-6
         g_fd = np.empty_like(g)
@@ -219,10 +219,10 @@ def test_criterion_03_hvp_correctness(pair_instances):
 def test_criterion_04_nystroem_exact_at_full_rank():
     rng = np.random.default_rng(42)
     X = rng.standard_normal((50, 6))
-    data = Dataset(X, np.where(np.arange(50) % 2 == 0, 1, -1), 6)
+    data = Dataset(X, np.where(np.arange(50) % 2 == 0, 1, -1))
     kernel = bandwidth_heuristic(data)
     nys = fit_nystroem(LandmarkSet(X), kernel, rank_cap=None)
-    features = embed(nys, data).features
+    features = embed(nys, data).X
     exact = kernel_matrix(X, X, kernel)
     err = float(np.max(np.abs(features @ features.T - exact)))
     ok = err <= 1e-6
@@ -277,7 +277,7 @@ def test_criterion_08_iteration_cost_independent_of_n():
         X = rng.standard_normal((n, r))
         y = np.where(rng.random(n) < 0.25, 1, -1)
         y[0], y[1] = 1, -1
-        return EmbeddedDataset(X, y)
+        return Dataset(X, y)
 
     def seconds_per_iter(data, runs):
         # the solver loop's own seconds, as train_sgd reports them
@@ -320,7 +320,7 @@ def test_criterion_08_iteration_cost_independent_of_n():
 def test_criterion_09_spambase_reproduction(tmp_path, capsys):
     raw = np.loadtxt(os.environ["AUCMAX_SPAMBASE"], delimiter=",")
     X, y01 = raw[:, :-1], raw[:, -1].astype(np.int64)
-    data = Dataset(X, np.where(y01 == 1, 1, -1), X.shape[1])
+    data = Dataset(X, np.where(y01 == 1, 1, -1))
     train, test = split(data, 0.2, seed=0)
     std = standardize_fit(train)
     std_train, std_test = standardize_apply(std, train), standardize_apply(std, test)
@@ -342,7 +342,7 @@ def test_criterion_09_spambase_reproduction(tmp_path, capsys):
     nys = fit_nystroem(landmarks, bandwidth_heuristic(std_train), seed=0)
     emb_train, emb_test = embed(nys, std_train), embed(nys, std_test)
     model = train_batch(emb_train, BatchConfig(C=selected))
-    score = auc(emb_test.features @ model.w, emb_test.y).auc
+    score = auc(emb_test.X @ model.w, emb_test.y).auc
     ok = score >= 0.970
     assert verdict(9, ok, f"spambase test AUC {score:.4f} >= 0.970 at C = {selected}")
 

@@ -5,8 +5,8 @@ import pytest
 
 import aucmax.batch
 from aucmax.batch import BatchConfig, PairAggregates, conjugate_gradient, hvp_fast, train_batch
-from aucmax.embedding import EmbeddedDataset
-from aucmax.errors import ConfigError
+from aucmax.dataio import Dataset
+from aucmax.errors import ConfigError, DataError
 from aucmax.metrics import auc
 
 
@@ -55,7 +55,7 @@ def brute_objective(w, X, y, C):
 
 
 def aggregates(w, data):
-    return PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+    return PairAggregates(data.X @ w, *data.class_indices())
 
 
 def active_counts(agg, n):
@@ -80,7 +80,7 @@ def random_instance(rng, n_max=60, r_max=8, spread=1.0):
     X = rng.standard_normal((n, r)) * spread
     y = np.where(rng.random(n) < rng.uniform(0.2, 0.8), 1, -1)
     y[0], y[1] = 1, -1
-    return EmbeddedDataset(X, y)
+    return Dataset(X, y)
 
 
 def instances_by_active_share(rng, gathered, count=60, lattice=False):
@@ -93,14 +93,14 @@ def instances_by_active_share(rng, gathered, count=60, lattice=False):
     found = []
     while len(found) < count:
         data = random_instance(rng)
-        X = data.features.copy()
+        X = data.X.copy()
         X[:, 0] += rng.uniform(0.0, 3.0) * data.y
-        w = rng.standard_normal(data.r) * rng.uniform(0.05, 0.5)
+        w = rng.standard_normal(data.dim) * rng.uniform(0.05, 0.5)
         w[0] = rng.uniform(0.0, 2.0)
         if lattice:
             X, w = np.round(4.0 * X) / 4.0, np.round(4.0 * w) / 4.0
-        data = EmbeddedDataset(X, data.y)
-        s = data.features @ w
+        data = Dataset(X, data.y)
+        s = data.X @ w
         rows = {i for pair in active_pairs(s, data.y) for i in pair}
         if (2 * len(rows) <= data.n) == gathered:
             found.append((data, w))
@@ -112,9 +112,9 @@ class TestPairAggregates:
         rng = np.random.default_rng(0)
         for _ in range(50):
             data = random_instance(rng)
-            w = rng.standard_normal(data.r) * rng.uniform(0.1, 2.0)
-            s = data.features @ w
-            agg = PairAggregates(s, data.pos_idx, data.neg_idx)
+            w = rng.standard_normal(data.dim) * rng.uniform(0.1, 2.0)
+            s = data.X @ w
+            agg = PairAggregates(s, *data.class_indices())
             pairs = active_pairs(s, data.y)
             assert agg.active_pairs == len(pairs)
             # both sides must see the identical pair set
@@ -137,8 +137,8 @@ class TestPairAggregates:
         rng = np.random.default_rng(13)
         for gathered in (True, False):
             for data, w in instances_by_active_share(rng, gathered, count=30):
-                s = data.features @ w
-                agg = PairAggregates(s, data.pos_idx, data.neg_idx)
+                s = data.X @ w
+                agg = PairAggregates(s, *data.class_indices())
                 expected = {i for pair in active_pairs(s, data.y) for i in pair}
                 assert sorted(agg.rows.tolist()) == sorted(expected)
 
@@ -149,18 +149,18 @@ class TestPairAggregates:
         for gathered in (True, False):
             for data, w in instances_by_active_share(rng, gathered, count=40):
                 C = float(rng.uniform(0.05, 4.0))
-                agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
-                got = agg.hessian_diagonal(data.features, C)
-                eye = np.eye(data.r)
-                expected = [brute_hvp(w, eye[j], data.features, data.y, C)[j] for j in range(data.r)]
+                agg = PairAggregates(data.X @ w, *data.class_indices())
+                got = agg.hessian_diagonal(data.X, C)
+                eye = np.eye(data.dim)
+                expected = [brute_hvp(w, eye[j], data.X, data.y, C)[j] for j in range(data.dim)]
                 np.testing.assert_allclose(got, expected, rtol=1e-10, atol=0)
 
     def test_loss_matches_brute(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             data = random_instance(rng)
-            w = rng.standard_normal(data.r)
-            expected = brute_loss(w, data.features, data.y)
+            w = rng.standard_normal(data.dim)
+            expected = brute_loss(w, data.X, data.y)
             np.testing.assert_allclose(aggregates(w, data).loss(), expected, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("gathered", [True, False], ids=["at-most-half-active", "over-half-active"])
@@ -168,15 +168,16 @@ class TestPairAggregates:
         rng = np.random.default_rng(19 + gathered)
         inactive_rows = at_threshold = 0
         for data, w in instances_by_active_share(rng, gathered, count=40, lattice=True):
-            s = data.features @ w
-            margins = 1.0 - s[data.pos_idx, None] + s[None, data.neg_idx]
+            s = data.X @ w
+            pos_idx, neg_idx = data.class_indices()
+            margins = 1.0 - s[pos_idx, None] + s[None, neg_idx]
             at_threshold += int(np.count_nonzero(margins == 0.0))
             agg = aggregates(w, data)
             inactive_rows += data.n - agg.rows.size
-            np.testing.assert_allclose(agg.loss(), brute_loss(w, data.features, data.y), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(agg.loss(), brute_loss(w, data.X, data.y), rtol=1e-12, atol=0)
             C = float(rng.uniform(0.05, 4.0))
             np.testing.assert_allclose(
-                agg.gradient(w, data.features, C), brute_grad(w, data.features, data.y, C),
+                agg.gradient(w, data.X, C), brute_grad(w, data.X, data.y, C),
                 rtol=1e-10, atol=1e-12,
             )
         # the instances do exercise absent rows and pairs exactly at the threshold
@@ -186,38 +187,38 @@ class TestPairAggregates:
 class TestGradFast:
     def test_single_pair_by_hand(self):
         X = np.array([[1.0, 0.0], [0.0, 1.0]])
-        data = EmbeddedDataset(X, np.array([1, -1]))
+        data = Dataset(X, np.array([1, -1]))
         w = np.zeros(2)
-        g = aggregates(w, data).gradient(w, data.features, 1.0)
+        g = aggregates(w, data).gradient(w, data.X, 1.0)
         np.testing.assert_allclose(g, [-2.0, 2.0], rtol=1e-15)
 
     def test_no_active_pairs_returns_w(self):
         X = np.array([[2.0], [-2.0], [3.0], [-1.5]])
-        data = EmbeddedDataset(X, np.array([1, -1, 1, -1]))
+        data = Dataset(X, np.array([1, -1, 1, -1]))
         w = np.array([1.0])  # every margin is at least 3
-        np.testing.assert_array_equal(aggregates(w, data).gradient(w, data.features, 5.0), w)
+        np.testing.assert_array_equal(aggregates(w, data).gradient(w, data.X, 5.0), w)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             data = random_instance(rng)
-            w = rng.standard_normal(data.r) * rng.uniform(0.05, 2.0)
+            w = rng.standard_normal(data.dim) * rng.uniform(0.05, 2.0)
             C = float(rng.uniform(0.05, 4.0))
-            expected = brute_grad(w, data.features, data.y, C)
-            got = aggregates(w, data).gradient(w, data.features, C)
+            expected = brute_grad(w, data.X, data.y, C)
+            got = aggregates(w, data).gradient(w, data.X, C)
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             data = random_instance(rng, n_max=40, r_max=6)
-            w = rng.standard_normal(data.r) * 0.5
+            w = rng.standard_normal(data.dim) * 0.5
             C = float(rng.uniform(0.1, 2.0))
-            g = aggregates(w, data).gradient(w, data.features, C)
+            g = aggregates(w, data).gradient(w, data.X, C)
             h = 1e-6
             fd = np.empty_like(g)
-            for k in range(data.r):
-                e = np.zeros(data.r)
+            for k in range(data.dim):
+                e = np.zeros(data.dim)
                 e[k] = h
                 up, down = w + e, w - e
                 f_up, f_down = (aggregates(v, data).objective(v, C) for v in (up, down))
@@ -229,14 +230,14 @@ class TestGradFast:
 class TestHvpFast:
     def test_identity_when_no_active_pairs(self):
         X = np.array([[2.0], [-2.0]])
-        data = EmbeddedDataset(X, np.array([1, -1]))
+        data = Dataset(X, np.array([1, -1]))
         w = np.array([1.0])
         v = np.array([3.7])
         np.testing.assert_array_equal(hvp_fast(aggregates(w, data), v, data, C=2.0), v)
 
     def test_single_active_pair_rank_one(self):
         X = np.array([[0.5, 0.0], [0.0, 0.5]])
-        data = EmbeddedDataset(X, np.array([1, -1]))
+        data = Dataset(X, np.array([1, -1]))
         w = np.zeros(2)
         diff = X[0] - X[1]
         v = diff.copy()
@@ -249,10 +250,10 @@ class TestHvpFast:
         rng = np.random.default_rng(4)
         for _ in range(200):
             data = random_instance(rng)
-            w = rng.standard_normal(data.r) * rng.uniform(0.05, 2.0)
-            v = rng.standard_normal(data.r)
+            w = rng.standard_normal(data.dim) * rng.uniform(0.05, 2.0)
+            v = rng.standard_normal(data.dim)
             C = float(rng.uniform(0.05, 4.0))
-            expected = brute_hvp(w, v, data.features, data.y, C)
+            expected = brute_hvp(w, v, data.X, data.y, C)
             got = hvp_fast(aggregates(w, data), v, data, C)
             np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
@@ -261,24 +262,24 @@ class TestHvpFast:
         rng = np.random.default_rng(15 + gathered)
         for data, w in instances_by_active_share(rng, gathered):
             agg = aggregates(w, data)
-            M, _ = agg.active_features(data.features)
+            M, _ = agg.active_features(data.X)
             # the gathered copy holds exactly the active rows; otherwise X is used as is
-            assert (M is not data.features) == gathered
+            assert (M is not data.X) == gathered
             if gathered:
-                np.testing.assert_array_equal(M, data.features[agg.rows])
-            v = rng.standard_normal(data.r)
+                np.testing.assert_array_equal(M, data.X[agg.rows])
+            v = rng.standard_normal(data.dim)
             C = float(rng.uniform(0.05, 4.0))
-            expected = brute_hvp(w, v, data.features, data.y, C)
+            expected = brute_hvp(w, v, data.X, data.y, C)
             np.testing.assert_allclose(hvp_fast(agg, v, data, C), expected, rtol=1e-8, atol=1e-12)
             # the copy is made once per aggregate
-            assert agg.active_features(data.features)[0] is M
+            assert agg.active_features(data.X)[0] is M
 
     def test_quadratic_form_at_least_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             data = random_instance(rng)
-            w = rng.standard_normal(data.r)
-            v = rng.standard_normal(data.r)
+            w = rng.standard_normal(data.dim)
+            v = rng.standard_normal(data.dim)
             C = float(rng.uniform(0.05, 4.0))
             Hv = hvp_fast(aggregates(w, data), v, data, C)
             assert float(v @ Hv) >= float(v @ v) - 1e-10
@@ -287,10 +288,10 @@ class TestHvpFast:
         rng = np.random.default_rng(6)
         for _ in range(50):
             data = random_instance(rng)
-            w = rng.standard_normal(data.r)
+            w = rng.standard_normal(data.dim)
             agg = aggregates(w, data)
-            u = rng.standard_normal(data.r)
-            v = rng.standard_normal(data.r)
+            u = rng.standard_normal(data.dim)
+            v = rng.standard_normal(data.dim)
             C = 1.3
             lhs = float(u @ hvp_fast(agg, v, data, C))
             rhs = float(v @ hvp_fast(agg, u, data, C))
@@ -357,17 +358,22 @@ class TestConjugateGradient:
 def separable_1d(n_pos=30, n_neg=50):
     X = np.concatenate([np.ones(n_pos), -np.ones(n_neg)]).reshape(-1, 1)
     y = np.array([1] * n_pos + [-1] * n_neg)
-    return EmbeddedDataset(X, y)
+    return Dataset(X, y)
 
 
 class TestTrainBatch:
+    @pytest.mark.parametrize("y", [[0, 1, 0, 1], [1, 1, 1, 1]], ids=["zero-one", "one-class"])
+    def test_needs_both_pm1_classes(self, y):
+        with pytest.raises(DataError):
+            train_batch(Dataset(np.eye(4), y), BatchConfig(C=1.0))
+
     def test_separable_reaches_perfect_auc(self):
         data = separable_1d()
         model = train_batch(data, BatchConfig(C=1.0))
-        scores = data.features @ model.w
+        scores = data.X @ model.w
         assert auc(scores, data.y).auc == 1.0
         final = aggregates(model.w, data).objective(model.w, 1.0)
-        assert final < 1.0 * data.pos_idx.size * data.neg_idx.size
+        assert final < 1.0 * np.count_nonzero(data.y == 1) * np.count_nonzero(data.y == -1)
 
     def test_tiny_c_shrinks_weights(self):
         data = separable_1d()
@@ -375,7 +381,7 @@ class TestTrainBatch:
         assert np.linalg.norm(model.w) <= 1e-3
         # the direction still ranks the separable data perfectly
         assert model.w[0] > 0
-        assert auc(data.features @ model.w, data.y).auc == 1.0
+        assert auc(data.X @ model.w, data.y).auc == 1.0
 
     def test_objective_strictly_decreases(self):
         rng = np.random.default_rng(8)
@@ -396,7 +402,7 @@ class TestTrainBatch:
             ]
         )
         y = np.array([1, 1, 1, -1, -1, -1])
-        data = EmbeddedDataset(X, y)
+        data = Dataset(X, y)
         C = 0.05
         model = train_batch(
             data, BatchConfig(C=C, grad_tol=1e-10, cg_tol=1e-8, max_outer=200)
@@ -424,8 +430,8 @@ class TestTrainBatch:
         data = random_instance(rng, n_max=40, r_max=6)
         C = 0.7
         for _ in range(50):
-            a = rng.standard_normal(data.r)
-            b = rng.standard_normal(data.r)
+            a = rng.standard_normal(data.dim)
+            b = rng.standard_normal(data.dim)
             fa = aggregates(a, data).objective(a, C)
             fb = aggregates(b, data).objective(b, C)
             m = 0.5 * (a + b)
@@ -463,7 +469,7 @@ class TestTrainBatch:
         monkeypatch.setattr(aucmax.batch, "hvp_fast", counted_hvp)
         monkeypatch.setattr(aucmax.batch, "PairAggregates", CountedAggregates)
         data = random_instance(np.random.default_rng(seed), n_max=60, r_max=6)
-        data = EmbeddedDataset(data.features + offset * data.y[:, None], data.y)
+        data = Dataset(data.X + offset * data.y[:, None], data.y)
         diag = train_batch(data, BatchConfig(C=C)).diagnostics
         assert diag["converged"]
         assert diag["hvps"] == calls["hvp"] == sum(diag["cg_iterations"]) > 0
@@ -481,7 +487,7 @@ class TestTrainBatch:
         rng = np.random.default_rng(18)
         data = random_instance(rng, n_max=60, r_max=6)
         # separated classes: the active pairs at the optimum are not the ones at w = 0
-        data = EmbeddedDataset(data.features + 3.0 * data.y[:, None], data.y)
+        data = Dataset(data.X + 3.0 * data.y[:, None], data.y)
         diag = train_batch(data, BatchConfig(C=1.0, max_outer=1)).diagnostics
         assert diag["outer_iterations"] == 1
         assert diag["grad_norms"][-1] > diag["grad_norms"][0] * 1e-4
@@ -519,12 +525,12 @@ class TestGradScaling:
             X = rng.standard_normal((n, r))
             y = np.where(rng.random(n) < 0.5, 1, -1)
             y[0], y[1] = 1, -1
-            data = EmbeddedDataset(X, y)
+            data = Dataset(X, y)
             w = rng.standard_normal(r) * 0.1
             best = np.inf
             for _ in range(5):
                 t0 = time.perf_counter()
-                aggregates(w, data).gradient(w, data.features, 1.0)
+                aggregates(w, data).gradient(w, data.X, 1.0)
                 best = min(best, time.perf_counter() - t0)
             return best
 

@@ -47,8 +47,10 @@ def test_in_process_names_the_benchmark_reads(capsys, tmp_path):
     x = data.X[0]
     nonzero = np.flatnonzero(x)
     score = pipe.score_point(SparseVector(nonzero, x[nonzero]))
-    assert score == pipe.score(Dataset(data.X[:1], data.y[:1], data.dim))[0]
+    assert score == pipe.score(Dataset(data.X[:1], data.y[:1]))[0]
 
+    # run.py builds its reference batch model through the old name of Dataset
+    assert aucmax.EmbeddedDataset is aucmax.Dataset
     rng = np.random.default_rng(0)
     ref = train_batch(EmbeddedDataset(rng.standard_normal((30, 3)), np.repeat([1, -1], 15)), BatchConfig(C=1.0))
     assert ref.w.shape == (3,) and ref.diagnostics["converged"]

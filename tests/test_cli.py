@@ -409,7 +409,7 @@ class TestExitCodes:
     def test_single_class_holdout_writes_no_model(self, capsys, tmp_path, command):
         # 3 positives in 30 rows; the first seed whose 6 held-out rows are all
         # negative leaves both classes in training, so only scoring fails
-        data = Dataset(np.arange(60.0).reshape(30, 2), np.array([1] * 3 + [-1] * 27), 2)
+        data = Dataset(np.arange(60.0).reshape(30, 2), np.array([1] * 3 + [-1] * 27))
         seed = next(s for s in range(100) if set(split(data, 0.2, s)[1].y) == {-1})
         path = tmp_path / "holdout.libsvm"
         path.write_text(to_libsvm(data))
@@ -475,6 +475,91 @@ def relabeled(rings_file, path, new_label) -> str:
             label, _, features = line.partition(" ")
             out.write(f"{new_label(i, int(label))} {features}")
     return str(path)
+
+
+def exit_code(capsys, argv):
+    """main's exit code, whether it returns it or argparse exits; and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestUnusableInput:
+    """Each file a subcommand reads, replaced by one it cannot use."""
+
+    READS = [("train-batch", "--data"), ("train-sgd", "--data"), ("predict", "--data"),
+             ("predict", "--model"), ("eval-auc", "--scores"), ("eval-auc", "--labels"),
+             ("gridsearch", "--data"), ("convergence", "--data"), ("kmeans", "--data"),
+             ("embed", "--data")]
+
+    @staticmethod
+    def argv(tmp_path, rings_file, model_text, command, flag, bad):
+        model = tmp_path / "m.model"
+        model.write_text(model_text)
+        scores, labels = tmp_path / "s.txt", tmp_path / "l.txt"
+        scores.write_text("0.5\n0.1\n")
+        labels.write_text("+1\n-1\n")
+        out = str(tmp_path / "out")
+        args = {
+            "train-batch": ["--data", rings_file, "--landmarks", "4", "--model", out],
+            "train-sgd": ["--data", rings_file, "--landmarks", "4", "--epochs", "1", "--model", out],
+            "predict": ["--model", str(model), "--data", rings_file, "--scores", out],
+            "eval-auc": ["--scores", str(scores), "--labels", str(labels)],
+            "gridsearch": ["--data", rings_file, "--landmarks", "4", "--solver", "batch"],
+            "convergence": ["--data", rings_file, "--landmarks", "4", "--report", out],
+            "kmeans": ["--data", rings_file, "--landmarks", "4", "--out", out],
+            "embed": ["--data", rings_file, "--landmarks", "4", "--out", out],
+        }[command]
+        args[args.index(flag) + 1] = str(bad)
+        return [command, *args]
+
+    @pytest.mark.parametrize("command, flag", READS)
+    def test_undecodable_bytes_exit_three(self, capsys, tmp_path, rings_file, model_text, command, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"+1 1:0.5\n-1 1:caf\xe9\n")
+        code, err = exit_code(capsys, self.argv(tmp_path, rings_file, model_text, command, flag, bad))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+    @pytest.mark.parametrize("command, flag", READS)
+    @pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+    def test_unusable_path_exits_two(self, capsys, tmp_path, rings_file, model_text, command, flag, kind):
+        bad = tmp_path / "dir"
+        bad.mkdir()
+        if kind == "under-a-file":
+            (bad / "file").write_text("")
+            bad = bad / "file" / "child"
+        code, err = exit_code(capsys, self.argv(tmp_path, rings_file, model_text, command, flag, bad))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["train-batch", "kmeans"])
+def test_label_outside_int64_exits_three(capsys, tmp_path, command):
+    data = tmp_path / "big.libsvm"
+    data.write_text("+1 1:0.5\n1e30 1:0.5\n-1 1:0.2\n")
+    out = ["--model", str(tmp_path / "m")] if command == "train-batch" else ["--out", str(tmp_path / "c")]
+    code, err = exit_code(capsys, [command, "--data", str(data), "--landmarks", "1", *out])
+    assert code == 3
+    assert err == "error: line 2: label '1e30' does not fit a 64-bit integer\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-batch", "--seed", "-1", "--model", "OUT"],
+    ["train-sgd", "--seed", "-1", "--model", "OUT"],
+    ["gridsearch", "--seed", "-1", "--solver", "sgd"],
+    ["kmeans", "--seed", "-1", "--out", "OUT"],
+    ["embed", "--seed", "-1", "--out", "OUT"],
+    ["convergence", "--seeds", "0,-1", "--report", "OUT"],
+], ids=["train-batch", "train-sgd", "gridsearch", "kmeans", "embed", "convergence-seeds"])
+def test_negative_seed_is_a_usage_error(capsys, tmp_path, rings_file, argv):
+    command, *rest = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+    code, err = exit_code(capsys, [command, "--data", rings_file, "--landmarks", "4", *rest])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 class TestLabelSets:

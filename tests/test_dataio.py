@@ -50,7 +50,32 @@ class TestDataset:
     ], ids=["csr", "1-d", "text"])
     def test_rejects_non_dense_2d_x(self, X):
         with pytest.raises(DataError, match="X must be"):
-            Dataset(X, np.array([1, -1]), 2)
+            Dataset(X, np.array([1, -1]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_x(self, value):
+        with pytest.raises(DataError, match="finite"):
+            Dataset(np.array([[1.0, value], [0.0, 2.0]]), np.array([1, -1]))
+
+    def test_dim_is_the_column_count(self):
+        assert Dataset(np.zeros((2, 3)), np.array([1, -1])).dim == 3
+        assert Dataset(np.zeros((0, 4)), np.array([], dtype=np.int64)).dim == 4
+
+    def test_class_indices(self):
+        ds = Dataset(np.zeros((4, 1)), np.array([1, -1, -1, 1]))
+        pos_idx, neg_idx = ds.class_indices()
+        np.testing.assert_array_equal(pos_idx, [0, 3])
+        np.testing.assert_array_equal(neg_idx, [1, 2])
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, 0], "[+]-1 labels"),
+        ([1, -1, 2], "[+]-1 labels"),
+        ([1, 1, 1], "each class"),
+        ([-1, -1, -1], "each class"),
+    ], ids=["zero-one", "third-value", "only-positive", "only-negative"])
+    def test_class_indices_rejects(self, labels, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(np.zeros((3, 1)), np.array(labels)).class_indices()
 
 
 class TestParseLibsvm:
@@ -83,6 +108,15 @@ class TestParseLibsvm:
     def test_fractional_label_rejected(self):
         with pytest.raises(ParseError):
             parse_libsvm("0.5 1:1")
+
+    @pytest.mark.parametrize("label", ["1e30", "9223372036854775808", "-1e19"])
+    def test_label_outside_int64_rejected(self, label):
+        with pytest.raises(ParseError, match=f"line 2: label '{label}' does not fit"):
+            parse_libsvm(f"+1 1:1\n{label} 1:0.5\n")
+
+    def test_int64_extreme_labels_kept(self):
+        ds = parse_libsvm("-9223372036854775808 1:1\n4611686018427387904 1:2\n")
+        np.testing.assert_array_equal(ds.y, [-(2**63), 2**62])
 
     def test_blank_lines_skipped(self):
         ds = parse_libsvm("+1 1:1\n\n\n-1 1:2\n")
@@ -171,7 +205,7 @@ class TestBinaryLabels:
 
 class TestStandardize:
     def test_two_point_symmetry(self):
-        ds = Dataset(np.array([[1.0], [3.0]]), np.array([1, -1]), 1)
+        ds = Dataset(np.array([[1.0], [3.0]]), np.array([1, -1]))
         s = standardize_fit(ds)
         np.testing.assert_allclose(s.mean, [2.0])
         np.testing.assert_allclose(s.stdev, [1.0])
@@ -179,7 +213,7 @@ class TestStandardize:
         np.testing.assert_allclose(out.X, [[-1.0], [1.0]])
 
     def test_constant_feature_guard(self):
-        ds = Dataset(np.array([[5.0], [5.0], [5.0]]), np.array([1, 1, -1]), 1)
+        ds = Dataset(np.array([[5.0], [5.0], [5.0]]), np.array([1, 1, -1]))
         s = standardize_fit(ds)
         assert s.stdev[0] == 1.0
         out = standardize_apply(s, ds)
@@ -188,7 +222,7 @@ class TestStandardize:
     def test_constant_feature_guard_inexact_mean(self):
         # values whose mean is not exactly representable must still be
         # detected as constant rather than divided by float noise
-        ds = Dataset(np.full((7, 1), 5.1), np.array([1] * 6 + [-1]), 1)
+        ds = Dataset(np.full((7, 1), 5.1), np.array([1] * 6 + [-1]))
         s = standardize_fit(ds)
         assert s.stdev[0] == 1.0
 
@@ -197,19 +231,19 @@ class TestStandardize:
         X = rng.standard_normal((50, 5)) * rng.uniform(0.5, 4.0, size=5) + rng.uniform(
             -3, 3, size=5
         )
-        ds = Dataset(X, np.where(rng.random(50) < 0.5, 1, -1), 5)
+        ds = Dataset(X, np.where(rng.random(50) < 0.5, 1, -1))
         out = standardize_apply(standardize_fit(ds), ds)
         np.testing.assert_allclose(out.X.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.X.var(axis=0), 1.0, atol=1e-12)
 
     def test_dim_mismatch(self):
-        s = standardize_fit(Dataset(np.ones((2, 3)), np.array([1, -1]), 3))
+        s = standardize_fit(Dataset(np.ones((2, 3)), np.array([1, -1])))
         with pytest.raises(DataError):
-            standardize_apply(s, Dataset(np.ones((2, 2)), np.array([1, -1]), 2))
+            standardize_apply(s, Dataset(np.ones((2, 2)), np.array([1, -1])))
 
     def test_test_data_uses_train_statistics(self):
-        train = Dataset(np.array([[0.0], [2.0]]), np.array([1, -1]), 1)
-        test = Dataset(np.array([[4.0]]), np.array([1]), 1)
+        train = Dataset(np.array([[0.0], [2.0]]), np.array([1, -1]))
+        test = Dataset(np.array([[4.0]]), np.array([1]))
         s = standardize_fit(train)
         out = standardize_apply(s, test)
         np.testing.assert_allclose(out.X, [[3.0]])
@@ -224,7 +258,7 @@ class TestSplit:
             y[0] = 1
         if not (y == -1).any():
             y[1] = -1
-        return Dataset(X, y, 3)
+        return Dataset(X, y)
 
     def test_sizes_and_union(self):
         ds = self._make(10)
@@ -247,7 +281,7 @@ class TestSplit:
         assert not np.array_equal(a_tr.X, b_tr.X)
 
     def test_disjoint(self):
-        ds = Dataset(np.arange(20.0).reshape(20, 1), np.array([1, -1] * 10), 1)
+        ds = Dataset(np.arange(20.0).reshape(20, 1), np.array([1, -1] * 10))
         tr, te = split(ds, 0.25, seed=3)
         assert set(tr.X.ravel()).isdisjoint(te.X.ravel())
         assert tr.n + te.n == 20
@@ -257,7 +291,7 @@ class TestSplit:
         n = 5000
         X = rng.standard_normal((n, 2))
         y = np.where(rng.random(n) < 0.25, 1, -1)
-        ds = Dataset(X, y, 2)
+        ds = Dataset(X, y)
         full_ratio = np.count_nonzero(ds.y == 1) / n
         bad = 0
         for seed in range(20):
@@ -273,6 +307,6 @@ class TestSplit:
                 split(ds, f, seed=0)
 
     def test_too_small(self):
-        ds = Dataset(np.ones((1, 1)), np.array([1]), 1)
+        ds = Dataset(np.ones((1, 1)), np.array([1]))
         with pytest.raises(DataError):
             split(ds, 0.5, seed=0)

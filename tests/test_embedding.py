@@ -5,7 +5,6 @@ import pytest
 
 from aucmax.dataio import Dataset, SparseVector
 from aucmax.embedding import (
-    EmbeddedDataset,
     LandmarkSet,
     NystroemMap,
     _lloyd,
@@ -29,14 +28,14 @@ class TestKmeans:
     def test_single_centroid_is_mean(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 3))
-        ds = Dataset(X, _labels(40, rng), 3)
+        ds = Dataset(X, _labels(40, rng))
         lm = kmeans(ds, v=1, max_iter=20, seed=0)
         np.testing.assert_allclose(lm.centroids, X.mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_v_equals_n_distinct_points(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((12, 2))
-        ds = Dataset(X, _labels(12, rng), 2)
+        ds = Dataset(X, _labels(12, rng))
         lm = kmeans(ds, v=12, max_iter=20, seed=3)
         # zero cost: every point is its own centroid
         assert sorted(map(tuple, lm.centroids)) == sorted(map(tuple, X))
@@ -48,7 +47,7 @@ class TestKmeans:
             a = rng.standard_normal((200, 2)) * 0.3 + np.array([5.0, 5.0])
             b = rng.standard_normal((200, 2)) * 0.3 - np.array([5.0, 5.0])
             X = np.vstack([a, b])
-            ds = Dataset(X, np.array([1] * 200 + [-1] * 200), 2)
+            ds = Dataset(X, np.array([1] * 200 + [-1] * 200))
             lm = kmeans(ds, v=2, max_iter=50, seed=seed)
             got = sorted(map(tuple, lm.centroids))
             want = sorted([(-5.0, -5.0), (5.0, 5.0)])
@@ -59,13 +58,13 @@ class TestKmeans:
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((60, 4))
-        ds = Dataset(X, _labels(60, rng), 4)
+        ds = Dataset(X, _labels(60, rng))
         a = kmeans(ds, v=5, max_iter=30, seed=7)
         b = kmeans(ds, v=5, max_iter=30, seed=7)
         np.testing.assert_array_equal(a.centroids, b.centroids)
 
     def test_v_too_large(self):
-        ds = Dataset(np.ones((3, 2)), np.array([1, 1, -1]), 2)
+        ds = Dataset(np.ones((3, 2)), np.array([1, 1, -1]))
         with pytest.raises(DataError):
             kmeans(ds, v=4)
 
@@ -93,7 +92,7 @@ class TestKmeans:
     def test_duplicate_points_handled(self):
         # more landmarks than distinct values forces the uniform fallback
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
-        ds = Dataset(X, np.array([1, 1, -1, -1, -1]), 1)
+        ds = Dataset(X, np.array([1, 1, -1, -1, -1]))
         lm = kmeans(ds, v=4, max_iter=10, seed=0)
         assert lm.v == 4
         assert np.all(np.isfinite(lm.centroids))
@@ -129,12 +128,12 @@ class TestFitNystroem:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((50, 4))
         y = _labels(50, rng)
-        ds = Dataset(X, y, 4)
+        ds = Dataset(X, y)
         p = GaussianKernelParams(1.5)
         m = fit_nystroem(LandmarkSet(X), p)
         emb = embed(m, ds)
         K = kernel_matrix(X, X, p)
-        np.testing.assert_allclose(emb.features @ emb.features.T, K, atol=1e-6)
+        np.testing.assert_allclose(emb.X @ emb.X.T, K, atol=1e-6)
 
     def test_rank_cap(self):
         rng = np.random.default_rng(8)
@@ -156,7 +155,7 @@ class TestFitNystroem:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((500, 4))
         y = _labels(500, rng)
-        ds = Dataset(X, y, 4)
+        ds = Dataset(X, y)
         p = GaussianKernelParams(4.0)
         K = kernel_matrix(X, X, p)
         errs = []
@@ -165,7 +164,7 @@ class TestFitNystroem:
             for seed in range(10):
                 lm = kmeans(ds, v=v, max_iter=25, seed=seed)
                 m = fit_nystroem(lm, p)
-                Z = embed(m, ds).features
+                Z = embed(m, ds).X
                 per_seed.append(np.linalg.norm(K - Z @ Z.T))
             errs.append(np.mean(per_seed))
         assert errs[0] >= errs[1] >= errs[2]
@@ -183,16 +182,17 @@ class TestEmbed:
         rng = np.random.default_rng(12)
         lm = LandmarkSet(rng.standard_normal((6, 3)))
         m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=4)
-        ds = Dataset(rng.standard_normal((9, 3)), _labels(9, rng), 3)
+        ds = Dataset(rng.standard_normal((9, 3)), _labels(9, rng))
         emb = embed(m, ds)
-        assert emb.features.shape == (9, 4)
+        assert emb.X.shape == (9, 4)
         np.testing.assert_array_equal(emb.y, ds.y)
 
     def test_index_sets(self):
-        feats = np.zeros((4, 2))
-        emb = EmbeddedDataset(feats, np.array([1, -1, -1, 1]))
-        np.testing.assert_array_equal(emb.pos_idx, [0, 3])
-        np.testing.assert_array_equal(emb.neg_idx, [1, 2])
+        m = fit_nystroem(LandmarkSet(np.eye(2)), GaussianKernelParams(1.0))
+        emb = embed(m, Dataset(np.zeros((4, 2)), np.array([1, -1, -1, 1])))
+        pos_idx, neg_idx = emb.class_indices()
+        np.testing.assert_array_equal(pos_idx, [0, 3])
+        np.testing.assert_array_equal(neg_idx, [1, 2])
 
     def test_dim_mismatch(self):
         lm = LandmarkSet(np.ones((2, 3)))
@@ -205,10 +205,10 @@ class TestEmbed:
         lm = LandmarkSet(rng.standard_normal((7, 2)))
         m = fit_nystroem(lm, GaussianKernelParams(1.0))
         X = rng.standard_normal((5, 2))
-        ds = Dataset(X, np.array([1, -1, 1, -1, 1]), 2)
+        ds = Dataset(X, np.array([1, -1, 1, -1, 1]))
         emb = embed(m, ds)
         for i in range(5):
-            np.testing.assert_allclose(emb.features[i], embed_point(m, X[i]), atol=1e-13)
+            np.testing.assert_allclose(emb.X[i], embed_point(m, X[i]), atol=1e-13)
 
     def test_sparse_point(self):
         lm = LandmarkSet(np.eye(4))
@@ -248,10 +248,10 @@ class TestRff:
     def test_dataset_embedding_shape(self):
         rng = np.random.default_rng(15)
         m = fit_rff(3, 32, GaussianKernelParams(1.0), seed=2)
-        ds = Dataset(rng.standard_normal((6, 3)), np.array([1, -1] * 3), 3)
+        ds = Dataset(rng.standard_normal((6, 3)), np.array([1, -1] * 3))
         emb = embed(m, ds)
-        assert emb.features.shape == (6, 32)
-        np.testing.assert_allclose(emb.features[0], embed_point(m, ds.X[0]), atol=1e-13)
+        assert emb.X.shape == (6, 32)
+        np.testing.assert_allclose(emb.X[0], embed_point(m, ds.X[0]), atol=1e-13)
 
 
 class TestValidation:

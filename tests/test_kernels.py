@@ -104,11 +104,11 @@ class TestPairwiseSqDists:
 
 class TestBandwidthHeuristic:
     def test_two_points_one_dim(self):
-        ds = Dataset(np.array([[0.0], [2.0]]), np.array([1, -1]), 1)
+        ds = Dataset(np.array([[0.0], [2.0]]), np.array([1, -1]))
         assert bandwidth_heuristic(ds).sigma2 == 1.0
 
     def test_identical_points_error(self):
-        ds = Dataset(np.full((5, 2), 3.7), np.array([1, 1, 1, -1, -1]), 2)
+        ds = Dataset(np.full((5, 2), 3.7), np.array([1, 1, 1, -1, -1]))
         with pytest.raises(DataError, match="sigma2"):
             bandwidth_heuristic(ds)
 
@@ -118,15 +118,15 @@ class TestBandwidthHeuristic:
         head = rng.standard_normal((100, 3))
         tail = rng.standard_normal((50, 3)) * 100.0
         y = np.where(rng.random(150) < 0.5, 1, -1)
-        ds = Dataset(np.vstack([head, tail]), y, 3)
+        ds = Dataset(np.vstack([head, tail]), y)
         capped = bandwidth_heuristic(ds, cap=100)
-        head_only = bandwidth_heuristic(Dataset(head, y[:100], 3))
+        head_only = bandwidth_heuristic(Dataset(head, y[:100]))
         assert capped.sigma2 == head_only.sigma2
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((60, 4)) + 2.0
-        ds = Dataset(X, np.where(rng.random(60) < 0.5, 1, -1), 4)
+        ds = Dataset(X, np.where(rng.random(60) < 0.5, 1, -1))
         expected = np.mean(np.sum((X - X.mean(axis=0)) ** 2, axis=1))
         np.testing.assert_allclose(bandwidth_heuristic(ds).sigma2, expected, rtol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aucmax.batch import PairAggregates
-from aucmax.embedding import EmbeddedDataset
+from aucmax.dataio import Dataset
 from aucmax.errors import ConfigError, DataError
 from aucmax.metrics import auc, auc_bruteforce
 
@@ -120,24 +120,24 @@ def _embedded(rng, n, r):
     X = rng.standard_normal((n, r))
     y = np.where(rng.random(n) < 0.5, 1, -1)
     y[0], y[1] = 1, -1
-    return EmbeddedDataset(X, y)
+    return Dataset(X, y)
 
 
 class TestObjective:
     def test_zero_weights(self):
         rng = np.random.default_rng(4)
         data = _embedded(rng, 20, 3)
-        n_pairs = data.pos_idx.size * data.neg_idx.size
+        n_pairs = np.count_nonzero(data.y == 1) * np.count_nonzero(data.y == -1)
         w = np.zeros(3)
-        agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+        agg = PairAggregates(data.X @ w, *data.class_indices())
         assert agg.objective(w, C=2.5) == 2.5 * n_pairs
 
     def test_inactive_single_pair(self):
         # margin 2 keeps the pair out of the loss; only the regularizer remains
         X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        data = EmbeddedDataset(X, np.array([1, -1]))
+        data = Dataset(X, np.array([1, -1]))
         w = np.array([1.0, 0.5])
-        agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+        agg = PairAggregates(data.X @ w, *data.class_indices())
         np.testing.assert_allclose(agg.objective(w, C=1.0), 0.5 * (1.0 + 0.25), rtol=1e-15)
 
     def test_matches_bruteforce(self):
@@ -148,6 +148,6 @@ class TestObjective:
             data = _embedded(rng, n, r)
             w = rng.standard_normal(r)
             C = float(rng.uniform(0.1, 5.0))
-            expected = brute_objective(w, data.features, data.y, C)
-            agg = PairAggregates(data.features @ w, data.pos_idx, data.neg_idx)
+            expected = brute_objective(w, data.X, data.y, C)
+            agg = PairAggregates(data.X @ w, *data.class_indices())
             np.testing.assert_allclose(agg.objective(w, C), expected, rtol=1e-9)

@@ -61,7 +61,7 @@ class TestLinearModel:
 def explicit_scores(pipe, data):
     """embed(x) @ w, the score through the unfolded features."""
     standardized = standardize_apply(pipe.standardizer, data)
-    return embed(pipe.embedding, standardized).features @ pipe.linear.w
+    return embed(pipe.embedding, standardized).X @ pipe.linear.w
 
 
 class TestPipelineScoring:
@@ -94,7 +94,7 @@ class TestPipelineScoring:
 
     def test_dim_mismatch(self):
         _, pipe = fit_pipeline()
-        bad = Dataset(np.ones((3, 5)), np.array([1, -1, 1]), 5)
+        bad = Dataset(np.ones((3, 5)), np.array([1, -1, 1]))
         with pytest.raises(DataError, match="dimension"):
             pipe.score(bad)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from aucmax.embedding import EmbeddedDataset
-from aucmax.errors import ConfigError
+from aucmax.dataio import Dataset
+from aucmax.errors import ConfigError, DataError
 from aucmax.metrics import auc
 from aucmax.sgd import SgdConfig, train_sgd
 
@@ -14,7 +14,7 @@ def constant_pair(n, x_pos, x_neg):
     every sampled pair is x_pos - x_neg whatever the draws."""
     k = n // 2
     X = np.array([x_pos] * k + [x_neg] * (n - k), dtype=np.float64)
-    return EmbeddedDataset(X, np.array([1] * k + [-1] * (n - k)))
+    return Dataset(X, np.array([1] * k + [-1] * (n - k)))
 
 
 def run(data, **fields):
@@ -159,6 +159,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SgdConfig(lam=1e-6, askip=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SgdConfig(lam=1e-6, seed=-1)
+        SgdConfig(lam=1e-6, seed=0)
+
     def test_t0_must_dominate_rskip(self):
         with pytest.raises(ConfigError):
             SgdConfig(lam=1e-6, t0=10, rskip=16)
@@ -168,7 +173,7 @@ class TestConfigValidation:
 def separable_1d(n_pos=20, n_neg=30):
     X = np.concatenate([np.ones(n_pos), -np.ones(n_neg)]).reshape(-1, 1)
     y = np.array([1] * n_pos + [-1] * n_neg)
-    return EmbeddedDataset(X, y)
+    return Dataset(X, y)
 
 
 def reference_data(name):
@@ -182,7 +187,7 @@ def reference_data(name):
     y[0], y[1] = 1, -1
     if name == "few-steps":
         X += 0.5 * y[:, None]
-    return EmbeddedDataset(X, y)
+    return Dataset(X, y)
 
 
 def literal_loop(data, cfg):
@@ -191,8 +196,8 @@ def literal_loop(data, cfg):
     into the running mean every askip iterations. Returns the weights, the
     captures and the steps."""
     draws = np.random.default_rng(cfg.seed)
-    Xp, Xn = data.features[data.y == 1], data.features[data.y == -1]
-    w = np.zeros(data.r)
+    Xp, Xn = data.X[data.y == 1], data.X[data.y == -1]
+    w = np.zeros(data.dim)
     w_avg, q, t, steps = None, 0, 0, 0
     for _ in range(cfg.epochs):
         pos = draws.integers(0, Xp.shape[0], size=data.n)
@@ -225,11 +230,16 @@ def assert_matches_reference_loop(dataset, averaging, rskip, askip):
 
 
 class TestTrainSgd:
+    @pytest.mark.parametrize("y", [[0, 1, 0, 1], [1, 1, 1, 1]], ids=["zero-one", "one-class"])
+    def test_needs_both_pm1_classes(self, y):
+        with pytest.raises(DataError):
+            train_sgd(Dataset(np.eye(4), y), SgdConfig(lam=1e-6, epochs=1))
+
     def test_separable_reaches_perfect_auc(self):
         data = separable_1d()
         cfg = SgdConfig(lam=1e-4, t0=10_000, epochs=5, seed=3)
         model = train_sgd(data, cfg)
-        assert auc(data.features @ model.w, data.y).auc == 1.0
+        assert auc(data.X @ model.w, data.y).auc == 1.0
 
     def test_huge_lambda_freezes_weights(self):
         data = separable_1d()
@@ -242,7 +252,7 @@ class TestTrainSgd:
         X = rng.standard_normal((40, 3))
         y = np.where(rng.random(40) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        data = EmbeddedDataset(X, y)
+        data = Dataset(X, y)
         cfg = SgdConfig(lam=1e-5, epochs=3, seed=11)
         a = train_sgd(data, cfg)
         b = train_sgd(data, cfg)
@@ -265,7 +275,7 @@ class TestTrainSgd:
         X = rng.standard_normal((25, 3))
         y = np.where(rng.random(25) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        data = EmbeddedDataset(X, y)
+        data = Dataset(X, y)
 
         for averaging in (False, True):
             snapshots = {}
@@ -303,7 +313,7 @@ class TestTrainSgd:
         X = rng.standard_normal((50, 3))
         y = np.where(rng.random(50) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        data = EmbeddedDataset(X, y)
+        data = Dataset(X, y)
         on = train_sgd(data, SgdConfig(lam=1e-5, epochs=3, seed=7, averaging=True))
         off = train_sgd(data, SgdConfig(lam=1e-5, epochs=3, seed=7, averaging=False))
         assert not np.array_equal(on.w, off.w)
@@ -318,7 +328,7 @@ class TestTrainSgd:
             X = rng.standard_normal((n, r))
             y = np.where(rng.random(n) < 0.3, 1, -1)
             y[0], y[1] = 1, -1
-            return EmbeddedDataset(X, y)
+            return Dataset(X, y)
 
         cfg = SgdConfig(lam=1e-6, epochs=1, seed=1)
 
