@@ -72,12 +72,6 @@ def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True, with_la
 
 def _add_kernel_flags(p: argparse.ArgumentParser):
     p.add_argument("--sigma2", type=float, default=None, help="kernel bandwidth (squared-distance units)")
-    p.add_argument(
-        "--bandwidth-cap",
-        type=int,
-        default=80000,
-        help="instances used by the bandwidth heuristic (default 80000)",
-    )
 
 
 def _add_embedding_flags(p: argparse.ArgumentParser):
@@ -143,18 +137,18 @@ def _comma_list(flag: str, text: str, kind) -> list:
 
 def _load_grouped(args) -> Dataset:
     """--data with +-1 labels, grouped by --positive-labels when given."""
-    with open_text(args.data) as fh:
-        data = parse_libsvm(fh)
     positive = None
     if args.positive_labels is not None:
         positive = _comma_list("--positive-labels", args.positive_labels, int)
-    return Dataset(data.X, binary_labels(data.y, positive))
+    with open_text(args.data) as fh:
+        data = parse_libsvm(fh)
+        return Dataset(data.X, binary_labels(data.y, positive))
 
 
 def _kernel_params(args, standardized: Dataset) -> GaussianKernelParams:
     if args.sigma2 is not None:
         return GaussianKernelParams(args.sigma2)
-    return bandwidth_heuristic(standardized, cap=args.bandwidth_cap)
+    return bandwidth_heuristic(standardized)
 
 
 def _fit_embedded(args, train: Dataset, *held_out: Dataset):
@@ -247,12 +241,10 @@ def cmd_train_sgd(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    open(args.data).close()  # an unusable --data fails before the model is read
     pipe = load_model(args.model)
     with open_text(args.data) as fh:
-        try:
-            data = parse_libsvm(fh, dim=pipe.dim)
-        except DataError as exc:
-            raise DataError(f"model expects dimension {pipe.dim}: {exc}") from exc
+        data = parse_libsvm(fh, dim=pipe.dim)
     scores = pipe.score(data)
     with open(args.scores, "w") as fh:
         for s in scores:
@@ -271,13 +263,10 @@ def cmd_eval_auc(args) -> int:
             try:
                 scores.append(float(line))
             except ValueError:
-                raise DataError(f"{args.scores}:{lineno}: not a number: {line!r}")
+                raise ParseError(f"score {line!r} is not a number", lineno) from None
     with open_text(args.labels) as fh:
-        try:
-            labels = parse_libsvm(fh).y
-        except ParseError as exc:
-            raise DataError(f"{args.labels}: {exc}") from None
-    result = auc(np.asarray(scores), binary_labels(labels), "strict" if args.strict else "half")
+        labels = binary_labels(parse_libsvm(fh).y)
+    result = auc(np.asarray(scores), labels, "strict" if args.strict else "half")
     print(f"{result.auc:.6f}")
     return 0
 

@@ -126,12 +126,19 @@ def dense_point(x: SparseVector | np.ndarray, dim: int) -> np.ndarray:
 
 @contextmanager
 def open_text(path: str):
-    """The text file at path, open for reading; undecodable bytes are a DataError naming it."""
+    """The text file at path, open for reading, and the one place an input error names its file.
+
+    A DataError raised while it is open, or undecodable bytes, gets "{path}: "
+    in front of its message; a ParseError keeps its line. Blocks must not nest.
+    """
     with open(path) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+        except DataError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def format_float(x: float) -> str:
@@ -183,8 +190,8 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
 
     Raises ParseError (with line number) on malformed tokens, non-increasing
     or unaddressable indices within a line, non-numeric values, or labels
-    that are not integers or do not fit int64, and DataError when the dense
-    n x dim array cannot be allocated.
+    that are not integers or do not fit int64, and DataError when a feature
+    index exceeds ``dim`` or the dense n x dim array cannot be allocated.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -200,14 +207,19 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
         if not tokens:
             continue
         try:
-            raw = float(tokens[0])
+            label = int(tokens[0])
         except ValueError:
-            raise ParseError(f"label {tokens[0]!r} is not numeric", lineno) from None
-        if not np.isfinite(raw) or raw != int(raw):
-            raise ParseError(f"label {tokens[0]!r} is not an integer", lineno)
-        if not -(2**63) <= int(raw) < 2**63:
+            # forms like 1.0 and 1e0; int first keeps labels above 2^53 exact
+            try:
+                raw = float(tokens[0])
+            except ValueError:
+                raise ParseError(f"label {tokens[0]!r} is not numeric", lineno) from None
+            if not np.isfinite(raw) or raw != int(raw):
+                raise ParseError(f"label {tokens[0]!r} is not an integer", lineno)
+            label = int(raw)
+        if not -(2**63) <= label < 2**63:
             raise ParseError(f"label {tokens[0]!r} does not fit a 64-bit integer", lineno)
-        labels.append(int(raw))
+        labels.append(label)
 
         prev = -1
         for tok in tokens[1:]:
@@ -242,7 +254,7 @@ def parse_libsvm(source: str | TextIO, dim: int | None = None) -> Dataset:
     if dim is None:
         dim = inferred
     elif dim < inferred:
-        raise DataError(f"explicit dim {dim} is smaller than max feature index {inferred}")
+        raise DataError(f"feature index {inferred} exceeds dimension {dim}")
 
     n = len(labels)
     try:

@@ -63,21 +63,18 @@ def kernel_matrix(
     return np.exp(K, out=K)
 
 
-def bandwidth_heuristic(data: Dataset, cap: int = 80000) -> GaussianKernelParams:
-    """sigma2 = mean squared distance of the first min(n, cap) rows to their mean."""
-    if cap < 2:
-        raise ConfigError(f"bandwidth cap must be >= 2, got {cap}")
-    m = min(data.n, cap)
-    if m < 2:
+def bandwidth_heuristic(data: Dataset) -> GaussianKernelParams:
+    """sigma2 = mean squared distance of the rows to their mean.
+
+    One O(n x dim) pass, the cost of fitting a standardizer. On standardized
+    rows it equals, up to rounding, the number of non-constant features.
+    """
+    if data.n < 2:
         raise DataError("bandwidth heuristic needs at least 2 instances")
-    head = data.X[:m]
-    d2 = pairwise_sq_dists(head, head.mean(axis=0, keepdims=True)).ravel()
+    d2 = pairwise_sq_dists(data.X, data.X.mean(axis=0, keepdims=True)).ravel()
     sigma2 = float(d2.mean())
     # identical rows produce only round-off here; treat that as zero spread
-    scale = float(np.mean(row_sq_norms(head)))
+    scale = float(np.mean(row_sq_norms(data.X)))
     if sigma2 <= 16.0 * np.finfo(np.float64).eps * max(scale, 1.0):
-        raise DataError(
-            "all instances used by the bandwidth heuristic coincide; "
-            "pass sigma2 explicitly"
-        )
+        raise DataError("all instances coincide, so the bandwidth heuristic fails; pass sigma2 explicitly")
     return GaussianKernelParams(sigma2)

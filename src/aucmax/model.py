@@ -304,16 +304,16 @@ class _Reader:
             if M is not None:
                 self.pos += rows
                 return M
-            # the block has a bad cell, a short row or a missing line: find it row by row
-            M = np.empty((rows, cols))
-            for i in range(rows):
+            # a bad cell, a short row or a missing line: find it row by row, keeping only rows the file has
+            found = []
+            for _ in range(rows):
                 vals = self.next().split()
                 if len(vals) != cols:
                     raise ParseError(f"matrix {name!r} row has {len(vals)} values, expected {cols}", self.lineno)
-                M[i] = [float(v) for v in vals]
+                found.append([float(v) for v in vals])
+            return np.array(found) if found else np.empty(shape)
         except ValueError as exc:
             raise ParseError(f"matrix {name!r}: {exc}", self.lineno) from None
-        return M
 
     def read_section(self, name: str) -> _Section:
         """The section's scalars, typed by the schema, then its matrices."""
@@ -340,37 +340,37 @@ class _Reader:
 def load_model(path: str) -> TrainedPipeline:
     with open_text(path) as fh:
         rd = _Reader(fh)
-    if rd.next() != _MAGIC:
-        raise ParseError("not a model file (bad magic line)", rd.lineno)
+        if rd.next() != _MAGIC:
+            raise ParseError("not a model file (bad magic line)", rd.lineno)
 
-    meta = rd.read_section("meta")
-    meta.pop("solver", None)
+        meta = rd.read_section("meta")
+        meta.pop("solver", None)
 
-    std = rd.read_section("standardizer")
-    standardizer = Standardizer(std["mean"].ravel(), std["stdev"].ravel())
+        std = rd.read_section("standardizer")
+        standardizer = Standardizer(std["mean"].ravel(), std["stdev"].ravel())
 
-    if rd.peek() == "[rff]":
-        emb = rd.read_section("rff")
-        embedding = RffMap(
-            emb["frequencies"],
-            emb["phases"].ravel(),
-            GaussianKernelParams(emb["sigma2"]),
-            seed=emb.get("seed"),
-        )
-    else:
-        emb = rd.read_section("nystroem")
-        embedding = NystroemMap(
-            LandmarkSet(emb["centroids"]),
-            GaussianKernelParams(emb["sigma2"]),
-            emb["projection"],
-            emb["eigenvalues"].ravel(),
-            seed=emb.get("seed"),
-        )
+        if rd.peek() == "[rff]":
+            emb = rd.read_section("rff")
+            embedding = RffMap(
+                emb["frequencies"],
+                emb["phases"].ravel(),
+                GaussianKernelParams(emb["sigma2"]),
+                seed=emb.get("seed"),
+            )
+        else:
+            emb = rd.read_section("nystroem")
+            embedding = NystroemMap(
+                LandmarkSet(emb["centroids"]),
+                GaussianKernelParams(emb["sigma2"]),
+                emb["projection"],
+                emb["eigenvalues"].ravel(),
+                seed=emb.get("seed"),
+            )
 
-    lin = rd.read_section("linear")
-    w = lin.pop("weights").ravel()
-    lin.pop("r")
-    trained_by = lin.pop("trained_by")
-    embedding_id = lin.pop("embedding_id")
-    linear = LinearModel(w, trained_by, dict(lin), embedding_id=embedding_id)
-    return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta))
+        lin = rd.read_section("linear")
+        w = lin.pop("weights").ravel()
+        lin.pop("r")
+        trained_by = lin.pop("trained_by")
+        embedding_id = lin.pop("embedding_id")
+        linear = LinearModel(w, trained_by, dict(lin), embedding_id=embedding_id)
+        return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta))

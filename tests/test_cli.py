@@ -194,7 +194,7 @@ class TestEvalAuc:
         code, _, err = run(capsys, ["eval-auc", "--scores", str(tmp_path / "s.txt"),
                                     "--labels", str(tmp_path / "l.txt")])
         assert code == 3
-        assert ":2:" in err
+        assert f"{tmp_path / 's.txt'}: line 2: " in err
 
 
 class TestDeterminism:
@@ -524,6 +524,18 @@ class TestUnusableInput:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
 
     @pytest.mark.parametrize("command, flag", READS)
+    def test_malformed_line_names_file_and_line(self, capsys, tmp_path, rings_file, model_text, command, flag):
+        bad = tmp_path / "bad.txt"
+        if flag == "--model":
+            lines = model_text.splitlines(keepends=True)
+            bad.write_text(lines[0] + "garbage\n" + "".join(lines[2:]))
+        else:
+            bad.write_text("0.5\nabc\n" if flag == "--scores" else "+1 1:0.5\nx 1:0.3\n")
+        code, err = exit_code(capsys, self.argv(tmp_path, rings_file, model_text, command, flag, bad))
+        assert code == 3
+        assert err.startswith(f"error: {bad}: line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, flag", READS)
     @pytest.mark.parametrize("kind", ["directory", "under-a-file"])
     def test_unusable_path_exits_two(self, capsys, tmp_path, rings_file, model_text, command, flag, kind):
         bad = tmp_path / "dir"
@@ -536,6 +548,17 @@ class TestUnusableInput:
         assert err.startswith("error: ") and err.count("\n") == 1 and str(bad) in err
 
 
+def test_predict_opens_data_before_reading_the_model(capsys, tmp_path, monkeypatch):
+    def load_model(path):
+        raise AssertionError("the model was read before --data was opened")
+
+    monkeypatch.setattr("aucmax.cli.load_model", load_model)
+    code, err = exit_code(capsys, ["predict", "--model", str(tmp_path / "m.model"),
+                                   "--data", str(tmp_path / "missing.libsvm"), "--scores", str(tmp_path / "s")])
+    assert code == 2
+    assert "missing.libsvm" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["train-batch", "kmeans"])
 def test_label_outside_int64_exits_three(capsys, tmp_path, command):
     data = tmp_path / "big.libsvm"
@@ -543,7 +566,7 @@ def test_label_outside_int64_exits_three(capsys, tmp_path, command):
     out = ["--model", str(tmp_path / "m")] if command == "train-batch" else ["--out", str(tmp_path / "c")]
     code, err = exit_code(capsys, [command, "--data", str(data), "--landmarks", "1", *out])
     assert code == 3
-    assert err == "error: line 2: label '1e30' does not fit a 64-bit integer\n"
+    assert err == f"error: {data}: line 2: label '1e30' does not fit a 64-bit integer\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -603,7 +626,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
@@ -621,7 +643,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
@@ -650,7 +671,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
@@ -670,7 +690,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
@@ -695,7 +714,6 @@ OPTIONS = {
         "--seed": (0, False),
         "--positive-labels": (None, False),
         "--sigma2": (None, False),
-        "--bandwidth-cap": (80000, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
@@ -748,11 +766,13 @@ class TestCorruptModel:
         ("standardizer", r"^(stdev 1 \d+\n)\S+", r"\1inf", "finite"),
         ("nystroem", r"^(eigenvalues 1 \d+\n)\S+", r"\1nan", "finite"),
         ("linear", r"^(weights 1 \d+\n)\S+ \S+", r"\g<1>1.7e308 1.7e308", "overflow"),
+        ("nystroem", r"^v \d+(\n(?:.*\n)*?centroids )\d+", r"v 99999999999\g<1>99999999999", "row has"),
+        ("nystroem", r"^d \d+(\n(?:.*\n)*?centroids \d+ )\d+", r"d 99999999999\g<1>99999999999", "row has"),
     ], ids=["matrix-cell", "missing-dim", "matrix-header", "sigma2-text", "seed-text",
             "c-text", "sigma2-negative", "foreign-embedding-id", "linear-r", "nystroem-v",
             "nystroem-r", "nystroem-d", "missing-trained-by", "missing-embedding-id",
             "empty-embedding-id", "nan-mean", "nan-stdev", "inf-stdev", "nan-eigenvalue",
-            "overflowing-weights"])
+            "overflowing-weights", "rows-beyond-the-file", "columns-beyond-the-row"])
     def test_exits_three(self, capsys, tmp_path, rings_file, model_text, section, pattern, repl, message):
         head, header, body = model_text.partition(f"[{section}]\n")
         body, n = re.subn(pattern, repl, body, count=1, flags=re.M)
@@ -778,6 +798,15 @@ class TestCorruptModel:
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
         assert f"line {row + 1}: matrix 'projection'" in err
+
+    def test_error_names_the_model_file(self, capsys, tmp_path, rings_file, model_text):
+        # an error found while building the pipeline, after parsing, names the model too
+        path = tmp_path / "foreign.model"
+        path.write_text(re.sub(r"^embedding_id \S+$", "embedding_id deadbeef", model_text, flags=re.M))
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert err.startswith(f"error: {path}: embedding_id") and rings_file not in err
 
     def test_error_names_the_file_line_past_blank_lines(self, capsys, tmp_path, rings_file, model_text):
         lines = model_text.splitlines()

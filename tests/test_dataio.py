@@ -10,6 +10,7 @@ from aucmax.dataio import (
     Dataset,
     SparseVector,
     binary_labels,
+    open_text,
     parse_libsvm,
     split,
     standardize_apply,
@@ -109,14 +110,27 @@ class TestParseLibsvm:
         with pytest.raises(ParseError):
             parse_libsvm("0.5 1:1")
 
-    @pytest.mark.parametrize("label", ["1e30", "9223372036854775808", "-1e19"])
+    @pytest.mark.parametrize("label", ["1e30", "9223372036854775808", "-9223372036854775809", "-1e19"])
     def test_label_outside_int64_rejected(self, label):
         with pytest.raises(ParseError, match=f"line 2: label '{label}' does not fit"):
             parse_libsvm(f"+1 1:1\n{label} 1:0.5\n")
 
+    @pytest.mark.parametrize("label", ["1.5", "nan", "-inf"])
+    def test_non_integer_label_rejected(self, label):
+        with pytest.raises(ParseError, match=f"line 2: label '{label}' is not an integer"):
+            parse_libsvm(f"+1 1:1\n{label} 1:0.5\n")
+
     def test_int64_extreme_labels_kept(self):
-        ds = parse_libsvm("-9223372036854775808 1:1\n4611686018427387904 1:2\n")
-        np.testing.assert_array_equal(ds.y, [-(2**63), 2**62])
+        ds = parse_libsvm("-9223372036854775808 1:1\n4611686018427387904 1:2\n9223372036854775807 1:3\n")
+        np.testing.assert_array_equal(ds.y, [-(2**63), 2**62, 2**63 - 1])
+
+    @pytest.mark.parametrize("label, value", [
+        ("9007199254740993", 2**53 + 1), ("-9007199254740993", -(2**53) - 1),
+        ("1.0", 1), ("1e0", 1), ("-2E1", -20), ("+3", 3),
+    ])
+    def test_integer_label_kept_exactly(self, label, value):
+        # integer text is read by int, so no label is rounded through a double
+        assert parse_libsvm(f"{label} 1:1\n").y.tolist() == [value]
 
     def test_blank_lines_skipped(self):
         ds = parse_libsvm("+1 1:1\n\n\n-1 1:2\n")
@@ -139,7 +153,7 @@ class TestParseLibsvm:
     def test_dim_override(self):
         ds = parse_libsvm("+1 1:1", dim=10)
         assert ds.dim == 10
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="feature index 5 exceeds dimension 3"):
             parse_libsvm("+1 5:1", dim=3)
 
     def test_roundtrip_exact(self):
@@ -161,6 +175,24 @@ class TestParseLibsvm:
     def test_explicit_zeros_not_written_back(self):
         ds = parse_libsvm("+1 1:0 2:3.5\n-1 2:0\n")
         assert to_libsvm(ds) == "1 2:3.5\n-1\n"
+
+
+class TestOpenText:
+    def test_parse_error_names_the_file_and_keeps_its_line(self, tmp_path):
+        path = tmp_path / "bad.libsvm"
+        path.write_text("+1 1:1\nx 1:2\n")
+        with pytest.raises(ParseError) as exc:
+            with open_text(str(path)) as fh:
+                parse_libsvm(fh)
+        assert str(exc.value) == f"{path}: line 2: label 'x' is not numeric"
+        assert exc.value.line == 2
+
+    def test_other_errors_pass_unchanged(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_text("")
+        with pytest.raises(ConfigError, match="^bad flag$"):
+            with open_text(str(path)):
+                raise ConfigError("bad flag")
 
 
 class TestBinaryLabels:

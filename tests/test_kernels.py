@@ -112,26 +112,9 @@ class TestBandwidthHeuristic:
         with pytest.raises(DataError, match="sigma2"):
             bandwidth_heuristic(ds)
 
-    def test_cap_limits_rows_used(self):
-        # rows beyond the cap must not influence the estimate
-        rng = np.random.default_rng(8)
-        head = rng.standard_normal((100, 3))
-        tail = rng.standard_normal((50, 3)) * 100.0
-        y = np.where(rng.random(150) < 0.5, 1, -1)
-        ds = Dataset(np.vstack([head, tail]), y)
-        capped = bandwidth_heuristic(ds, cap=100)
-        head_only = bandwidth_heuristic(Dataset(head, y[:100]))
-        assert capped.sigma2 == head_only.sigma2
-
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((60, 4)) + 2.0
         ds = Dataset(X, np.where(rng.random(60) < 0.5, 1, -1))
         expected = np.mean(np.sum((X - X.mean(axis=0)) ** 2, axis=1))
         np.testing.assert_allclose(bandwidth_heuristic(ds).sigma2, expected, rtol=1e-12)
-
-    def test_default_cap(self):
-        import inspect
-
-        sig = inspect.signature(bandwidth_heuristic)
-        assert sig.parameters["cap"].default == 80000
