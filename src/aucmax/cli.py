@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 import time
 
@@ -52,59 +53,31 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _add_data_flags(p: argparse.ArgumentParser, with_split: bool = True, with_labels: bool = True):
-    p.add_argument("--data", required=True, help="LibSVM-format input file")
-    if with_split:
-        p.add_argument(
-            "--test-fraction",
-            type=float,
-            default=0.2,
-            help="held-out fraction for the random split (default 0.2)",
-        )
-    p.add_argument("--seed", type=_seed, default=0, help="seed for every random stage")
-    if with_labels:
-        p.add_argument(
-            "--positive-labels",
-            default=None,
-            help="comma-separated labels grouped as the positive class",
-        )
-
-
-def _add_kernel_flags(p: argparse.ArgumentParser):
-    p.add_argument("--sigma2", type=float, default=None, help="kernel bandwidth (squared-distance units)")
-
-
-def _add_embedding_flags(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--embedding",
-        choices=("nystroem", "rff"),
-        default="nystroem",
-        help="feature construction (default nystroem)",
-    )
-    _add_landmark_flags(p)
-    p.add_argument("--rank", type=int, default=None, help="embedding rank cap (default: full)")
-
-
-def _add_landmark_flags(p: argparse.ArgumentParser):
-    p.add_argument("--landmarks", type=int, default=1600, help="landmark count v (default 1600)")
-    p.add_argument("--kmeans-iters", type=int, default=100, help="Lloyd iteration cap (default 100)")
-
-
-def _add_batch_flags(p: argparse.ArgumentParser):
-    p.add_argument("--c", type=float, default=1.0, help="pair-loss weight C (default 1)")
-    p.add_argument("--grad-tol", type=float, default=None, help="gradient-norm stop (default relative)")
-    p.add_argument("--max-outer", type=int, default=100)
-    p.add_argument(
-        "--cg-tol",
+# every shared flag, declared once; each dest is the config field it sets
+_FLAGS = {
+    "--data": dict(required=True, help="LibSVM-format input file"),
+    "--test-fraction": dict(
+        type=float, default=0.2, help="held-out fraction for the random split (default 0.2)"
+    ),
+    "--seed": dict(type=_seed, default=0, help="seed for every random stage"),
+    "--positive-labels": dict(default=None, help="comma-separated labels grouped as the positive class"),
+    "--sigma2": dict(type=float, default=None, help="kernel bandwidth (squared-distance units)"),
+    "--embedding": dict(
+        choices=("nystroem", "rff"), default="nystroem", help="feature construction (default nystroem)"
+    ),
+    "--landmarks": dict(type=int, default=1600, help="landmark count v (default 1600)"),
+    "--kmeans-iters": dict(type=int, default=100, help="Lloyd iteration cap (default 100)"),
+    "--rank": dict(type=int, default=None, help="embedding rank cap (default: full)"),
+    "--model": dict(required=True, help="model file, written by training and read by predict"),
+    "--c": dict(dest="C", type=float, default=1.0, help="pair-loss weight C (default 1)"),
+    "--grad-tol": dict(type=float, default=None, help="gradient-norm stop (default relative)"),
+    "--max-outer": dict(type=int, default=100),
+    "--cg-tol": dict(
         type=float,
         default=1e-3,
         help="CG stop: unpreconditioned residual relative to the gradient norm (default 1e-3)",
-    )
-    p.add_argument("--cg-max", type=int, default=200, help="CG iteration cap per Newton step (default 200)")
-
-
-# every SGD flag, declared once; each subcommand adds the ones it takes
-_SGD_FLAGS = {
+    ),
+    "--cg-max": dict(type=int, default=200, help="CG iteration cap per Newton step (default 200)"),
     "--lambda": dict(dest="lam", type=float, default=1e-8, help="regularization scale"),
     "--t0": dict(type=int, default=10_000, help="step-size offset (default 10000)"),
     "--epochs": dict(type=int, default=20),
@@ -112,11 +85,10 @@ _SGD_FLAGS = {
     "--askip": dict(type=int, default=16, help="iterations between mean captures"),
     "--no-averaging": dict(action="store_true", help="return the last iterate instead"),
 }
-
-
-def _add_sgd_flags(p: argparse.ArgumentParser, flags):
-    for flag in flags:
-        p.add_argument(flag, **_SGD_FLAGS[flag])
+_DATA = ("--data", "--seed", "--positive-labels")
+_EMBEDDING = ("--sigma2", "--embedding", "--landmarks", "--kmeans-iters", "--rank")
+_BATCH = ("--c", "--grad-tol", "--max-outer", "--cg-tol", "--cg-max")
+_SGD = ("--lambda", "--t0", "--epochs", "--rskip", "--askip", "--no-averaging")
 
 
 # ---------------------------------------------------------------------------
@@ -145,17 +117,14 @@ def _load_grouped(args) -> Dataset:
         return Dataset(data.X, binary_labels(data.y, positive))
 
 
-def _kernel_params(args, standardized: Dataset) -> GaussianKernelParams:
-    if args.sigma2 is not None:
-        return GaussianKernelParams(args.sigma2)
-    return bandwidth_heuristic(standardized)
-
-
 def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     """Fit the standardizer and the embedding map on train; embed train and each held-out set."""
     standardizer = standardize_fit(train)
     standardized = [standardize_apply(standardizer, d) for d in (train, *held_out)]
-    kernel = _kernel_params(args, standardized[0])
+    if args.sigma2 is not None:
+        kernel = GaussianKernelParams(args.sigma2)
+    else:
+        kernel = bandwidth_heuristic(standardized[0])
     if args.embedding == "rff":
         emb_map = fit_rff(train.dim, args.landmarks, kernel, seed=args.seed)
     else:
@@ -174,12 +143,19 @@ def _prepare(args):
     return standardizer, emb_map, emb_train, emb_test, embedding_seconds
 
 
-def _sgd_config(args, **fields) -> SgdConfig:
-    """SgdConfig from the SGD flags the subcommand takes; fields set the rest."""
-    taken = {f.name: getattr(args, f.name) for f in dataclasses.fields(SgdConfig) if hasattr(args, f.name)}
+def _config(cls, args, **fields):
+    """A BatchConfig or SgdConfig from the flags the subcommand takes; fields set the rest."""
+    taken = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
     if hasattr(args, "no_averaging"):
         taken["averaging"] = not args.no_averaging
-    return SgdConfig(**{**taken, **fields})
+    return cls(**{**taken, **fields})
+
+
+def _write_csv(path: str, header: list, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, embedding_seconds):
@@ -203,40 +179,23 @@ def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, e
 
 def cmd_train_batch(args) -> int:
     standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
-    cfg = BatchConfig(
-        C=args.c,
-        grad_tol=args.grad_tol,
-        max_outer=args.max_outer,
-        cg_tol=args.cg_tol,
-        cg_max=args.cg_max,
-    )
-    linear = train_batch(emb_train, cfg)
+    linear = train_batch(emb_train, _config(BatchConfig, args))
     return _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, emb_sec)
 
 
 def cmd_train_sgd(args) -> int:
     standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
-    cfg = _sgd_config(args)
     rows = []
 
     def snapshot(epoch, w, elapsed):
-        rows.append(
-            (
-                epoch,
-                auc(emb_train.X @ w, emb_train.y).auc,
-                auc(emb_test.X @ w, emb_test.y).auc,
-                elapsed,
-            )
-        )
+        train_auc = auc(emb_train.X @ w, emb_train.y).auc
+        test_auc = auc(emb_test.X @ w, emb_test.y).auc
+        rows.append([epoch, f"{train_auc:.6f}", f"{test_auc:.6f}", f"{elapsed:.6f}"])
 
     callback = snapshot if args.curve else None
-    linear = train_sgd(emb_train, cfg, epoch_callback=callback)
+    linear = train_sgd(emb_train, _config(SgdConfig, args), epoch_callback=callback)
     if args.curve:
-        with open(args.curve, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_auc", "test_auc", "elapsed_seconds"])
-            for epoch, tr, te, sec in rows:
-                writer.writerow([epoch, f"{tr:.6f}", f"{te:.6f}", f"{sec:.6f}"])
+        _write_csv(args.curve, ["epoch", "train_auc", "test_auc", "elapsed_seconds"], rows)
     return _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, emb_sec)
 
 
@@ -264,8 +223,12 @@ def cmd_eval_auc(args) -> int:
                 scores.append(float(line))
             except ValueError:
                 raise ParseError(f"score {line!r} is not a number", lineno) from None
+            if not math.isfinite(scores[-1]):
+                raise ParseError(f"score {line!r} is not finite", lineno)
     with open_text(args.labels) as fh:
         labels = binary_labels(parse_libsvm(fh).y)
+    if len(scores) != labels.size:
+        raise DataError(f"{args.scores} has {len(scores)} scores but {args.labels} has {labels.size} labels")
     result = auc(np.asarray(scores), labels, "strict" if args.strict else "half")
     print(f"{result.auc:.6f}")
     return 0
@@ -304,9 +267,9 @@ def cmd_gridsearch(args) -> int:
         for value in grid:
             t0 = time.perf_counter()
             if args.solver == "batch":
-                linear = train_batch(emb_train, BatchConfig(C=value))
+                linear = train_batch(emb_train, _config(BatchConfig, args, C=value))
             else:
-                linear = train_sgd(emb_train, _sgd_config(args, lam=value))
+                linear = train_sgd(emb_train, _config(SgdConfig, args, lam=value))
             seconds = time.perf_counter() - t0
             score = auc(emb_val.X @ linear.w, emb_val.y).auc
             rows.append((value, fold_id, score, seconds))
@@ -319,11 +282,14 @@ def cmd_gridsearch(args) -> int:
 
     rows.sort(key=lambda r: (r[0], r[1]))
     if args.report:
-        with open(args.report, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["value", "fold", "auc", "seconds"])
-            for value, fold_id, score, seconds in rows:
-                writer.writerow([format_float(value), fold_id, f"{score:.6f}", f"{seconds:.6f}"])
+        _write_csv(
+            args.report,
+            ["value", "fold", "auc", "seconds"],
+            (
+                [format_float(value), fold_id, f"{score:.6f}", f"{seconds:.6f}"]
+                for value, fold_id, score, seconds in rows
+            ),
+        )
     print(f"selected={format_float(selected)}")
     print(f"mean_auc={means[selected]:.6f}")
     return 0
@@ -342,7 +308,7 @@ def cmd_convergence(args) -> int:
     rows = []
     for seed in seeds:
         for variant, averaging in (("averaged", True), ("non-averaged", False)):
-            cfg = _sgd_config(args, epochs=epochs_grid[-1], seed=seed, averaging=averaging)
+            cfg = _config(SgdConfig, args, epochs=epochs_grid[-1], seed=seed, averaging=averaging)
 
             def snapshot(epoch, w, elapsed, variant=variant, seed=seed):
                 if epoch in wanted:
@@ -352,11 +318,11 @@ def cmd_convergence(args) -> int:
             train_sgd(emb_train, cfg, epoch_callback=snapshot)
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    with open(args.report, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variant", "epochs", "seed", "test_auc", "train_seconds"])
-        for variant, epoch, seed, score, seconds in rows:
-            writer.writerow([variant, epoch, seed, f"{score:.6f}", f"{seconds:.6f}"])
+    _write_csv(
+        args.report,
+        ["variant", "epochs", "seed", "test_auc", "train_seconds"],
+        ([variant, epoch, seed, f"{score:.6f}", f"{sec:.6f}"] for variant, epoch, seed, score, sec in rows),
+    )
     print(f"report={args.report}")
     print(f"embedding_seconds={emb_sec:.3f}")
     return 0
@@ -380,11 +346,11 @@ def cmd_embed(args) -> int:
     t0 = time.perf_counter()
     _, _, (emb,) = _fit_embedded(args, data)
     seconds = time.perf_counter() - t0
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{k}" for k in range(emb.dim)])
-        for i in range(emb.n):
-            writer.writerow([int(emb.y[i])] + [format_float(v) for v in emb.X[i]])
+    _write_csv(
+        args.out,
+        ["label"] + [f"f{k}" for k in range(emb.dim)],
+        ([int(label)] + [format_float(v) for v in row] for label, row in zip(emb.y, emb.X)),
+    )
     print(f"rank={emb.dim}")
     print(f"embedding_seconds={seconds:.3f}")
     return 0
@@ -402,68 +368,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-batch", help="embed and train the Newton solver")
-    _add_data_flags(p)
-    _add_kernel_flags(p)
-    _add_embedding_flags(p)
-    _add_batch_flags(p)
-    p.add_argument("--model", required=True, help="output model file")
-    p.set_defaults(func=cmd_train_batch)
+    def command(name, func, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train-sgd", help="embed and train the stochastic solver")
-    _add_data_flags(p)
-    _add_kernel_flags(p)
-    _add_embedding_flags(p)
-    _add_sgd_flags(p, _SGD_FLAGS)
+    command(
+        "train-batch", cmd_train_batch, "embed and train the Newton solver",
+        *_DATA, "--test-fraction", *_EMBEDDING, *_BATCH, "--model",
+    )
+
+    p = command(
+        "train-sgd", cmd_train_sgd, "embed and train the stochastic solver",
+        *_DATA, "--test-fraction", *_EMBEDDING, *_SGD, "--model",
+    )
     p.add_argument("--curve", default=None, help="per-epoch AUC curve CSV")
-    p.add_argument("--model", required=True, help="output model file")
-    p.set_defaults(func=cmd_train_sgd)
 
-    p = sub.add_parser("predict", help="score a dataset with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    p = command("predict", cmd_predict, "score a dataset with a saved model", "--model", "--data")
     p.add_argument("--scores", required=True, help="output file, one score per line")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval-auc", help="AUC of a scores file against a labels file")
+    p = command("eval-auc", cmd_eval_auc, "AUC of a scores file against a labels file")
     p.add_argument("--scores", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--strict", action="store_true", help="count ties as losses")
-    p.set_defaults(func=cmd_eval_auc)
 
-    p = sub.add_parser("gridsearch", help="stratified cross-validation over C or lambda")
-    _add_data_flags(p, with_split=False)
-    _add_kernel_flags(p)
-    _add_embedding_flags(p)
+    p = command(
+        "gridsearch", cmd_gridsearch, "stratified cross-validation over C or lambda",
+        *_DATA, *_EMBEDDING, "--t0", "--epochs", "--rskip", "--askip",
+    )
     p.add_argument("--solver", choices=("batch", "sgd"), required=True)
     p.add_argument("--grid", default=None, help="comma-separated values (defaults per solver)")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--report", default=None, help="per-cell CSV report")
-    _add_sgd_flags(p, ("--t0", "--epochs", "--rskip", "--askip"))
-    p.set_defaults(func=cmd_gridsearch)
 
-    p = sub.add_parser("convergence", help="test AUC per epoch count, both variants")
-    _add_data_flags(p)
-    _add_kernel_flags(p)
-    _add_embedding_flags(p)
-    _add_sgd_flags(p, ("--lambda", "--t0", "--rskip", "--askip"))
+    p = command(
+        "convergence", cmd_convergence, "test AUC per epoch count, both variants",
+        *_DATA, "--test-fraction", *_EMBEDDING, "--lambda", "--t0", "--rskip", "--askip",
+    )
     p.add_argument("--epochs-grid", default=None, help="comma-separated epoch counts")
     p.add_argument("--seeds", default=None, help="comma-separated solver seeds")
     p.add_argument("--report", required=True, help="output CSV")
-    p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("kmeans", help="write landmark centroids for a dataset")
-    _add_data_flags(p, with_split=False, with_labels=False)
-    _add_landmark_flags(p)
+    p = command(
+        "kmeans", cmd_kmeans, "write landmark centroids for a dataset",
+        "--data", "--seed", "--landmarks", "--kmeans-iters",
+    )
     p.add_argument("--out", required=True, help="output centroid file")
-    p.set_defaults(func=cmd_kmeans)
 
-    p = sub.add_parser("embed", help="fit an embedding and write embedded features")
-    _add_data_flags(p, with_split=False)
-    _add_kernel_flags(p)
-    _add_embedding_flags(p)
+    p = command("embed", cmd_embed, "fit an embedding and write embedded features", *_DATA, *_EMBEDDING)
     p.add_argument("--out", required=True, help="output features CSV")
-    p.set_defaults(func=cmd_embed)
 
     return parser
 

@@ -302,8 +302,11 @@ def fit_rff(
     if d < 1:
         raise ConfigError(f"input dimension must be >= 1, got {d}")
     rng = np.random.default_rng(seed)
-    freqs = rng.normal(0.0, 1.0 / np.sqrt(kernel.sigma2), size=(D, d))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=D)
+    try:
+        freqs = rng.normal(0.0, 1.0 / np.sqrt(kernel.sigma2), size=(D, d))
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=D)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"cannot allocate {D} random features of dimension {d}") from None
     return RffMap(freqs, phases, kernel, seed=seed)
 
 

@@ -196,6 +196,24 @@ class TestEvalAuc:
         assert code == 3
         assert f"{tmp_path / 's.txt'}: line 2: " in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_file_and_line(self, capsys, tmp_path, value):
+        scores = tmp_path / "s.txt"
+        scores.write_text(f"0.9\n{value}\n")
+        (tmp_path / "l.txt").write_text("1\n-1\n")
+        code, out, err = run(capsys, ["eval-auc", "--scores", str(scores),
+                                      "--labels", str(tmp_path / "l.txt")])
+        assert code == 3 and not out
+        assert err == f"error: {scores}: line 2: score {value!r} is not finite\n"
+
+    def test_length_mismatch_names_both_files(self, capsys, tmp_path):
+        scores, labels = tmp_path / "s.txt", tmp_path / "l.txt"
+        scores.write_text("0.9\n0.8\n0.1\n")
+        labels.write_text("1\n-1\n")
+        code, out, err = run(capsys, ["eval-auc", "--scores", str(scores), "--labels", str(labels)])
+        assert code == 3 and not out
+        assert err == f"error: {scores} has 3 scores but {labels} has 2 labels\n"
+
 
 class TestDeterminism:
     def test_batch_models_byte_identical(self, capsys, tmp_path, rings_file):
@@ -434,6 +452,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert not model.exists()
 
+    def test_unallocatable_rff_feature_count_exits_two(self, capsys, tmp_path, rings_file):
+        # 2**62 rows of frequencies is too big for numpy to try, so nothing is allocated
+        model = tmp_path / "m.model"
+        code, _, err = run(capsys, ["train-sgd", "--data", rings_file, "--embedding", "rff",
+                                    "--landmarks", str(2**62), "--model", str(model)])
+        assert code == 2
+        assert err.startswith("error: cannot allocate") and err.count("\n") == 1
+        assert not model.exists()
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -617,6 +644,64 @@ class TestLabelSets:
         np.testing.assert_array_equal(
             self.weights(capsys, tmp_path, three_seven, "--positive-labels", "3"),
             self.weights(capsys, tmp_path, seven_three))
+
+class TestFlagsReachSolvers:
+    """A non-default value of every solver flag ends up in the solver's config."""
+
+    def hyperparameters(self, capsys, tmp_path, rings_file, *argv):
+        model = str(tmp_path / "m.model")
+        assert run(capsys, [*argv, "--data", rings_file, "--landmarks", "16", "--model", model])[0] == 0
+        return load_model(model).linear.hyperparameters
+
+    def recorded(self, monkeypatch, name):
+        configs = []
+        solver = getattr(aucmax.cli, name)
+
+        def record(data, cfg, **kwargs):
+            configs.append(cfg)
+            return solver(data, cfg, **kwargs)
+
+        monkeypatch.setattr(aucmax.cli, name, record)
+        return configs
+
+    def test_train_batch(self, capsys, tmp_path, rings_file):
+        found = self.hyperparameters(capsys, tmp_path, rings_file, "train-batch", "--c", "2",
+                                     "--grad-tol", "1e-3", "--max-outer", "7", "--cg-tol", "0.01",
+                                     "--cg-max", "50")
+        assert found == {"c": 2.0, "grad_tol": 1e-3, "max_outer": 7, "cg_tol": 0.01, "cg_max": 50}
+
+    @pytest.mark.parametrize("averaging", ["on", "off"])
+    def test_train_sgd(self, capsys, tmp_path, rings_file, averaging):
+        flags = ["--no-averaging"] if averaging == "off" else []
+        found = self.hyperparameters(capsys, tmp_path, rings_file, "train-sgd", "--lambda", "1e-6",
+                                     "--t0", "100", "--epochs", "3", "--rskip", "4", "--askip", "8",
+                                     "--seed", "5", *flags)
+        assert found == {"lambda": 1e-6, "t0": 100, "epochs": 3, "rskip": 4, "askip": 8, "seed": 5,
+                         "averaging": averaging}
+
+    def test_gridsearch_sgd(self, capsys, monkeypatch, rings_file):
+        configs = self.recorded(monkeypatch, "train_sgd")
+        assert run(capsys, ["gridsearch", "--data", rings_file, "--solver", "sgd", "--landmarks", "16",
+                            "--grid", "1e-6,1e-7", "--folds", "2", "--seed", "2", "--t0", "50",
+                            "--epochs", "2", "--rskip", "4", "--askip", "4"])[0] == 0
+        assert configs == [aucmax.SgdConfig(lam=lam, t0=50, epochs=2, rskip=4, askip=4, seed=2)
+                           for _ in range(2) for lam in (1e-6, 1e-7)]
+
+    def test_gridsearch_batch(self, capsys, monkeypatch, rings_file):
+        configs = self.recorded(monkeypatch, "train_batch")
+        assert run(capsys, ["gridsearch", "--data", rings_file, "--solver", "batch", "--landmarks", "16",
+                            "--grid", "0.5,2", "--folds", "2"])[0] == 0
+        assert configs == [aucmax.BatchConfig(C=c) for _ in range(2) for c in (0.5, 2.0)]
+
+    def test_convergence(self, capsys, monkeypatch, tmp_path, rings_file):
+        configs = self.recorded(monkeypatch, "train_sgd")
+        assert run(capsys, ["convergence", "--data", rings_file, "--landmarks", "16",
+                            "--epochs-grid", "1,2", "--seeds", "3,4", "--lambda", "1e-6", "--t0", "50",
+                            "--rskip", "4", "--askip", "4", "--report", str(tmp_path / "c.csv")])[0] == 0
+        assert configs == [aucmax.SgdConfig(lam=1e-6, t0=50, epochs=2, rskip=4, askip=4, seed=seed,
+                                            averaging=averaging)
+                           for seed in (3, 4) for averaging in (True, False)]
+
 
 # option -> (default, required) for every subcommand; argparse's -h is left out
 OPTIONS = {

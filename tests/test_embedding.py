@@ -263,3 +263,8 @@ class TestValidation:
     def test_landmarks_must_be_finite(self):
         with pytest.raises(DataError):
             LandmarkSet(np.array([[np.nan, 0.0]]))
+
+    def test_unallocatable_rff_feature_count(self):
+        # numpy refuses 2**62 x 3 doubles outright, without trying to allocate them
+        with pytest.raises(ConfigError, match="cannot allocate"):
+            fit_rff(3, 2**62, GaussianKernelParams(1.0))
