@@ -7,7 +7,7 @@ embedding. embed returns a plain Dataset of dense n x rank rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,9 +25,15 @@ _EIG_DROP = 1e-12
 
 @dataclass
 class LandmarkSet:
-    """v landmark points, one per row."""
+    """v landmark points, one per row.
+
+    diagnostics, filled by kmeans, holds lloyd_iterations, the final
+    inertia and distance_rows: per Lloyd iteration, the rows whose
+    distances to every centroid were computed.
+    """
 
     centroids: np.ndarray
+    diagnostics: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.centroids = np.atleast_2d(np.asarray(self.centroids, dtype=np.float64))
@@ -166,18 +172,27 @@ def _row_chunks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(lo, min(n_rows, lo + step)) for lo in range(0, n_rows, step)]
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid labels and squared distances, chunked over rows."""
-    n = X.shape[0]
+def _assign(
+    X: np.ndarray, centroids: np.ndarray, c_norms: np.ndarray, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest-centroid labels with the nearest and second-nearest squared
+    distances (inf for one centroid), for X's rows or the rows indexed by
+    ``rows``, chunked over rows."""
+    Xs = X if rows is None else X[rows]
+    n, v = Xs.shape[0], centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n)
-    c_norms = row_sq_norms(centroids)
-    for rows in _row_chunks(n, centroids.shape[0]):
-        d2 = pairwise_sq_dists(X[rows], centroids, c_norms)
+    second = np.full(n, np.inf)
+    for chunk in _row_chunks(n, v):
+        d2 = pairwise_sq_dists(Xs[chunk], centroids, c_norms)
+        at = np.arange(d2.shape[0])
         idx = np.argmin(d2, axis=1)
-        labels[rows] = idx
-        best[rows] = d2[np.arange(d2.shape[0]), idx]
-    return labels, best
+        labels[chunk] = idx
+        best[chunk] = d2[at, idx]
+        if v > 1:
+            d2[at, idx] = np.inf
+            second[chunk] = d2.min(axis=1)
+    return labels, best, second
 
 
 def _kmeanspp(X: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,15 +210,14 @@ def _kmeanspp(X: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
     d2 = sq_dists_to(chosen[0])
     d2[chosen[0]] = 0.0
     for k in range(1, v):
-        total = float(d2.sum())
-        if total <= 0.0:
+        cum = np.cumsum(d2)
+        if cum[-1] <= 0.0:
             # remaining mass is zero (duplicate points): fall back to uniform
             pool = np.flatnonzero(~picked)
             idx = int(pool[rng.integers(pool.size)])
         else:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
+            # r < cum[-1], so the first cum > r ends a positive, unpicked d2
+            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         chosen[k] = idx
         picked[idx] = True
         np.minimum(d2, sq_dists_to(idx), out=d2)
@@ -212,33 +226,108 @@ def _kmeanspp(X: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _lloyd(
-    X: np.ndarray, centroids: np.ndarray, max_iter: int
+    X: np.ndarray, centroids: np.ndarray, max_iter: int, on_iteration=None
 ) -> tuple[np.ndarray, list[float]]:
-    """Alternate assignment/update until fixpoint; returns inertia history."""
-    d, v = X.shape[1], centroids.shape[0]
-    prev = None
+    """Alternate assignment/update until fixpoint; returns inertia history.
+
+    Every iteration's labels are the full nearest-centroid argmin's, but
+    Hamerly's bounds ("Making k-means even faster", SDM 2010) spare most
+    rows their distance row. Each row holds its exact squared distance to
+    its own centroid (own, which the inertia needs anyway) and a lower
+    bound on its distance to every other centroid (lower: the second
+    nearest when last computed, less the largest other centroid shift
+    since). It keeps its label when own is below lower^2 or a quarter of
+    the squared gap from its centroid to the nearest other one. on_iteration,
+    when given, gets each iteration's labels and the number of rows whose
+    distances to every centroid it computed.
+
+    Exactness. For a row x with label a, let D_j be its true distance to
+    centroid j, F_j the value pairwise_sq_dists rounds D_j^2 to, and
+    R^2 = ||x||^2 + max ||c||^2 (r2; a centroid is an initial one, a mean
+    or a row). With eps the machine epsilon:
+    - |F_j - D_j^2| <= E = (d + 2) eps R^2 (norms and a dot product of d
+      terms, in any BLAS blocking, then two additions);
+    - own, summed from d differences, is within (d + 3) eps R^2 of D_a^2;
+    - lower^2 starts within E of min over j != a of D_j^2; the shifts, roots
+      of d squared differences, are within (d + 5) eps / 4 relative, and
+      each subtraction rounds once, so after k iterations lower^2 is at
+      most 2E + (d + 7 + 2k) eps R^2 too high;
+    - the gaps' own F are within 2E, and D_j >= ||c_a - c_j|| - D_a costs
+      no more.
+    So own + tol < bound, with tol = (8d + 32 + 2k) eps R^2 above the
+    (6d + 21 + 2k) eps R^2 these add up to, gives D_a^2 + 2E < D_j^2, hence
+    F_a < F_j for every j != a: the skipped row's label is the formula's
+    strict argmin, and no tie is left for the lowest index to break.
+    Recomputed rows go through pairwise_sq_dists as a gathered subset, and
+    BLAS picks its kernel by matrix shape (one row goes through gemv), so
+    their F may differ in the last bits from the full assignment's, though
+    both are within E of the truth. Where a recomputed row's two nearest F
+    lie within tol > 4E, the iteration therefore takes the full assignment,
+    as does the first iteration and one that re-seeds an empty cluster,
+    whose rule reads every row's F.
+    """
+    n, d = X.shape
+    v = centroids.shape[0]
+    x_norms = row_sq_norms(X)
+    r2 = x_norms + max(float(x_norms.max()), float(row_sq_norms(centroids).max()))
+    eps = np.finfo(np.float64).eps
     history: list[float] = []
-    for _ in range(max_iter):
-        labels, d2 = _assign(X, centroids)
-        history.append(float(d2.sum()))
-        if prev is not None and np.array_equal(labels, prev):
+    labels = lower = None
+    for it in range(max_iter):
+        c_norms = row_sq_norms(centroids)
+        tol = (8 * d + 32 + 2 * it) * eps * r2
+        prev, best, computed = labels, None, 0
+        full = prev is None
+        if not full:
+            own = row_sq_norms(X - centroids[prev])
+            half = pairwise_sq_dists(centroids, centroids, c_norms)
+            np.fill_diagonal(half, np.inf)
+            half = 0.25 * half.min(axis=1)
+            redo = np.flatnonzero(own + tol >= np.maximum(half[prev], lower * lower))
+            new, nearest, second = _assign(X, centroids, c_norms, redo)
+            computed = redo.size
+            full = bool(np.any(second - nearest <= tol[redo]))
+            if not full:
+                labels = prev.copy()
+                labels[redo] = new
+                lower[redo] = np.sqrt(second)
+                moved = redo[new != prev[redo]]
+                own[moved] = row_sq_norms(X[moved] - centroids[labels[moved]])
+        if full:
+            labels, best, second = _assign(X, centroids, c_norms)
+            lower = np.sqrt(second)
+            own = row_sq_norms(X - centroids[labels])
+            computed += n
+        history.append(float(own.sum()))
+        done = prev is not None and np.array_equal(labels, prev)
+        if not done:
+            # each cell of X goes to the bin (its row's label, its column), summed in row order
+            bins = (labels[:, None] * d + np.arange(d)).ravel()
+            sums = np.bincount(bins, weights=X.ravel(), minlength=v * d).reshape(v, d)
+            counts = np.bincount(labels, minlength=v).astype(np.float64)
+            empty = np.flatnonzero(counts == 0)
+            nonempty = counts > 0
+            updated = centroids.copy()
+            updated[nonempty] = sums[nonempty] / counts[nonempty, None]
+            if empty.size:
+                if best is None:
+                    _, best, second = _assign(X, centroids, c_norms)
+                    lower = np.sqrt(second)
+                    computed += n
+                # hand each empty cluster the point currently worst-served
+                for c in empty:
+                    far = int(np.argmax(best))
+                    updated[c] = X[far]
+                    best[far] = -np.inf
+            shift = np.sqrt(row_sq_norms(updated - centroids))
+            top = int(np.argmax(shift))
+            rest = np.max(shift, initial=0.0, where=np.arange(v) != top)
+            lower = np.maximum(lower - np.where(labels == top, rest, shift[top]), 0.0)
+            centroids = updated
+        if on_iteration is not None:
+            on_iteration(labels, computed)
+        if done:
             break
-        prev = labels
-        # each cell of X goes to the bin (its row's label, its column), summed in row order
-        bins = (labels[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(bins, weights=X.ravel(), minlength=v * d).reshape(v, d)
-        counts = np.bincount(labels, minlength=v).astype(np.float64)
-        empty = np.flatnonzero(counts == 0)
-        nonempty = counts > 0
-        centroids = centroids.copy()
-        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if empty.size:
-            # hand each empty cluster the point currently worst-served
-            claim = d2.copy()
-            for c in empty:
-                far = int(np.argmax(claim))
-                centroids[c] = X[far]
-                claim[far] = -np.inf
     return centroids, history
 
 
@@ -255,8 +344,12 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     idx = _kmeanspp(data.X, v, np.random.default_rng(seed))
-    centroids, _ = _lloyd(data.X, data.X[idx], max_iter)
-    return LandmarkSet(centroids)
+    distance_rows: list[int] = []
+    centroids, history = _lloyd(
+        data.X, data.X[idx], max_iter, lambda _, rows: distance_rows.append(rows)
+    )
+    diagnostics = {"lloyd_iterations": len(history), "inertia": history[-1], "distance_rows": distance_rows}
+    return LandmarkSet(centroids, diagnostics)
 
 
 def fit_nystroem(

@@ -7,7 +7,9 @@ from aucmax.dataio import Dataset, SparseVector
 from aucmax.embedding import (
     LandmarkSet,
     NystroemMap,
+    _kmeanspp,
     _lloyd,
+    _row_chunks,
     embed,
     embed_point,
     fit_nystroem,
@@ -15,7 +17,8 @@ from aucmax.embedding import (
     kmeans,
 )
 from aucmax.errors import ConfigError, DataError, NumericalError
-from aucmax.kernels import GaussianKernelParams, kernel_matrix
+from aucmax.kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
+from aucmax.synthetic import make_rings
 
 
 def _labels(n, rng):
@@ -89,6 +92,29 @@ class TestKmeans:
         centroids, _ = _lloyd(X, init, max_iter=1)
         np.testing.assert_array_equal(centroids, expected)
 
+    def test_kmeanspp_picks_distinct_rows(self):
+        # a draw just under the pairwise d2.sum() used to pass the sequential
+        # cumsum's last entry and be clamped onto an already chosen row
+        class EdgeRng:
+            def integers(self, n):
+                return n - 1
+
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        X = np.random.default_rng(1).standard_normal((300, 1))
+        chosen = _kmeanspp(X, 2, EdgeRng())
+        assert chosen[0] != chosen[1]
+
+    def test_diagnostics(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((200, 3))
+        lm = kmeans(Dataset(X, _labels(200, rng)), v=6, max_iter=50, seed=1)
+        _, history = _lloyd(X, X[_kmeanspp(X, 6, np.random.default_rng(1))], 50)
+        assert lm.diagnostics["lloyd_iterations"] == len(history)
+        assert lm.diagnostics["inertia"] == history[-1]
+        assert len(lm.diagnostics["distance_rows"]) == len(history)
+
     def test_duplicate_points_handled(self):
         # more landmarks than distinct values forces the uniform fallback
         X = np.array([[0.0], [0.0], [0.0], [1.0], [1.0]])
@@ -96,6 +122,140 @@ class TestKmeans:
         lm = kmeans(ds, v=4, max_iter=10, seed=0)
         assert lm.v == 4
         assert np.all(np.isfinite(lm.centroids))
+
+
+def _full_argmin_lloyd(X, centroids, max_iter):
+    """The oracle: Lloyd with every row's distances to every centroid computed
+    at every iteration, chunked as _lloyd's full assignment. Returns the
+    centroids and each iteration's labels."""
+    d, v = X.shape[1], centroids.shape[0]
+    seen = []
+    for _ in range(max_iter):
+        labels = np.empty(X.shape[0], dtype=np.int64)
+        d2 = np.empty(X.shape[0])
+        c_norms = row_sq_norms(centroids)
+        for rows in _row_chunks(X.shape[0], v):
+            D = pairwise_sq_dists(X[rows], centroids, c_norms)
+            labels[rows] = np.argmin(D, axis=1)
+            d2[rows] = D[np.arange(D.shape[0]), labels[rows]]
+        seen.append(labels)
+        if len(seen) > 1 and np.array_equal(labels, seen[-2]):
+            break
+        bins = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=X.ravel(), minlength=v * d).reshape(v, d)
+        counts = np.bincount(labels, minlength=v).astype(np.float64)
+        nonempty = counts > 0
+        centroids = centroids.copy()
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+        for c in np.flatnonzero(counts == 0):
+            far = int(np.argmax(d2))
+            centroids[c] = X[far]
+            d2[far] = -np.inf
+    return centroids, seen
+
+
+def _integer_rows(seed, n, d, v):
+    """Rows on an integer grid, many of them duplicates, and v of them as centroids."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    return X, X[rng.choice(n, v, replace=False)]
+
+
+def _rings_rows(n, v):
+    X = make_rings(n, seed=3).X
+    return X, X[_kmeanspp(X, v, np.random.default_rng(0))]
+
+
+def _gaussian_rows(n, d, v):
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+    return X, X[_kmeanspp(X, v, rng)]
+
+
+def _far_rows(seed):
+    """Rows 1e8 from the origin with spread 10: the distance formula's
+    rounding, about eps * 1e16, is as large as the gaps it must separate."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 2)) * 10.0 + 1e8
+    return X, X[rng.choice(40, 4, replace=False)]
+
+
+def _mirrored_grid():
+    """Integer grid points; those on x = 0 are equidistant from the two
+    mirrored centroids, so the full argmin's lowest index takes them."""
+    g = np.arange(-3.0, 4.0)
+    X = np.array([(a, b) for a in g for b in g])
+    return X, np.array([[-1.0, 0.0], [1.0, 0.0]])
+
+
+class TestLloydExact:
+    """_lloyd's bounds skip distance rows, yet its labels must be the full
+    argmin's at every iteration, down to ties and the last bit."""
+
+    CASES = {
+        "rings-v64": lambda: _rings_rows(3000, 64),
+        "rings-v400": lambda: _rings_rows(3000, 400),
+        "gaussian-d57": lambda: _gaussian_rows(1500, 57, 40),
+        "v1": lambda: _gaussian_rows(200, 3, 1),
+        "v2": lambda: _rings_rows(500, 2),
+        "mirrored-grid": _mirrored_grid,
+        # bounds skipped without a rounding slack give other labels here
+        "far-offset-9": lambda: _far_rows(9),
+        "far-offset-18": lambda: _far_rows(18),
+        # an exact tie after the first iteration
+        "late-tie": lambda: _integer_rows(5, 35, 2, 4),
+        # duplicates that leave a cluster empty after the first iteration
+        "late-empty": lambda: _integer_rows(5, 20, 1, 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_argmin(self, case):
+        X, init = self.CASES[case]()
+        want_centroids, want_labels = _full_argmin_lloyd(X, init, 100)
+        got_labels, rows = [], []
+        centroids, history = _lloyd(X, init, 100, lambda lab, r: (got_labels.append(lab.copy()), rows.append(r)))
+        assert len(history) == len(got_labels) == len(want_labels)
+        for got, want in zip(got_labels, want_labels):
+            np.testing.assert_array_equal(got, want)
+        assert centroids.tobytes() == want_centroids.tobytes()
+        if case in ("late-tie", "late-empty"):
+            # the near tie or the re-seeding took a full assignment after the first
+            assert max(rows[1:]) >= X.shape[0]
+
+    def test_mirrored_tie_goes_to_lowest_index(self):
+        X, init = _mirrored_grid()
+        first = []
+        _lloyd(X, init, 1, lambda lab, _: first.append(lab))
+        np.testing.assert_array_equal(first[0][X[:, 0] == 0.0], 0)
+
+    @pytest.mark.parametrize("d", [2, 57])
+    def test_subset_rounding_within_bound(self, d):
+        # A row's distances need not have the same bits alone, in a subset
+        # and in its full chunk: numpy sends one row through gemv, and
+        # OpenBLAS picks small-matrix kernels by shape. _lloyd relies only on
+        # each being within (d + 2) eps R^2 of the true value, and settles
+        # near ties with a full assignment.
+        rng = np.random.default_rng(d)
+        n, v = 3000, 64
+        X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+        C = X[rng.choice(n, v, replace=False)] + 0.01
+        c_norms = row_sq_norms(C)
+        full = np.vstack([pairwise_sq_dists(X[rows], C, c_norms) for rows in _row_chunks(n, v)])
+        true = ((X[:, None, :] - C[None, :, :]) ** 2).sum(axis=2)
+        bound = (d + 2) * np.finfo(np.float64).eps * (row_sq_norms(X)[:, None] + c_norms.max())
+        assert np.all(np.abs(full - true) <= bound)
+        for m in (1, 2, 7, 17, 300):
+            idx = np.sort(rng.choice(n, m, replace=False))
+            sub = pairwise_sq_dists(X[idx], C, c_norms)
+            assert np.all(np.abs(sub - full[idx]) <= 2 * bound[idx])
+
+    def test_most_distance_rows_skipped(self):
+        ds = make_rings(4000, seed=7)
+        lm = kmeans(ds, v=100, seed=0)
+        diag = lm.diagnostics
+        assert len(diag["distance_rows"]) == diag["lloyd_iterations"]
+        assert diag["distance_rows"][0] == ds.n
+        assert sum(diag["distance_rows"]) < 0.4 * ds.n * diag["lloyd_iterations"]
 
 
 class TestFitNystroem:
