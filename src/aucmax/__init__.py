@@ -1,9 +1,9 @@
 """AUC maximization for large imbalanced datasets.
 
 Pipeline: standardize, kernel feature embedding (clustered Nystroem or
-random Fourier features), then a linear scorer trained on the pairwise
-squared hinge objective with either a truncated Newton solver or a
-scheduled stochastic solver.
+random Fourier features), then a linear scorer trained either by a
+truncated Newton solver on the pairwise squared hinge objective or by a
+scheduled stochastic solver on the pairwise hinge objective.
 """
 
 from .batch import BatchConfig, train_batch

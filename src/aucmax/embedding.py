@@ -55,32 +55,43 @@ class LandmarkSet:
 class NystroemMap:
     """Embedding x -> projection @ [kappa(x, u_1), ..., kappa(x, u_v)].
 
-    projection is the (r x v) whitening of the landmark kernel matrix W:
+    projection is the (rank x v) whitening of the landmark kernel matrix W:
     rows are eigenvectors of W scaled by 1/sqrt(eigenvalue), so embedded
-    landmarks reproduce W up to the dropped part of the spectrum.
+    landmarks reproduce W up to the dropped part of the spectrum. Scoring
+    folded weights needs only the landmarks, so a map built from landmarks
+    and rank (a loaded model's) computes projection and eigenvalues on first
+    access, by the same function as fit_nystroem: on one machine, the same
+    bits. diagnostics, filled by fit_nystroem, holds retained_rank and the
+    count and sum of the dropped eigenvalues: dropped_eigenvalues and
+    dropped_mass.
     """
 
     landmarks: LandmarkSet
     kernel: GaussianKernelParams
-    projection: np.ndarray
-    eigenvalues: np.ndarray
+    rank: int
     seed: int | None = None
+    diagnostics: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        # one memory layout for fitted and loaded maps: fold's matrix-vector
-        # product rounds differently on a transposed layout
-        self.projection = np.ascontiguousarray(self.projection, dtype=np.float64)
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64)
-        if self.projection.shape != (self.eigenvalues.shape[0], self.landmarks.v):
-            raise DataError("projection shape does not match rank and landmark count")
-        if not np.all(np.isfinite(self.eigenvalues)):
-            raise DataError("retained eigenvalues must be finite")
-        if np.any(self.eigenvalues <= 0) or np.any(np.diff(self.eigenvalues) > 0):
-            raise DataError("retained eigenvalues must be positive and non-increasing")
+        if not 1 <= self.rank <= self.landmarks.v:
+            raise DataError(f"rank {self.rank} must lie between 1 and the landmark count {self.landmarks.v}")
+
+    @cached_property
+    def _whitening(self) -> tuple[np.ndarray, np.ndarray]:
+        projection, eigenvalues, _ = _whiten(self.landmarks, self.kernel, self.rank)
+        if eigenvalues.size < self.rank:
+            raise DataError(
+                f"the landmark kernel matrix has numerical rank {eigenvalues.size}, the map declares {self.rank}"
+            )
+        return projection, eigenvalues
 
     @property
-    def rank(self) -> int:
-        return self.projection.shape[0]
+    def projection(self) -> np.ndarray:
+        return self._whitening[0]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._whitening[1]
 
     @property
     def dim(self) -> int:
@@ -109,6 +120,11 @@ class NystroemMap:
         """The weights over the kernel values that make score equal features(X) @ w:
         beta = projection.T @ w, one per landmark."""
         return self.projection.T @ w
+
+    def unfold(self, beta: np.ndarray) -> np.ndarray:
+        """The w that fold maps to beta: eigenvalues * (projection @ beta), since
+        projection @ W @ projection.T is the identity and beta = projection.T @ w."""
+        return self.eigenvalues * (self.projection @ beta)
 
     def score(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """kappa(x, U) @ beta for each row x of X, beta from fold: O(v d) per row,
@@ -160,6 +176,8 @@ class RffMap:
     def fold(self, w: np.ndarray) -> np.ndarray:
         """The features are explicit, so the weights need no folding."""
         return w
+
+    unfold = fold
 
     def score(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
         """features(X) @ w."""
@@ -352,19 +370,16 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
     return LandmarkSet(centroids, diagnostics)
 
 
-def fit_nystroem(
-    landmarks: LandmarkSet,
-    kernel: GaussianKernelParams,
-    rank_cap: int | None = None,
-    seed: int | None = None,
-) -> NystroemMap:
-    """Eigendecompose the landmark kernel matrix and build the whitening map.
+def _whiten(
+    landmarks: LandmarkSet, kernel: GaussianKernelParams, rank_cap: int | None
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The whitening projection of the landmark kernel matrix W, its retained
+    eigenvalues in decreasing order, and the dropped part of the spectrum.
 
     Eigenvalues at or below _EIG_DROP * lambda_max are discarded, which is the
-    pseudo-inverse treatment of (near-)singular W from duplicate landmarks.
+    pseudo-inverse treatment of (near-)singular W from duplicate landmarks;
+    rank_cap keeps at most that many of the rest.
     """
-    if rank_cap is not None and rank_cap < 1:
-        raise ConfigError(f"rank cap must be >= 1, got {rank_cap}")
     W = kernel_matrix(landmarks.centroids, landmarks.centroids, kernel)
     W = 0.5 * (W + W.T)
     vals, vecs = np.linalg.eigh(W)
@@ -372,14 +387,27 @@ def fit_nystroem(
     lam_max = float(vals[0])
     if not np.isfinite(lam_max) or lam_max <= 0:
         raise NumericalError("landmark kernel matrix has no positive eigenvalue")
-    keep = vals > _EIG_DROP * lam_max
-    retained = int(np.count_nonzero(keep))
-    if retained == 0:
-        raise NumericalError("every eigenvalue fell below the drop threshold")
+    retained = int(np.count_nonzero(vals > _EIG_DROP * lam_max))
     r = retained if rank_cap is None else min(rank_cap, retained)
     lam = vals[:r]
     projection = np.divide(vecs[:, :r].T, np.sqrt(lam)[:, None], order="C")
-    return NystroemMap(landmarks, kernel, projection, lam, seed=seed)
+    dropped = {"retained_rank": r, "dropped_eigenvalues": vals.size - r, "dropped_mass": float(vals[r:].sum())}
+    return projection, lam, dropped
+
+
+def fit_nystroem(
+    landmarks: LandmarkSet,
+    kernel: GaussianKernelParams,
+    rank_cap: int | None = None,
+    seed: int | None = None,
+) -> NystroemMap:
+    """Eigendecompose the landmark kernel matrix and build the whitening map."""
+    if rank_cap is not None and rank_cap < 1:
+        raise ConfigError(f"rank cap must be >= 1, got {rank_cap}")
+    projection, lam, dropped = _whiten(landmarks, kernel, rank_cap)
+    m = NystroemMap(landmarks, kernel, lam.size, seed=seed, diagnostics=dropped)
+    m._whitening = projection, lam  # fills the cache that a loaded map computes on first access
+    return m
 
 
 def fit_rff(

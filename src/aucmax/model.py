@@ -1,9 +1,11 @@
 """Trained-model containers and the text model-file format.
 
 A model file is self-describing: it holds the standardizer, the embedding
-map, and the linear weights, so prediction needs nothing but the file.
-Floats are written with 17 significant digits, which round-trips binary64
-exactly, making saved models bit-reproducible.
+map, and the linear weights folded into the embedding, so prediction needs
+nothing but the file. A Nystroem map is stored as its landmarks, sigma2 and
+rank; scoring the folded weights reads nothing else. Floats are written
+with 17 significant digits, which round-trips binary64 exactly, making
+saved models bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,27 +29,42 @@ from .embedding import LandmarkSet, NystroemMap, RffMap
 from .errors import DataError, ParseError
 from .kernels import GaussianKernelParams
 
-_MAGIC = "aucmax-model 1"
+_MAGIC = "aucmax-model 2"
 
 
-@dataclass
+def _weights(w) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1:
+        raise DataError("weights must be a vector")
+    if not np.all(np.isfinite(w)):
+        raise DataError("weights must be finite")
+    return w
+
+
 class LinearModel:
-    """Weight vector over the embedded space plus training provenance."""
+    """Weight vector over the embedded space plus training provenance.
 
-    w: np.ndarray
-    trained_by: str
-    hyperparameters: dict
-    embedding_id: str = ""
-    diagnostics: dict | None = field(default=None, repr=False)
+    w may also be given as a function that returns it, called on first
+    access: a loaded model unfolds w from its folded weights only when
+    something reads it, which scoring never does.
+    """
 
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        if self.w.ndim != 1:
-            raise DataError("weights must be a vector")
-        if not np.all(np.isfinite(self.w)):
-            raise DataError("weights must be finite")
-        if self.trained_by not in ("batch", "sgd"):
-            raise DataError(f"unknown solver tag {self.trained_by!r}")
+    def __init__(
+        self, w, trained_by: str, hyperparameters: dict, embedding_id: str = "", diagnostics: dict | None = None
+    ):
+        self._w = w if callable(w) else _weights(w)
+        if trained_by not in ("batch", "sgd"):
+            raise DataError(f"unknown solver tag {trained_by!r}")
+        self.trained_by = trained_by
+        self.hyperparameters = hyperparameters
+        self.embedding_id = embedding_id
+        self.diagnostics = diagnostics
+
+    @property
+    def w(self) -> np.ndarray:
+        if callable(self._w):
+            self._w = _weights(self._w())
+        return self._w
 
     @property
     def r(self) -> int:
@@ -60,7 +77,7 @@ def embedding_digest(m: NystroemMap | RffMap) -> str:
     if isinstance(m, NystroemMap):
         h.update(b"nystroem")
         h.update(np.ascontiguousarray(m.landmarks.centroids).tobytes())
-        h.update(np.ascontiguousarray(m.projection).tobytes())
+        h.update(f"rank {m.rank}".encode())
     else:
         h.update(b"rff")
         h.update(np.ascontiguousarray(m.frequencies).tobytes())
@@ -75,14 +92,15 @@ class TrainedPipeline:
 
     Scoring goes through the weights folded once into the embedding
     (``embedding.fold``): a Nystroem score is kappa(x, U) @ (projection.T @ w),
-    which equals embed(x) @ w up to rounding in the last bits.
+    which equals embed(x) @ w up to rounding in the last bits. A loaded
+    pipeline is given folded, as its file stores it, and never folds.
     """
 
     standardizer: Standardizer
     embedding: NystroemMap | RffMap
     linear: LinearModel
     meta: dict = field(default_factory=dict)
-    folded: np.ndarray = field(init=False, repr=False)
+    folded: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.embedding.dim != self.standardizer.dim:
@@ -90,15 +108,19 @@ class TrainedPipeline:
                 f"embedding expects dimension {self.embedding.dim}, standardizer has "
                 f"{self.standardizer.dim}"
             )
-        if self.linear.r != self.embedding.rank:
-            raise DataError(
-                f"weight length {self.linear.r} does not match embedding rank "
-                f"{self.embedding.rank}"
-            )
         if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
             raise DataError("embedding_id does not match the embedding: the weights belong to another one")
+        if self.folded is None:
+            if self.linear.r != self.embedding.rank:
+                raise DataError(
+                    f"weight length {self.linear.r} does not match embedding rank "
+                    f"{self.embedding.rank}"
+                )
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.folded = self.embedding.fold(self.linear.w)
+        else:
+            self.folded = _weights(self.folded)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.folded = self.embedding.fold(self.linear.w)
             reach = float(np.abs(self.folded).sum()) * self.embedding.value_bound
         # |score| <= reach, so a finite reach keeps every score finite
         if not np.isfinite(reach):
@@ -156,15 +178,16 @@ _SCHEMA = {
     "standardizer": ({"dim": int}, {"mean": (1, "dim"), "stdev": (1, "dim")}),
     "nystroem": (
         {"v": int, "r": int, "d": int, "sigma2": _positive, "seed": int},
-        {"centroids": ("v", "d"), "projection": ("r", "v"), "eigenvalues": (1, "r")},
+        {"centroids": ("v", "d")},
     ),
     "rff": (
         {"D": int, "d": int, "sigma2": _positive, "seed": int},
         {"frequencies": ("D", "d"), "phases": (1, "D")},
     ),
+    # the folded weights: one per landmark, or one per random feature
     "linear": (
-        {"r": int, "trained_by": str, **_HYPERPARAMETERS, "embedding_id": _nonempty},
-        {"weights": (1, "r")},
+        {"trained_by": str, **_HYPERPARAMETERS, "embedding_id": _nonempty},
+        {"weights": (1, "folded")},
     ),
 }
 
@@ -187,8 +210,6 @@ def save_model(path: str, pipe: TrainedPipeline):
             "sigma2": float(emb.kernel.sigma2),
             "seed": emb.seed,
             "centroids": emb.landmarks.centroids,
-            "projection": emb.projection,
-            "eigenvalues": emb.eigenvalues,
         }
     else:
         kind, emb_values = "rff", {
@@ -204,11 +225,10 @@ def save_model(path: str, pipe: TrainedPipeline):
         "standardizer": {"dim": std.dim, "mean": std.mean, "stdev": std.stdev},
         kind: emb_values,
         "linear": {
-            "r": lin.r,
             "trained_by": lin.trained_by,
             **dict(sorted(lin.hyperparameters.items())),
             "embedding_id": embedding_digest(emb),
-            "weights": lin.w,
+            "weights": pipe.folded,
         },
     }
 
@@ -296,7 +316,7 @@ class _Reader:
             rows, cols = int(head[1]), int(head[2])
             if (rows, cols) != shape:
                 raise ParseError(
-                    f"matrix {name!r} is {rows} x {cols}, its section declares "
+                    f"matrix {name!r} is {rows} x {cols}, the file declares "
                     f"{shape[0]} x {shape[1]}",
                     self.lineno,
                 )
@@ -315,8 +335,9 @@ class _Reader:
         except ValueError as exc:
             raise ParseError(f"matrix {name!r}: {exc}", self.lineno) from None
 
-    def read_section(self, name: str) -> _Section:
-        """The section's scalars, typed by the schema, then its matrices."""
+    def read_section(self, name: str, **sizes: int) -> _Section:
+        """The section's scalars, typed by the schema, then its matrices;
+        sizes gives the sizes that an earlier section declares."""
         line = self.next()
         if line != f"[{name}]":
             raise ParseError(f"expected section [{name}], got {line!r}", self.lineno)
@@ -332,6 +353,7 @@ class _Reader:
             self.next()
             out[key] = _parse(types.get(key, str), key, "".join(text), self.lineno)
         for matrix, shape in matrices.items():
+            shape = tuple(sizes.get(size, size) for size in shape)
             declared = tuple(out[size] if isinstance(size, str) else size for size in shape)
             out[matrix] = self.read_matrix(matrix, declared)
         return out
@@ -340,7 +362,10 @@ class _Reader:
 def load_model(path: str) -> TrainedPipeline:
     with open_text(path) as fh:
         rd = _Reader(fh)
-        if rd.next() != _MAGIC:
+        magic = rd.next()
+        if magic == "aucmax-model 1":
+            raise ParseError("model format 1 is no longer read: train the model again", rd.lineno)
+        if magic != _MAGIC:
             raise ParseError("not a model file (bad magic line)", rd.lineno)
 
         meta = rd.read_section("meta")
@@ -362,15 +387,13 @@ def load_model(path: str) -> TrainedPipeline:
             embedding = NystroemMap(
                 LandmarkSet(emb["centroids"]),
                 GaussianKernelParams(emb["sigma2"]),
-                emb["projection"],
-                emb["eigenvalues"].ravel(),
+                emb["r"],
                 seed=emb.get("seed"),
             )
 
-        lin = rd.read_section("linear")
-        w = lin.pop("weights").ravel()
-        lin.pop("r")
+        lin = rd.read_section("linear", folded=emb["v"] if "v" in emb else emb["D"])
+        folded = lin.pop("weights").ravel()
         trained_by = lin.pop("trained_by")
         embedding_id = lin.pop("embedding_id")
-        linear = LinearModel(w, trained_by, dict(lin), embedding_id=embedding_id)
-        return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta))
+        linear = LinearModel(lambda: embedding.unfold(folded), trained_by, dict(lin), embedding_id=embedding_id)
+        return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta), folded=folded)

@@ -839,9 +839,10 @@ class TestCorruptModel:
         ("linear", r"^c \S+$", "c abc", "line "),
         ("nystroem", r"^sigma2 \S+$", "sigma2 -1", "line "),
         ("linear", r"^embedding_id \S+$", "embedding_id deadbeef", "embedding_id"),
-        ("linear", r"^r \d+$", "r 5", "line "),
+        ("linear", r"^weights 1 \d+$", "weights 1 5", "line "),
         ("nystroem", r"^v \d+$", "v 999", "line "),
-        ("nystroem", r"^r \d+$", "r 3", "line "),
+        ("nystroem", r"^r \d+$", "r 3", "embedding_id"),
+        ("nystroem", r"^r \d+$", "r 17", "rank 17"),
         ("nystroem", r"^d \d+$", "d 7", "line "),
         ("linear", r"^trained_by \S+\n", "", "line "),
         ("linear", r"^embedding_id \S+\n", "", "line "),
@@ -849,14 +850,14 @@ class TestCorruptModel:
         ("standardizer", r"^(mean 1 \d+\n)\S+", r"\1nan", "finite"),
         ("standardizer", r"^(stdev 1 \d+\n)\S+", r"\1nan", "finite"),
         ("standardizer", r"^(stdev 1 \d+\n)\S+", r"\1inf", "finite"),
-        ("nystroem", r"^(eigenvalues 1 \d+\n)\S+", r"\1nan", "finite"),
+        ("linear", r"^(weights 1 \d+\n)\S+", r"\1nan", "finite"),
         ("linear", r"^(weights 1 \d+\n)\S+ \S+", r"\g<1>1.7e308 1.7e308", "overflow"),
         ("nystroem", r"^v \d+(\n(?:.*\n)*?centroids )\d+", r"v 99999999999\g<1>99999999999", "row has"),
         ("nystroem", r"^d \d+(\n(?:.*\n)*?centroids \d+ )\d+", r"d 99999999999\g<1>99999999999", "row has"),
     ], ids=["matrix-cell", "missing-dim", "matrix-header", "sigma2-text", "seed-text",
-            "c-text", "sigma2-negative", "foreign-embedding-id", "linear-r", "nystroem-v",
-            "nystroem-r", "nystroem-d", "missing-trained-by", "missing-embedding-id",
-            "empty-embedding-id", "nan-mean", "nan-stdev", "inf-stdev", "nan-eigenvalue",
+            "c-text", "sigma2-negative", "foreign-embedding-id", "weights-length", "nystroem-v",
+            "nystroem-r", "nystroem-r-beyond-v", "nystroem-d", "missing-trained-by", "missing-embedding-id",
+            "empty-embedding-id", "nan-mean", "nan-stdev", "inf-stdev", "nan-weight",
             "overflowing-weights", "rows-beyond-the-file", "columns-beyond-the-row"])
     def test_exits_three(self, capsys, tmp_path, rings_file, model_text, section, pattern, repl, message):
         head, header, body = model_text.partition(f"[{section}]\n")
@@ -873,16 +874,24 @@ class TestCorruptModel:
     @pytest.mark.parametrize("damage", ["cell", "short-row"])
     def test_matrix_error_names_its_line(self, capsys, tmp_path, rings_file, model_text, damage):
         lines = model_text.splitlines()
-        header = next(i for i, line in enumerate(lines) if line.startswith("projection "))
+        header = next(i for i, line in enumerate(lines) if line.startswith("centroids "))
         row = header + 1 + int(lines[header].split()[1]) // 2
         values = lines[row].split()
-        lines[row] = " ".join(values[:-1] if damage == "short-row" else [*values[:2], "abc", *values[3:]])
+        lines[row] = " ".join(values[:-1] if damage == "short-row" else [values[0], "abc", *values[2:]])
         path = tmp_path / "bad.model"
         path.write_text("\n".join(lines) + "\n")
         code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
-        assert f"line {row + 1}: matrix 'projection'" in err
+        assert f"line {row + 1}: matrix 'centroids'" in err
+
+    def test_format_one_is_refused(self, capsys, tmp_path, rings_file, model_text):
+        path = tmp_path / "old.model"
+        path.write_text(model_text.replace("aucmax-model 2\n", "aucmax-model 1\n", 1))
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert err == f"error: {path}: line 1: model format 1 is no longer read: train the model again\n"
 
     def test_error_names_the_model_file(self, capsys, tmp_path, rings_file, model_text):
         # an error found while building the pipeline, after parsing, names the model too

@@ -329,6 +329,27 @@ class TestFitNystroem:
             errs.append(np.mean(per_seed))
         assert errs[0] >= errs[1] >= errs[2]
 
+    def test_factors_once(self, monkeypatch):
+        # the fitted map keeps its whitening: features and folding factor nothing again
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda W: shapes.append(W.shape) or eigh(W))
+        m = fit_nystroem(LandmarkSet(np.random.default_rng(17).standard_normal((9, 2))), GaussianKernelParams(1.0))
+        m.features(np.zeros((3, 2)))
+        m.fold(np.ones(m.rank))
+        assert shapes == [(9, 9)]
+
+    def test_diagnostics_report_the_dropped_spectrum(self):
+        rng = np.random.default_rng(16)
+        C = rng.standard_normal((12, 3))
+        p = GaussianKernelParams(1.0)
+        m = fit_nystroem(LandmarkSet(C), p)
+        assert m.diagnostics == {"retained_rank": 12, "dropped_eigenvalues": 0, "dropped_mass": 0.0}
+        # three duplicates and a cap: the dropped mass is trace(W) - the kept eigenvalues, W's diagonal all ones
+        m = fit_nystroem(LandmarkSet(np.vstack([C, C[:3]])), p, rank_cap=5)
+        assert m.rank == 5
+        assert m.diagnostics["retained_rank"] == 5 and m.diagnostics["dropped_eigenvalues"] == 10
+        assert m.diagnostics["dropped_mass"] == pytest.approx(15 - m.eigenvalues.sum(), abs=1e-12)
+
     def test_eigenvalue_ordering(self):
         rng = np.random.default_rng(11)
         lm = LandmarkSet(rng.standard_normal((20, 3)))
@@ -416,9 +437,17 @@ class TestRff:
 
 class TestValidation:
     def test_nystroem_map_shape_check(self):
+        # the projection is rank x v, so the rank must fit the landmark count
         lm = LandmarkSet(np.ones((3, 2)))
-        with pytest.raises(DataError):
-            NystroemMap(lm, GaussianKernelParams(1.0), np.ones((2, 4)), np.array([1.0, 0.5]))
+        for rank in (0, 4):
+            with pytest.raises(DataError, match=f"rank {rank} must lie between 1 and the landmark count 3"):
+                NystroemMap(lm, GaussianKernelParams(1.0), rank)
+
+    def test_rank_beyond_the_numerical_rank_fails_on_access(self):
+        # duplicate landmarks: W has numerical rank 1, so a map declaring 2 has no projection
+        m = NystroemMap(LandmarkSet(np.ones((2, 2))), GaussianKernelParams(1.0), 2)
+        with pytest.raises(DataError, match="numerical rank 1, the map declares 2"):
+            m.projection
 
     def test_landmarks_must_be_finite(self):
         with pytest.raises(DataError):

@@ -1,5 +1,7 @@
 """Tests for model containers, the text model file, and the rings generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from aucmax.sgd import SgdConfig, train_sgd
 from aucmax.synthetic import make_rings
 
 
-def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0):
+def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0, rank_cap=None):
     """A fitted pipeline on rings; ``duplicates`` repeats that many landmarks,
     so the Nystroem map drops part of the landmark kernel's spectrum."""
     data = make_rings(n=240, seed=seed)
@@ -37,7 +39,7 @@ def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0):
     if embedding == "nystroem":
         lm = kmeans(standardized, v=16, max_iter=30, seed=seed)
         lm = LandmarkSet(np.vstack([lm.centroids, lm.centroids[:duplicates]]))
-        emb_map = fit_nystroem(lm, kernel, seed=seed)
+        emb_map = fit_nystroem(lm, kernel, rank_cap=rank_cap, seed=seed)
     else:
         emb_map = fit_rff(2, 16, kernel, seed=seed)
     emb = embed(emb_map, standardized)
@@ -117,7 +119,9 @@ class TestModelFile:
         save_model(path, pipe)
         loaded = load_model(path)
         np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
-        np.testing.assert_array_equal(loaded.linear.w, pipe.linear.w)
+        np.testing.assert_array_equal(loaded.folded, pipe.folded)
+        # w is unfolded from the stored folded weights, exact up to rounding
+        np.testing.assert_allclose(loaded.linear.w, pipe.linear.w, rtol=1e-12, atol=1e-12 * np.abs(pipe.linear.w).max())
         assert loaded.linear.embedding_id == embedding_digest(pipe.embedding)
         assert loaded.linear.trained_by == "batch"
 
@@ -159,12 +163,56 @@ class TestModelFile:
         np.testing.assert_array_equal(np.signbit(loaded), np.signbit(w))
 
     def test_resave_is_byte_identical(self, tmp_path):
-        _, pipe = fit_pipeline()
-        p1 = tmp_path / "a.txt"
-        p2 = tmp_path / "b.txt"
-        save_model(str(p1), pipe)
-        save_model(str(p2), load_model(str(p1)))
-        assert p1.read_bytes() == p2.read_bytes()
+        for embedding, rank_cap in (("nystroem", None), ("nystroem", 3), ("rff", None)):
+            _, pipe = fit_pipeline(embedding=embedding, rank_cap=rank_cap)
+            p1 = tmp_path / "a.txt"
+            p2 = tmp_path / "b.txt"
+            save_model(str(p1), pipe)
+            save_model(str(p2), load_model(str(p1)))
+            assert p1.read_bytes() == p2.read_bytes()
+            # unfolding w, which refactors the landmark kernel, leaves the saved weights alone
+            loaded = load_model(str(p2))
+            loaded.linear.w
+            save_model(str(p2), loaded)
+            assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("rank_cap", [None, 3])
+    def test_loaded_map_refactors_to_the_fitted_bits(self, tmp_path, rank_cap):
+        _, pipe = fit_pipeline(duplicates=2, rank_cap=rank_cap)
+        path = str(tmp_path / "model.txt")
+        save_model(path, pipe)
+        loaded = load_model(path)
+        assert loaded.embedding.rank == pipe.embedding.rank == (rank_cap or pipe.embedding.rank)
+        np.testing.assert_array_equal(loaded.embedding.projection, pipe.embedding.projection)
+        np.testing.assert_array_equal(loaded.embedding.eigenvalues, pipe.embedding.eigenvalues)
+        w = pipe.linear.w
+        np.testing.assert_allclose(loaded.linear.w, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
+
+    def test_load_and_score_factor_nothing(self, tmp_path, monkeypatch):
+        data, pipe = fit_pipeline()
+        path = str(tmp_path / "model.txt")
+        save_model(path, pipe)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
+        assert loaded.score_point(data.X[5]) == pipe.score_point(data.X[5])
+        with pytest.raises(AssertionError, match="eigh called"):
+            loaded.linear.w
+
+    def test_nystroem_file_holds_landmarks_and_folded_weights_only(self, tmp_path):
+        # a guard on the file size: the whitening projection must not come back
+        _, pipe = fit_pipeline(duplicates=4)
+        path = tmp_path / "model.txt"
+        save_model(str(path), pipe)
+        lines = path.read_text().splitlines()
+        headers = [ln.split()[0] for ln in lines if re.fullmatch(r"[a-z_]+ \d+ \d+", ln)]
+        assert headers == ["mean", "stdev", "centroids", "weights"]
+        v, d = pipe.embedding.landmarks.v, pipe.dim
+        assert path.stat().st_size < 26 * (v * d + v + 2 * d) + 2048
 
     def test_digest_binds_embedding(self):
         _, pipe_a = fit_pipeline(seed=0)
