@@ -66,10 +66,6 @@ class LinearModel:
             self._w = _weights(self._w())
         return self._w
 
-    @property
-    def r(self) -> int:
-        return self.w.shape[0]
-
 
 def embedding_digest(m: NystroemMap | RffMap) -> str:
     """Stable identifier binding weights to the exact embedding arrays."""
@@ -111,15 +107,18 @@ class TrainedPipeline:
         if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
             raise DataError("embedding_id does not match the embedding: the weights belong to another one")
         if self.folded is None:
-            if self.linear.r != self.embedding.rank:
+            if self.linear.w.size != self.embedding.rank:
                 raise DataError(
-                    f"weight length {self.linear.r} does not match embedding rank "
+                    f"weight length {self.linear.w.size} does not match embedding rank "
                     f"{self.embedding.rank}"
                 )
             with np.errstate(over="ignore", invalid="ignore"):
                 self.folded = self.embedding.fold(self.linear.w)
         else:
             self.folded = _weights(self.folded)
+            width = self.embedding.landmarks.v if isinstance(self.embedding, NystroemMap) else self.embedding.rank
+            if self.folded.size != width:
+                raise DataError(f"{self.folded.size} folded weights, but the embedding takes {width}")
         with np.errstate(over="ignore", invalid="ignore"):
             reach = float(np.abs(self.folded).sum()) * self.embedding.value_bound
         # |score| <= reach, so a finite reach keeps every score finite

@@ -4,9 +4,9 @@ Each iteration samples one positive and one negative instance uniformly,
 takes a subgradient step on the hinge loss of their difference vector with
 step size 1/(lambda (t + t0)), shrinks the weights once every rskip
 iterations (pulling the regularizer out of the per-step update), and folds
-the iterate into a running mean once every askip iterations. The averaged
-vector is the returned model; with averaging disabled the final iterate is
-returned instead.
+the iterate into a running mean once every askip iterations. Every run
+keeps that mean, so the last iterate and the averaged one come from the
+same trajectory; SgdConfig.averaging picks which of the two is returned.
 
 Most iterations take no step, so the loop spends little Python work on
 those:
@@ -92,15 +92,16 @@ def train_sgd(
     data's rows, usually embedded, carry +-1 labels of both classes.
     Deterministic for a given seed. One epoch is n iterations; the index
     blocks for each epoch are drawn up front, so a run at fewer epochs is
-    an exact prefix of a longer run with the same seed. The returned
-    weights are the mean of the iterates captured every askip iterations,
-    or the last iterate when averaging is off or no capture fired
-    (fewer than askip iterations).
+    an exact prefix of a longer run with the same seed. Every run keeps
+    the mean of the iterates captured every askip iterations; it returns
+    that mean, or the last iterate when averaging is off (captures then
+    reads 0) or no capture fired (fewer than askip iterations).
 
-    epoch_callback(epoch_number, w, elapsed_seconds) fires after each epoch
-    with the weights the run would return if it stopped there and the
-    cumulative solver time; callback cost is excluded from that time. Later
-    epochs may update w in place, so a callback that keeps it must copy it.
+    epoch_callback(epoch_number, w, last, elapsed_seconds) fires after each
+    epoch with the weights the run would return if it stopped there, the
+    last iterate (the same whether averaging is on or off) and the
+    cumulative solver time, callback cost excluded. Later epochs may update
+    w and last in place, so a callback that keeps them must copy them.
     """
     pos_idx, neg_idx = data.class_indices()
     n, F = data.n, data.X
@@ -125,33 +126,31 @@ def train_sgd(
         scale = np.concatenate(([1.0], scale_after[:-1]))
         threshold = 1.0 / scale
         coef = 1.0 / (lam * (t + t0) * scale)
-        if averaging:
-            at_capture = t % askip == 0
-            # A, the sum of the scales at the captures, after each iteration
-            A = np.cumsum(np.where(at_capture, scale_after, 0.0))
-            # a step c d at iteration t adds A c d to R, with A as it stood
-            # before t; lazy holds that A c
-            lazy = np.concatenate(([0.0], A[:-1])) * coef
-            R = np.zeros(data.dim)
+        at_capture = t % askip == 0
+        # A, the sum of the scales at the captures, after each iteration
+        A = np.cumsum(np.where(at_capture, scale_after, 0.0))
+        # a step c d at iteration t adds A c d to R, with A as it stood
+        # before t; lazy holds that A c
+        lazy = np.concatenate(([0.0], A[:-1])) * coef
+        R = np.zeros(data.dim)
 
         for lo in range(0, n, _BLOCK):
             blk = slice(lo, min(lo + _BLOCK, n))
             D = F.take(pos_rows[blk], axis=0) - F.take(neg_rows[blk], axis=0)
             hits = _scan_block(D, v, threshold[blk], coef[blk])
             steps += len(hits)
-            if averaging and hits:
+            if hits:
                 R += lazy[blk][hits] @ D[hits]
 
-        if averaging:
-            captured += A[-1] * v - R
-            q += int(np.count_nonzero(at_capture))
+        captured += A[-1] * v - R
+        q += int(np.count_nonzero(at_capture))
         v *= scale_after[-1]
         elapsed += time.perf_counter() - t_start
         if epoch_callback is not None:
-            epoch_callback(epoch, captured / q if q else v, elapsed)
+            epoch_callback(epoch, captured / q if averaging and q else v, v, elapsed)
 
     return LinearModel(
-        captured / q if q else v,
+        captured / q if averaging and q else v,
         trained_by="sgd",
         hyperparameters={
             "lambda": cfg.lam,
@@ -164,7 +163,7 @@ def train_sgd(
         },
         diagnostics={
             "iterations": cfg.epochs * n,
-            "captures": q,
+            "captures": q if averaging else 0,
             "steps": steps,
             "seconds": elapsed,
         },

@@ -6,6 +6,7 @@ key=value lines can be asserted directly.
 
 import argparse
 import csv
+import itertools
 import os
 import re
 import subprocess
@@ -325,28 +326,35 @@ class TestConvergence:
         keys = [(r[0], int(r[1]), int(r[2])) for r in body]
         assert keys == sorted(keys)
 
-    def test_snapshots_match_standalone_runs(self, capsys, tmp_path, rings_file):
-        # a snapshot at epoch e must equal a separate run trained for e epochs
+    def test_snapshots_match_standalone_runs(self, capsys, tmp_path):
+        # a snapshot at epoch e must equal a separate run trained for e
+        # epochs, with or without --no-averaging; on noisier rings than
+        # rings_file's, the two variants' AUCs differ
+        data = tmp_path / "noisy.libsvm"
+        data.write_text(to_libsvm(make_rings(n=600, seed=3, noise=0.4)))
         report = str(tmp_path / "conv.csv")
         run(capsys, [
-            "convergence", "--data", rings_file, "--landmarks", "16",
+            "convergence", "--data", str(data), "--landmarks", "16",
             "--seed", "5", "--lambda", "1e-7", "--epochs-grid", "2,4",
             "--seeds", "5", "--report", report,
         ])
         with open(report, newline="") as fh:
             table = {(r["variant"], int(r["epochs"])): float(r["test_auc"])
                      for r in csv.DictReader(fh)}
+        assert all(table[("averaged", e)] != table[("non-averaged", e)] for e in (2, 4))
 
-        for epochs in (2, 4):
+        for (variant, flags), epochs in itertools.product(
+            [("averaged", []), ("non-averaged", ["--no-averaging"])], (2, 4)
+        ):
             model = str(tmp_path / f"e{epochs}.model")
             code, out, _ = run(capsys, [
-                "train-sgd", "--data", rings_file, "--landmarks", "16",
+                "train-sgd", "--data", str(data), "--landmarks", "16",
                 "--lambda", "1e-7", "--epochs", str(epochs), "--seed", "5",
-                "--model", model,
+                *flags, "--model", model,
             ])
             assert code == 0
             # same split, embedding, and draw prefix: exact agreement
-            assert table[("averaged", epochs)] == float(parse_kv(out)["test_auc"])
+            assert table[(variant, epochs)] == float(parse_kv(out)["test_auc"])
 
     def test_reports_reproducible(self, capsys, tmp_path, rings_file):
         # identical apart from the wall-clock column
@@ -460,6 +468,20 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: cannot allocate") and err.count("\n") == 1
         assert not model.exists()
+
+    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
+    def test_rank_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
+        # --rank caps the Nystroem rank only; under rff, --landmarks is the rank
+        extra = {"train-batch": ["--model", str(tmp_path / "m.model")],
+                 "train-sgd": ["--model", str(tmp_path / "m.model")],
+                 "gridsearch": ["--solver", "batch"],
+                 "convergence": ["--report", str(tmp_path / "c.csv")],
+                 "embed": ["--out", str(tmp_path / "f.csv")]}[command]
+        code, _, err = run(capsys, [command, "--data", rings_file, "--embedding", "rff",
+                                    "--landmarks", "16", "--rank", "3", *extra])
+        assert code == 2
+        assert err.startswith("error: --rank applies to the nystroem embedding only") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -698,9 +720,9 @@ class TestFlagsReachSolvers:
         assert run(capsys, ["convergence", "--data", rings_file, "--landmarks", "16",
                             "--epochs-grid", "1,2", "--seeds", "3,4", "--lambda", "1e-6", "--t0", "50",
                             "--rskip", "4", "--askip", "4", "--report", str(tmp_path / "c.csv")])[0] == 0
-        assert configs == [aucmax.SgdConfig(lam=1e-6, t0=50, epochs=2, rskip=4, askip=4, seed=seed,
-                                            averaging=averaging)
-                           for seed in (3, 4) for averaging in (True, False)]
+        # one averaged run per seed holds both variants
+        assert configs == [aucmax.SgdConfig(lam=1e-6, t0=50, epochs=2, rskip=4, askip=4, seed=seed)
+                           for seed in (3, 4)]
 
 
 # option -> (default, required) for every subcommand; argparse's -h is left out

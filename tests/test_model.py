@@ -150,7 +150,7 @@ class TestModelFile:
         awkward = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, -2.5e-310]
         # the largest float once: repeated, it would let a score overflow, and
         # TrainedPipeline refuses such weights
-        w = np.zeros(pipe.linear.r)
+        w = np.zeros(pipe.linear.w.size)
         w[: len(awkward)] = awkward
         pipe = TrainedPipeline(pipe.standardizer, pipe.embedding, LinearModel(w, "batch", {}))
         path = tmp_path / "model.txt"
@@ -245,6 +245,17 @@ class TestModelFile:
                 pipe.embedding,
                 LinearModel(np.ones(pipe.embedding.rank + 1), "batch", {}),
             )
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
+    def test_folded_length_must_match_embedding(self, embedding, extra):
+        # one folded weight per landmark (18, two of them repeated, so the
+        # rank is lower) or per random feature (16)
+        _, pipe = fit_pipeline(embedding=embedding, duplicates=2)
+        width = 18 if embedding == "nystroem" else 16
+        assert pipe.folded.size == width
+        with pytest.raises(DataError, match=f"^{width + extra} folded weights, but the embedding takes {width}$"):
+            TrainedPipeline(pipe.standardizer, pipe.embedding, pipe.linear, folded=np.ones(width + extra))
 
 
 class TestMakeRings:

@@ -20,7 +20,7 @@ def constant_pair(n, x_pos, x_neg):
 def run(data, **fields):
     """train_sgd's model and a copy of the weights it reports after each epoch."""
     snapshots = []
-    model = train_sgd(data, SgdConfig(**fields), epoch_callback=lambda e, w, sec: snapshots.append(w.copy()))
+    model = train_sgd(data, SgdConfig(**fields), epoch_callback=lambda e, w, last, sec: snapshots.append(w.copy()))
     return model, snapshots
 
 
@@ -280,7 +280,7 @@ class TestTrainSgd:
         for averaging in (False, True):
             snapshots = {}
 
-            def grab(epoch, w, elapsed):
+            def grab(epoch, w, last, elapsed):
                 snapshots[epoch] = w.copy()
 
             cfg_long = SgdConfig(lam=1e-5, epochs=4, seed=9, averaging=averaging)
@@ -290,14 +290,26 @@ class TestTrainSgd:
             np.testing.assert_array_equal(long_model.w, snapshots[4])
 
     def test_no_averaging_returns_last_iterate(self):
-        data = separable_1d()
-        cfg = SgdConfig(lam=1e-4, epochs=2, seed=5, averaging=False)
-        model = train_sgd(data, cfg)
-        assert model.hyperparameters["averaging"] == "off"
+        # the average is kept on every run, so at every epoch the last
+        # iterate of an averaged run is the weights of the same run with
+        # averaging off
+        def trajectory(data, averaging):
+            snapshots = []
+            cfg = SgdConfig(lam=1e-4, t0=100, epochs=3, rskip=7, askip=5, seed=5, averaging=averaging)
+            callback = lambda e, w, last, sec: snapshots.append((w.copy(), last.copy()))
+            return train_sgd(data, cfg, epoch_callback=callback), snapshots
 
-        snapshots = []
-        train_sgd(data, cfg, epoch_callback=lambda e, w, sec: snapshots.append(w.copy()))
-        np.testing.assert_array_equal(model.w, snapshots[-1])
+        for data in (separable_1d(), reference_data("few-steps"), reference_data("many-steps")):
+            off, off_epochs = trajectory(data, False)
+            on, on_epochs = trajectory(data, True)
+            assert off.hyperparameters["averaging"] == "off"
+            assert off.diagnostics["captures"] == 0 < on.diagnostics["captures"]
+            assert off.diagnostics["steps"] == on.diagnostics["steps"]
+            np.testing.assert_array_equal(off.w, off_epochs[-1][0])
+            np.testing.assert_array_equal(on.w, on_epochs[-1][0])
+            for (w_off, last_off), (_, last_on) in zip(off_epochs, on_epochs, strict=True):
+                np.testing.assert_array_equal(w_off, last_off)
+                np.testing.assert_array_equal(last_on, w_off)
 
     def test_fallback_when_no_capture_fires(self):
         # 8 iterations with askip 16: the mean never captures, the final
