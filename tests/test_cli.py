@@ -231,6 +231,17 @@ class TestDeterminism:
                                 "--seed", "7", "--epochs", "3", "--model", path])[0] == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_rank_at_or_above_the_landmark_count_changes_nothing(self, capsys, tmp_path, rings_file):
+        # a cap of v or more leaves the Cholesky route open, so the file is the uncapped one
+        models = []
+        for flags in ((), ("--rank", "32"), ("--rank", "64")):
+            path = tmp_path / f"rank{len(models)}.model"
+            assert run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "32",
+                                "--seed", "7", "--model", str(path), *flags])[0] == 0
+            models.append(path.read_bytes())
+        assert models[1] == models[0] and models[2] == models[0]
+        assert load_model(str(tmp_path / "rank0.model")).embedding.eigenvalues is None
+
     def test_seed_changes_model(self, capsys, tmp_path, rings_file):
         a, b = str(tmp_path / "a.model"), str(tmp_path / "b.model")
         run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "32",
@@ -978,3 +989,29 @@ def test_cli_start_imports_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["train-batch", "predict"])
+def test_batch_training_and_predict_import_no_scipy(tmp_path, rings_file, command):
+    # only train_sgd imports scipy, whose import adds about 29 MB of resident memory
+    model = str(tmp_path / "m.model")
+    argv = {
+        "train-batch": ["train-batch", "--data", rings_file, "--landmarks", "32", "--model", model],
+        "predict": ["predict", "--model", model, "--data", rings_file, "--scores", str(tmp_path / "s.txt")],
+    }
+    if command == "predict":
+        assert main(argv["train-batch"]) == 0
+    src = Path(aucmax.__file__).resolve().parents[1]
+    probe = (
+        "import sys, aucmax.cli; code = aucmax.cli.main(sys.argv[1:]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(code)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv[command]],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aucmax.dataio import Dataset, SparseVector
+from aucmax.dataio import Dataset, SparseVector, Standardizer
 from aucmax.embedding import (
     LandmarkSet,
     NystroemMap,
@@ -18,6 +18,7 @@ from aucmax.embedding import (
 )
 from aucmax.errors import ConfigError, DataError, NumericalError
 from aucmax.kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
+from aucmax.model import LinearModel, TrainedPipeline, load_model, save_model
 from aucmax.synthetic import make_rings
 
 
@@ -260,10 +261,11 @@ class TestLloydExact:
 
 class TestFitNystroem:
     def test_single_landmark(self):
+        # W = [[1]] factors by Cholesky, with L = [[1]]
         lm = LandmarkSet(np.array([[1.0, 2.0]]))
         m = fit_nystroem(lm, GaussianKernelParams(1.0))
+        assert m.diagnostics["factorization"] == "cholesky" and m.eigenvalues is None
         np.testing.assert_array_equal(m.projection, [[1.0]])
-        np.testing.assert_array_equal(m.eigenvalues, [1.0])
         x = np.array([1.0, 2.0])
         np.testing.assert_allclose(embed_point(m, x), [1.0])
 
@@ -331,31 +333,83 @@ class TestFitNystroem:
 
     def test_factors_once(self, monkeypatch):
         # the fitted map keeps its whitening: features and folding factor nothing again
-        shapes, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda W: shapes.append(W.shape) or eigh(W))
-        m = fit_nystroem(LandmarkSet(np.random.default_rng(17).standard_normal((9, 2))), GaussianKernelParams(1.0))
-        m.features(np.zeros((3, 2)))
-        m.fold(np.ones(m.rank))
-        assert shapes == [(9, 9)]
+        calls = []
+        for name in ("cholesky", "eigh"):
+            factor = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda W, f=factor, n=name: calls.append((n, W.shape)) or f(W))
+        lm = LandmarkSet(np.random.default_rng(17).standard_normal((9, 2)))
+        for rank_cap, route in ((None, "cholesky"), (9, "cholesky"), (5, "eigh")):
+            calls.clear()
+            m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=rank_cap)
+            m.features(np.zeros((3, 2)))
+            m.fold(np.ones(m.rank))
+            assert calls == [(route, (9, 9))]
 
     def test_diagnostics_report_the_dropped_spectrum(self):
         rng = np.random.default_rng(16)
         C = rng.standard_normal((12, 3))
         p = GaussianKernelParams(1.0)
         m = fit_nystroem(LandmarkSet(C), p)
-        assert m.diagnostics == {"retained_rank": 12, "dropped_eigenvalues": 0, "dropped_mass": 0.0}
+        assert m.diagnostics == {
+            "factorization": "cholesky", "retained_rank": 12, "dropped_eigenvalues": 0, "dropped_mass": 0.0,
+        }
         # three duplicates and a cap: the dropped mass is trace(W) - the kept eigenvalues, W's diagonal all ones
         m = fit_nystroem(LandmarkSet(np.vstack([C, C[:3]])), p, rank_cap=5)
         assert m.rank == 5
+        assert m.diagnostics["factorization"] == "eigh"
         assert m.diagnostics["retained_rank"] == 5 and m.diagnostics["dropped_eigenvalues"] == 10
         assert m.diagnostics["dropped_mass"] == pytest.approx(15 - m.eigenvalues.sum(), abs=1e-12)
 
     def test_eigenvalue_ordering(self):
-        rng = np.random.default_rng(11)
-        lm = LandmarkSet(rng.standard_normal((20, 3)))
-        m = fit_nystroem(lm, GaussianKernelParams(1.0))
-        assert np.all(np.diff(m.eigenvalues) <= 0)
-        assert np.all(m.eigenvalues > 0)
+        # a cap below v or duplicate landmarks take the eigh route, the one that has eigenvalues
+        C = np.random.default_rng(11).standard_normal((20, 3))
+        for rank_cap, duplicates in ((10, 0), (None, 3)):
+            lm = LandmarkSet(np.vstack([C, C[:duplicates]]))
+            m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=rank_cap)
+            assert m.diagnostics["factorization"] == "eigh"
+            assert m.eigenvalues.shape == (m.rank,)
+            assert np.all(np.diff(m.eigenvalues) <= 0)
+            assert np.all(m.eigenvalues > 0)
+
+    # Twelve landmarks, the second delta from the first. The pair sets the
+    # smallest eigenvalue of W: the Cholesky certificate holds down to
+    # delta = 1e-4; at 5e-6 it fails while eigh keeps all 12 eigenvalues,
+    # and from 1e-6 down eigh drops one.
+    ROUTES = [
+        (1.0, "cholesky"), (1e-2, "cholesky"), (1e-4, "cholesky"),
+        (5e-6, "eigh"), (1e-6, "eigh"), (1e-8, "eigh"),
+    ]
+
+    @staticmethod
+    def paired_landmarks(delta):
+        C = np.random.default_rng(18).standard_normal((12, 3))
+        C[1] = C[0] + [delta, 0.0, 0.0]
+        return C
+
+    @pytest.mark.parametrize("delta, route", ROUTES)
+    def test_route_keeps_the_eigh_rank(self, delta, route):
+        C = self.paired_landmarks(delta)
+        p = GaussianKernelParams(1.0)
+        m = fit_nystroem(LandmarkSet(C), p)
+        assert m.diagnostics["factorization"] == route
+        W = kernel_matrix(C, C, p)
+        lam = np.linalg.eigvalsh(0.5 * (W + W.T))
+        assert m.rank == np.count_nonzero(lam > 1e-12 * lam[-1])
+        E = m.features(C)
+        assert np.max(np.abs(E @ E.T - W)) <= 1e-9 * lam[-1]
+
+    @pytest.mark.parametrize("delta, route", ROUTES)
+    def test_loaded_map_takes_the_fitted_route(self, tmp_path, delta, route):
+        C = self.paired_landmarks(delta)
+        m = fit_nystroem(LandmarkSet(C), GaussianKernelParams(1.0))
+        w = np.random.default_rng(19).standard_normal(m.rank)
+        path = str(tmp_path / "model.txt")
+        save_model(path, TrainedPipeline(Standardizer(np.zeros(3), np.ones(3)), m, LinearModel(w, "batch", {})))
+        loaded = load_model(path)
+        X = np.vstack([C, np.random.default_rng(20).standard_normal((20, 3))])
+        np.testing.assert_array_equal(loaded.embedding.features(X), m.features(X))
+        assert (loaded.embedding.eigenvalues is None) == (route == "cholesky")
+        np.testing.assert_allclose(loaded.linear.w, w, rtol=0, atol=1e-9 * np.abs(w).max())
 
 
 class TestEmbed:

@@ -189,19 +189,22 @@ class TestModelFile:
         np.testing.assert_allclose(loaded.linear.w, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
     def test_load_and_score_factor_nothing(self, tmp_path, monkeypatch):
-        data, pipe = fit_pipeline()
-        path = str(tmp_path / "model.txt")
-        save_model(path, pipe)
-
         def refuse(*args, **kwargs):
-            raise AssertionError("eigh called")
+            raise AssertionError("factorization called")
 
-        monkeypatch.setattr(np.linalg, "eigh", refuse)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
-        assert loaded.score_point(data.X[5]) == pipe.score_point(data.X[5])
-        with pytest.raises(AssertionError, match="eigh called"):
-            loaded.linear.w
+        for duplicates, route in ((0, "cholesky"), (4, "eigh")):
+            data, pipe = fit_pipeline(duplicates=duplicates)
+            assert pipe.embedding.diagnostics["factorization"] == route
+            path = str(tmp_path / "model.txt")
+            save_model(path, pipe)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "cholesky", refuse)
+                patch.setattr(np.linalg, "eigh", refuse)
+                loaded = load_model(path)
+                np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
+                assert loaded.score_point(data.X[5]) == pipe.score_point(data.X[5])
+                with pytest.raises(AssertionError, match="factorization called"):
+                    loaded.linear.w
 
     def test_nystroem_file_holds_landmarks_and_folded_weights_only(self, tmp_path):
         # a guard on the file size: the whitening projection must not come back
