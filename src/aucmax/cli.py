@@ -96,12 +96,11 @@ _FLAGS = {
     "--askip": dict(
         type=int, default=SgdConfig.askip, help="iterations between mean captures (default %(default)s)"
     ),
-    "--no-averaging": dict(action="store_true", help="return the last iterate instead"),
 }
 _DATA = ("--data", "--seed", "--positive-labels")
 _EMBEDDING = ("--sigma2", "--embedding", "--landmarks", "--kmeans-iters", "--rank")
 _BATCH = ("--c", "--grad-tol", "--max-outer", "--cg-tol", "--cg-max")
-_SGD = ("--lambda", "--t0", "--epochs", "--rskip", "--askip", "--no-averaging")
+_SGD = ("--lambda", "--t0", "--epochs", "--rskip", "--askip")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +168,6 @@ def _prepare(args):
 def _config(cls, args, **fields):
     """A BatchConfig or SgdConfig from the flags the subcommand takes; fields set the rest."""
     taken = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
-    if hasattr(args, "no_averaging"):
-        taken["averaging"] = not args.no_averaging
     return cls(**{**taken, **fields})
 
 
@@ -273,7 +270,7 @@ def _stratified_folds(data: Dataset, k: int, seed: int) -> list[np.ndarray]:
 def cmd_gridsearch(args) -> int:
     data = _load_grouped(args)
     if args.grid is not None:
-        grid = _comma_list("--grid", args.grid, float)
+        grid = sorted(set(_comma_list("--grid", args.grid, float)))
     else:
         grid = DEFAULT_C_GRID if args.solver == "batch" else DEFAULT_LAMBDA_GRID
     if any(v <= 0 for v in grid):
@@ -324,12 +321,12 @@ def cmd_convergence(args) -> int:
         epochs_grid = sorted(set(_comma_list("--epochs-grid", args.epochs_grid, int)))
     if epochs_grid[0] < 1:
         raise ConfigError("epochs grid must contain positive integers")
-    seeds = [args.seed] if args.seeds is None else _comma_list("--seeds", args.seeds, _seed)
+    seeds = [args.seed] if args.seeds is None else sorted(set(_comma_list("--seeds", args.seeds, _seed)))
 
     standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
     rows = []
     for seed in seeds:
-        # one averaged run per seed gives both variants: its mean and its last iterate
+        # one run per seed gives both variants: its mean and its last iterate
         def snapshot(epoch, w, last, elapsed, seed=seed):
             if epoch in epochs_grid:
                 for variant, weights in (("averaged", w), ("non-averaged", last)):

@@ -154,7 +154,6 @@ def _nonempty(text: str) -> str:
 # the hyperparameters either solver records, with their types
 _HYPERPARAMETERS = {
     "askip": int,
-    "averaging": str,
     "c": float,
     "cg_max": int,
     "cg_tol": float,
@@ -220,7 +219,7 @@ def save_model(path: str, pipe: TrainedPipeline):
             "phases": emb.phases,
         }
     sections = {
-        "meta": {"solver": lin.trained_by, **{k: str(v) for k, v in sorted(pipe.meta.items())}},
+        "meta": {k: str(v) for k, v in sorted(pipe.meta.items())},
         "standardizer": {"dim": std.dim, "mean": std.mean, "stdev": std.stdev},
         kind: emb_values,
         "linear": {
@@ -254,10 +253,8 @@ class _Section(dict):
     def __missing__(self, key):
         raise ParseError(f"section [{self.name}] has no {key!r} line", self.line)
 
-    def pop(self, key, *default):
-        if key in self or default:
-            return super().pop(key, *default)
-        return self.__missing__(key)
+    def pop(self, key):
+        return super().pop(key) if key in self else self.__missing__(key)
 
 
 def _parse(kind, key: str, text: str, line: int):
@@ -368,7 +365,6 @@ def load_model(path: str) -> TrainedPipeline:
             raise ParseError("not a model file (bad magic line)", rd.lineno)
 
         meta = rd.read_section("meta")
-        meta.pop("solver", None)
 
         std = rd.read_section("standardizer")
         standardizer = Standardizer(std["mean"].ravel(), std["stdev"].ravel())

@@ -4,9 +4,9 @@ Each iteration samples one positive and one negative instance uniformly,
 takes a subgradient step on the hinge loss of their difference vector with
 step size 1/(lambda (t + t0)), shrinks the weights once every rskip
 iterations (pulling the regularizer out of the per-step update), and folds
-the iterate into a running mean once every askip iterations. Every run
-keeps that mean, so the last iterate and the averaged one come from the
-same trajectory; SgdConfig.averaging picks which of the two is returned.
+the iterate into a running mean once every askip iterations. A run returns
+that mean; the last iterate of the same trajectory, the baseline that
+averaging is measured against, reaches only the epoch callback.
 
 Most iterations take no step, so the loop spends little Python work on
 those:
@@ -49,7 +49,6 @@ class SgdConfig:
     rskip: int = 16
     askip: int = 16
     seed: int = 0
-    averaging: bool = True
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam <= 0:
@@ -92,16 +91,15 @@ def train_sgd(
     data's rows, usually embedded, carry +-1 labels of both classes.
     Deterministic for a given seed. One epoch is n iterations; the index
     blocks for each epoch are drawn up front, so a run at fewer epochs is
-    an exact prefix of a longer run with the same seed. Every run keeps
-    the mean of the iterates captured every askip iterations; it returns
-    that mean, or the last iterate when averaging is off (captures then
-    reads 0) or no capture fired (fewer than askip iterations).
+    an exact prefix of a longer run with the same seed. It returns the
+    mean of the iterates captured every askip iterations, or the last
+    iterate when no capture fired (fewer than askip iterations).
 
     epoch_callback(epoch_number, w, last, elapsed_seconds) fires after each
     epoch with the weights the run would return if it stopped there, the
-    last iterate (the same whether averaging is on or off) and the
-    cumulative solver time, callback cost excluded. Later epochs may update
-    w and last in place, so a callback that keeps them must copy them.
+    last iterate and the cumulative solver time, callback cost excluded.
+    Later epochs may update w and last in place, so a callback that keeps
+    them must copy them.
     """
     # scipy.linalg is imported here, not at module level: no other module of
     # this package imports scipy, and its import costs about 0.12 CPU-s, which
@@ -112,7 +110,7 @@ def train_sgd(
     pos_idx, neg_idx = data.class_indices()
     n, F = data.n, data.X
     rng = np.random.default_rng(cfg.seed)
-    lam, t0, rskip, askip, averaging = cfg.lam, cfg.t0, cfg.rskip, cfg.askip, cfg.averaging
+    lam, t0, rskip, askip = cfg.lam, cfg.t0, cfg.rskip, cfg.askip
     # the iterate over its scale; the scale is 1 at the start of each epoch
     v = np.zeros(data.dim)
     # the sum of the iterates captured in the epochs before this one
@@ -153,10 +151,10 @@ def train_sgd(
         v *= scale_after[-1]
         elapsed += time.perf_counter() - t_start
         if epoch_callback is not None:
-            epoch_callback(epoch, captured / q if averaging and q else v, v, elapsed)
+            epoch_callback(epoch, captured / q if q else v, v, elapsed)
 
     return LinearModel(
-        captured / q if averaging and q else v,
+        captured / q if q else v,
         trained_by="sgd",
         hyperparameters={
             "lambda": cfg.lam,
@@ -165,11 +163,10 @@ def train_sgd(
             "rskip": cfg.rskip,
             "askip": cfg.askip,
             "seed": cfg.seed,
-            "averaging": "on" if averaging else "off",
         },
         diagnostics={
             "iterations": cfg.epochs * n,
-            "captures": q if averaging else 0,
+            "captures": q,
             "steps": steps,
             "seconds": elapsed,
         },

@@ -6,7 +6,6 @@ key=value lines can be asserted directly.
 
 import argparse
 import csv
-import itertools
 import os
 import re
 import subprocess
@@ -42,6 +41,19 @@ def parse_kv(stdout: str) -> dict:
         key, _, value = line.partition("=")
         pairs[key] = value
     return pairs
+
+
+def recorded(monkeypatch, name):
+    """The configs that the CLI passes to its solver `name`, in call order."""
+    configs = []
+    solver = getattr(aucmax.cli, name)
+
+    def record(data, cfg, **kwargs):
+        configs.append(cfg)
+        return solver(data, cfg, **kwargs)
+
+    monkeypatch.setattr(aucmax.cli, name, record)
+    return configs
 
 
 class TestTrainPredictEval:
@@ -289,6 +301,21 @@ class TestGridsearch:
         assert code == 0
         assert float(parse_kv(out)["selected"]) in (1e-8, 1e-7)
 
+    def test_repeated_value_is_trained_and_reported_once(self, capsys, monkeypatch, tmp_path, rings_file):
+        configs = recorded(monkeypatch, "train_batch")
+        found = {}
+        for grid in ("1,1,0.5", "0.5,1"):
+            report = tmp_path / "grid.csv"
+            code, out, _ = run(capsys, ["gridsearch", "--data", rings_file, "--solver", "batch",
+                                        "--grid", grid, "--folds", "2", "--landmarks", "16",
+                                        "--report", str(report)])
+            assert code == 0
+            with open(report, newline="") as fh:
+                found[grid] = out, [row[:-1] for row in csv.reader(fh)]  # all but the seconds
+        # each value once per fold, in both runs
+        assert [cfg.C for cfg in configs] == [0.5, 1.0] * 4
+        assert found["1,1,0.5"] == found["0.5,1"]
+
     def test_too_many_folds_for_class(self, capsys, tmp_path):
         small = tmp_path / "small.libsvm"
         small.write_text("1 1:1.0\n1 1:1.1\n-1 1:2.0\n-1 1:2.1\n-1 1:2.2\n")
@@ -338,9 +365,9 @@ class TestConvergence:
         assert keys == sorted(keys)
 
     def test_snapshots_match_standalone_runs(self, capsys, tmp_path):
-        # a snapshot at epoch e must equal a separate run trained for e
-        # epochs, with or without --no-averaging; on noisier rings than
-        # rings_file's, the two variants' AUCs differ
+        # an averaged snapshot at epoch e must equal a separate run trained
+        # for e epochs; on noisier rings than rings_file's, the two
+        # variants' AUCs differ
         data = tmp_path / "noisy.libsvm"
         data.write_text(to_libsvm(make_rings(n=600, seed=3, noise=0.4)))
         report = str(tmp_path / "conv.csv")
@@ -354,18 +381,16 @@ class TestConvergence:
                      for r in csv.DictReader(fh)}
         assert all(table[("averaged", e)] != table[("non-averaged", e)] for e in (2, 4))
 
-        for (variant, flags), epochs in itertools.product(
-            [("averaged", []), ("non-averaged", ["--no-averaging"])], (2, 4)
-        ):
+        for epochs in (2, 4):
             model = str(tmp_path / f"e{epochs}.model")
             code, out, _ = run(capsys, [
                 "train-sgd", "--data", str(data), "--landmarks", "16",
                 "--lambda", "1e-7", "--epochs", str(epochs), "--seed", "5",
-                *flags, "--model", model,
+                "--model", model,
             ])
             assert code == 0
             # same split, embedding, and draw prefix: exact agreement
-            assert table[(variant, epochs)] == float(parse_kv(out)["test_auc"])
+            assert table[("averaged", epochs)] == float(parse_kv(out)["test_auc"])
 
     def test_reports_reproducible(self, capsys, tmp_path, rings_file):
         # identical apart from the wall-clock column
@@ -380,6 +405,20 @@ class TestConvergence:
                 return [row[:-1] for row in csv.reader(fh)]
 
         assert strip_seconds(a) == strip_seconds(b)
+
+    def test_repeated_seed_is_trained_and_reported_once(self, capsys, monkeypatch, tmp_path, rings_file):
+        configs = recorded(monkeypatch, "train_sgd")
+        found = {}
+        for given in ("3,3", "3"):
+            report = tmp_path / "conv.csv"
+            assert run(capsys, ["convergence", "--data", rings_file, "--landmarks", "16",
+                                "--lambda", "1e-7", "--epochs-grid", "1,2", "--seeds", given,
+                                "--report", str(report)])[0] == 0
+            with open(report, newline="") as fh:
+                found[given] = [row[:-1] for row in csv.reader(fh)]  # all but the seconds
+        assert [cfg.seed for cfg in configs] == [3, 3]  # one run per command
+        assert len(found["3"]) == 1 + 2 * 2  # variants x epochs
+        assert found["3,3"] == found["3"]
 
 
 class TestKmeansEmbed:
@@ -694,48 +733,35 @@ class TestFlagsReachSolvers:
         assert run(capsys, [*argv, "--data", rings_file, "--landmarks", "16", "--model", model])[0] == 0
         return load_model(model).linear.hyperparameters
 
-    def recorded(self, monkeypatch, name):
-        configs = []
-        solver = getattr(aucmax.cli, name)
-
-        def record(data, cfg, **kwargs):
-            configs.append(cfg)
-            return solver(data, cfg, **kwargs)
-
-        monkeypatch.setattr(aucmax.cli, name, record)
-        return configs
-
     def test_train_batch(self, capsys, tmp_path, rings_file):
         found = self.hyperparameters(capsys, tmp_path, rings_file, "train-batch", "--c", "2",
                                      "--grad-tol", "1e-3", "--max-outer", "7", "--cg-tol", "0.01",
                                      "--cg-max", "50")
         assert found == {"c": 2.0, "grad_tol": 1e-3, "max_outer": 7, "cg_tol": 0.01, "cg_max": 50}
 
-    @pytest.mark.parametrize("averaging", ["on", "off"])
-    def test_train_sgd(self, capsys, tmp_path, rings_file, averaging):
-        flags = ["--no-averaging"] if averaging == "off" else []
+    def test_train_sgd(self, capsys, tmp_path, rings_file):
         found = self.hyperparameters(capsys, tmp_path, rings_file, "train-sgd", "--lambda", "1e-6",
                                      "--t0", "100", "--epochs", "3", "--rskip", "4", "--askip", "8",
-                                     "--seed", "5", *flags)
-        assert found == {"lambda": 1e-6, "t0": 100, "epochs": 3, "rskip": 4, "askip": 8, "seed": 5,
-                         "averaging": averaging}
+                                     "--seed", "5")
+        assert found == {"lambda": 1e-6, "t0": 100, "epochs": 3, "rskip": 4, "askip": 8, "seed": 5}
 
     def test_gridsearch_sgd(self, capsys, monkeypatch, rings_file):
-        configs = self.recorded(monkeypatch, "train_sgd")
+        configs = recorded(monkeypatch, "train_sgd")
         assert run(capsys, ["gridsearch", "--data", rings_file, "--solver", "sgd", "--landmarks", "16",
                             "--grid", "1e-6,1e-7", "--folds", "2", "--seed", "2", "--t0", "50",
                             "--epochs", "2", "--rskip", "4", "--askip", "4"])[0] == 0
+        # each fold trains the grid in ascending order
         assert configs == [aucmax.SgdConfig(lam=lam, t0=50, epochs=2, rskip=4, askip=4, seed=2)
-                           for _ in range(2) for lam in (1e-6, 1e-7)]
+                           for _ in range(2) for lam in (1e-7, 1e-6)]
 
     def test_gridsearch_batch(self, capsys, monkeypatch, rings_file):
-        configs = self.recorded(monkeypatch, "train_batch")
+        configs = recorded(monkeypatch, "train_batch")
         assert run(capsys, ["gridsearch", "--data", rings_file, "--solver", "batch", "--landmarks", "16",
                             "--grid", "0.5,2", "--folds", "2"])[0] == 0
         assert configs == [aucmax.BatchConfig(C=c) for _ in range(2) for c in (0.5, 2.0)]
 
     def test_convergence(self, capsys, monkeypatch, tmp_path, rings_file):
-        configs = self.recorded(monkeypatch, "train_sgd")
+        configs = recorded(monkeypatch, "train_sgd")
         assert run(capsys, ["convergence", "--data", rings_file, "--landmarks", "16",
                             "--epochs-grid", "1,2", "--seeds", "3,4", "--lambda", "1e-6", "--t0", "50",
                             "--rskip", "4", "--askip", "4", "--report", str(tmp_path / "c.csv")])[0] == 0
@@ -794,7 +820,6 @@ OPTIONS = {
         "--epochs": (20, False),
         "--rskip": (16, False),
         "--askip": (16, False),
-        "--no-averaging": (False, False),
         "--curve": (None, False),
         "--model": (None, True),
     },

@@ -19,6 +19,7 @@ from aucmax.errors import DataError, ParseError
 from aucmax.kernels import GaussianKernelParams, bandwidth_heuristic, kernel_matrix
 from aucmax.metrics import auc
 from aucmax.model import (
+    _HYPERPARAMETERS,
     LinearModel,
     TrainedPipeline,
     embedding_digest,
@@ -143,6 +144,43 @@ class TestModelFile:
         expected = pipe.linear.hyperparameters
         assert loaded == expected
         assert {k: type(v) for k, v in loaded.items()} == {k: type(v) for k, v in expected.items()}
+
+    def test_hyperparameter_table_is_what_the_solvers_record(self, tmp_path):
+        # a key no solver records, such as the dropped averaging, fails here
+        recorded = {}
+        for solver in ("batch", "sgd"):
+            _, pipe = fit_pipeline(solver=solver)
+            path = str(tmp_path / "model.txt")
+            save_model(path, pipe)
+            expected = pipe.linear.hyperparameters
+            loaded = load_model(path).linear.hyperparameters
+            assert expected.keys() <= _HYPERPARAMETERS.keys()
+            assert loaded == expected
+            assert all(type(value) is _HYPERPARAMETERS[key] for key, value in loaded.items())
+            recorded[solver] = expected.keys()
+        assert recorded["batch"] | recorded["sgd"] == _HYPERPARAMETERS.keys()
+
+    def test_older_format_2_lines_load_as_text(self, tmp_path):
+        # earlier format 2 files repeat the solver in [meta] and record
+        # averaging in [linear]; both load as text and change no score
+        data, pipe = fit_pipeline(solver="sgd")
+        path = tmp_path / "model.txt"
+        save_model(str(path), pipe)
+        text = path.read_text()
+        resaved = tmp_path / "resaved.txt"
+        save_model(str(resaved), load_model(str(path)))
+        assert resaved.read_text() == text
+        assert "averaging" not in text and "solver" not in text
+
+        older = tmp_path / "older.txt"
+        older.write_text(
+            text.replace("[meta]\n", "[meta]\nsolver sgd\n").replace("askip 16\n", "askip 16\naveraging off\n")
+        )
+        current, loaded = load_model(str(path)), load_model(str(older))
+        np.testing.assert_array_equal(loaded.score(data), current.score(data))
+        np.testing.assert_array_equal(loaded.linear.w, current.linear.w)
+        assert loaded.meta == {**current.meta, "solver": "sgd"}
+        assert loaded.linear.hyperparameters == {**current.linear.hyperparameters, "averaging": "off"}
 
     def test_matrix_text_is_format_float(self, tmp_path):
         # RFF weights need no folding, so no arithmetic touches these values

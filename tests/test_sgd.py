@@ -25,10 +25,16 @@ def constant_pair(n, x_pos, x_neg):
 
 
 def run(data, **fields):
-    """train_sgd's model and a copy of the weights it reports after each epoch."""
-    snapshots = []
-    model = train_sgd(data, SgdConfig(**fields), epoch_callback=lambda e, w, last, sec: snapshots.append(w.copy()))
-    return model, snapshots
+    """train_sgd's model and copies of the weights and of the last iterate
+    that it reports after each epoch."""
+    snapshots, lasts = [], []
+
+    def grab(epoch, w, last, elapsed):
+        snapshots.append(w.copy())
+        lasts.append(last.copy())
+
+    model = train_sgd(data, SgdConfig(**fields), epoch_callback=grab)
+    return model, snapshots, lasts
 
 
 # lam * (1 + t0) == 1 exactly, so the first step adds x_diff itself
@@ -39,25 +45,25 @@ class TestHingeSubgradient:
     def test_inside_margin(self):
         # margin stays far below 1: every iteration steps by x / (lam (t + t0))
         data = constant_pair(2, [0.001], [0.0])
-        model, _ = run(data, **UNIT, epochs=3, rskip=1000, askip=1000, averaging=False)
+        model, _, lasts = run(data, **UNIT, epochs=3, rskip=1000, askip=1000)
         expected = 0.0
         for t in range(1, 7):
             expected += 0.001 / (UNIT["lam"] * (t + UNIT["t0"]))
-        np.testing.assert_array_equal(model.w, [expected])
+        np.testing.assert_array_equal(lasts[-1], [expected])
         assert model.diagnostics["steps"] == 6
 
     def test_outside_margin(self):
         # the first step lands at margin 4; no later iteration moves w
         data = constant_pair(2, [1.0, 0.0], [-1.0, 0.0])
-        model, snapshots = run(data, **UNIT, epochs=3, rskip=1000, askip=1000, averaging=False)
-        np.testing.assert_array_equal(snapshots, [[2.0, 0.0]] * 3)
+        model, _, lasts = run(data, **UNIT, epochs=3, rskip=1000, askip=1000)
+        np.testing.assert_array_equal(lasts, [[2.0, 0.0]] * 3)
         assert model.diagnostics["steps"] == 1
 
     def test_boundary_is_zero(self):
         # lam (1 + t0) == 4: the first step is 0.5 and leaves a margin of exactly 1
         data = constant_pair(2, [1.0], [-1.0])
-        model, _ = run(data, lam=2.0**-8, t0=1023, epochs=3, rskip=1000, askip=1000, averaging=False)
-        np.testing.assert_array_equal(model.w, [0.5])
+        model, _, lasts = run(data, lam=2.0**-8, t0=1023, epochs=3, rskip=1000, askip=1000)
+        np.testing.assert_array_equal(lasts[-1], [0.5])
         assert model.diagnostics["steps"] == 1
 
 
@@ -65,15 +71,15 @@ class TestSgdStep:
     def test_first_step_formula(self):
         # margin 5 / 1.01 after the first step, so the second takes none
         data = constant_pair(2, [1.0, -0.5], [-1.0, 0.5])
-        model, _ = run(data, lam=0.01, t0=100, epochs=1, averaging=False)
-        np.testing.assert_array_equal(model.w, np.array([2.0, -1.0]) / (0.01 * (1 + 100)))
+        model, _, lasts = run(data, lam=0.01, t0=100, epochs=1)
+        np.testing.assert_array_equal(lasts[-1], np.array([2.0, -1.0]) / (0.01 * (1 + 100)))
         assert model.diagnostics["steps"] == 1
 
     def test_inactive_leaves_w(self):
         # only the first iteration steps, yet every iteration counts toward
         # the schedule: shrinks at t = 5, 10 and captures at t = 3, 6, 9
         data = constant_pair(10, [1.0, 0.0], [-1.0, 0.0])
-        model, _ = run(data, **UNIT, epochs=1, rskip=5, askip=3)
+        model, _, _ = run(data, **UNIT, epochs=1, rskip=5, askip=3)
         captured = iterates(10, 5)[2::3]
         assert captured[0, 0] == 2.0 and captured[1, 0] < 2.0
         np.testing.assert_allclose(model.w, captured.mean(axis=0), rtol=1e-14, atol=0)
@@ -82,8 +88,8 @@ class TestSgdStep:
 
     def test_step_size_decreases(self):
         data = constant_pair(2, [0.001], [0.0])  # stays inside the margin
-        _, snapshots = run(data, lam=0.1, t0=50, epochs=3, rskip=16, askip=16, averaging=False)
-        steps = np.diff(np.concatenate([[0.0], np.ravel(snapshots)]))
+        _, _, lasts = run(data, lam=0.1, t0=50, epochs=3, rskip=16, askip=16)
+        steps = np.diff(np.concatenate([[0.0], np.ravel(lasts)]))
         assert steps[0] > steps[1] > steps[2] > 0
 
 
@@ -91,27 +97,27 @@ class TestScheduledRegularize:
     def test_formula(self):
         # one shrink, at t = 16, after the first step set w = (2, 0)
         data = constant_pair(16, [1.0, 0.0], [-1.0, 0.0])
-        model, _ = run(data, **UNIT, epochs=1, rskip=16, askip=1000, averaging=False)
-        np.testing.assert_array_equal(model.w, [2.0 * (1.0 - 16 / (16 + 1023)), 0.0])
+        _, _, lasts = run(data, **UNIT, epochs=1, rskip=16, askip=1000)
+        np.testing.assert_array_equal(lasts[-1], [2.0 * (1.0 - 16 / (16 + 1023)), 0.0])
 
     def test_zero_stays_zero(self):
         # identical rows: every step adds zero and every shrink scales zero
         data = constant_pair(16, [1.0, 2.0], [1.0, 2.0])
-        model, _ = run(data, **UNIT, epochs=2, rskip=4, askip=1000, averaging=False)
-        np.testing.assert_array_equal(model.w, np.zeros(2))
+        model, _, lasts = run(data, **UNIT, epochs=2, rskip=4, askip=1000)
+        np.testing.assert_array_equal(lasts[-1], np.zeros(2))
         # a margin of 0 is inside the margin, so all 32 iterations step
         assert model.diagnostics["steps"] == 32
 
     def test_cumulative_product_over_epoch(self):
         # 64 iterations: only the first steps, then shrinks at t = 16, 32, 48, 64
         data = constant_pair(64, [1.0, 0.0], [-1.0, 0.0])
-        model, _ = run(data, **UNIT, epochs=1, rskip=16, askip=1000, averaging=False)
+        _, _, lasts = run(data, **UNIT, epochs=1, rskip=16, askip=1000)
         factors = [1.0 - 16 / (t + 1023) for t in (16, 32, 48, 64)]
         expected = 2.0
         for f in factors:
             expected *= f
-        np.testing.assert_array_equal(model.w, [expected, 0.0])
-        np.testing.assert_allclose(model.w[0], 2.0 * np.prod(factors), rtol=1e-14)
+        np.testing.assert_array_equal(lasts[-1], [expected, 0.0])
+        np.testing.assert_allclose(lasts[-1][0], 2.0 * np.prod(factors), rtol=1e-14)
 
 
 def iterates(n, rskip):
@@ -128,14 +134,14 @@ def iterates(n, rskip):
 class TestScheduledAverage:
     def test_first_capture(self):
         data = constant_pair(4, [1.0, 0.0], [-1.0, 0.0])
-        model, _ = run(data, **UNIT, epochs=1, rskip=16, askip=4)
+        model, _, _ = run(data, **UNIT, epochs=1, rskip=16, askip=4)
         np.testing.assert_array_equal(model.w, [2.0, 0.0])
         assert model.diagnostics["captures"] == 1
 
     def test_two_point_mean(self):
         # captures at t = 4 and t = 8; the shrink at t = 8 comes first
         data = constant_pair(8, [1.0, 0.0], [-1.0, 0.0])
-        model, _ = run(data, **UNIT, epochs=1, rskip=8, askip=4)
+        model, _, _ = run(data, **UNIT, epochs=1, rskip=8, askip=4)
         w4, w8 = iterates(8, 8)[[3, 7], 0]
         assert w4 != w8
         np.testing.assert_array_equal(model.w, [(w4 + w8) / 2, 0.0])
@@ -143,7 +149,7 @@ class TestScheduledAverage:
 
     def test_mean_of_ten_known_vectors(self):
         data = constant_pair(40, [1.0, 0.0], [-1.0, 0.0])
-        model, _ = run(data, **UNIT, epochs=1, rskip=8, askip=4)
+        model, _, _ = run(data, **UNIT, epochs=1, rskip=8, askip=4)
         captured = iterates(40, 8)[3::4]
         assert len(captured) == 10
         np.testing.assert_allclose(model.w, captured.mean(axis=0), rtol=1e-14, atol=0)
@@ -200,7 +206,8 @@ def reference_data(name):
 def literal_loop(data, cfg):
     """The solver written out: each epoch's pairs drawn up front, a hinge
     step inside the margin, a shrink every rskip iterations and a capture
-    into the running mean every askip iterations. Returns the weights, the
+    into the running mean every askip iterations. Returns the mean (the
+    last iterate when nothing was captured), the last iterate, the
     captures and the steps."""
     draws = np.random.default_rng(cfg.seed)
     Xp, Xn = data.X[data.y == 1], data.X[data.y == -1]
@@ -217,22 +224,24 @@ def literal_loop(data, cfg):
                 steps += 1
             if t % cfg.rskip == 0:
                 w = w * (1.0 - cfg.rskip / (t + cfg.t0))
-            if cfg.averaging and t % cfg.askip == 0:
+            if t % cfg.askip == 0:
                 w_avg = w.copy() if q == 0 else (q * w_avg + w) / (q + 1)
                 q += 1
-    return (w_avg if q else w), q, steps
+    return (w_avg if q else w), w, q, steps
 
 
-def assert_matches_reference_loop(dataset, averaging, rskip, askip):
+def assert_matches_reference_loop(dataset, iterate, rskip, askip):
+    # iterate names the vector compared: the returned mean ("averaged") or
+    # the last iterate the final epoch's callback sees ("last-iterate");
     # the scaled iterate computes each margin as a (D @ v) and each step
     # with a coefficient, so it agrees with the loop to rounding, not bits
     data = reference_data(dataset)
-    cfg = SgdConfig(lam=1e-4, t0=100, epochs=3, rskip=rskip, askip=askip, seed=42, averaging=averaging)
-    model = train_sgd(data, cfg)
-    w, captures, steps = literal_loop(data, cfg)
-    assert (captures > 0) == averaging
-    assert np.linalg.norm(model.w - w) <= 1e-10 * np.linalg.norm(w)
-    assert model.diagnostics["captures"] == captures
+    fields = dict(lam=1e-4, t0=100, epochs=3, rskip=rskip, askip=askip, seed=42)
+    model, _, lasts = run(data, **fields)
+    average, last, captures, steps = literal_loop(data, SgdConfig(**fields))
+    found, expected = (model.w, average) if iterate == "averaged" else (lasts[-1], last)
+    assert np.linalg.norm(found - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert model.diagnostics["captures"] == captures > 0
     assert model.diagnostics["steps"] == steps
 
 
@@ -266,76 +275,49 @@ class TestTrainSgd:
         np.testing.assert_array_equal(a.w, b.w)
 
     @pytest.mark.parametrize("rskip, askip", [(16, 16), (7, 5)], ids=["skips-16-16", "skips-7-5"])
-    @pytest.mark.parametrize("averaging", [True, False], ids=["averaged", "last-iterate"])
-    def test_matches_reference_loop(self, averaging, rskip, askip):
-        assert_matches_reference_loop("few-rows", averaging, rskip, askip)
+    @pytest.mark.parametrize("iterate", ["averaged", "last-iterate"])
+    def test_matches_reference_loop(self, iterate, rskip, askip):
+        assert_matches_reference_loop("few-rows", iterate, rskip, askip)
 
     @pytest.mark.parametrize("dataset", ["few-steps", "many-steps"])
     @pytest.mark.parametrize("rskip, askip", [(16, 16), (7, 5)], ids=["skips-16-16", "skips-7-5"])
-    @pytest.mark.parametrize("averaging", [True, False], ids=["averaged", "last-iterate"])
-    def test_matches_reference_loop_across_blocks(self, averaging, rskip, askip, dataset):
-        assert_matches_reference_loop(dataset, averaging, rskip, askip)
+    @pytest.mark.parametrize("iterate", ["averaged", "last-iterate"])
+    def test_matches_reference_loop_across_blocks(self, iterate, rskip, askip, dataset):
+        assert_matches_reference_loop(dataset, iterate, rskip, askip)
 
     def test_shorter_run_is_prefix_of_longer(self):
-        # same seed: epoch e weights of a long run equal a run stopped at e
+        # same seed: both iterates at epoch e of a long run equal those of a run stopped at e
         rng = np.random.default_rng(3)
         X = rng.standard_normal((25, 3))
         y = np.where(rng.random(25) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
         data = Dataset(X, y)
 
-        for averaging in (False, True):
-            snapshots = {}
-
-            def grab(epoch, w, last, elapsed):
-                snapshots[epoch] = w.copy()
-
-            cfg_long = SgdConfig(lam=1e-5, epochs=4, seed=9, averaging=averaging)
-            long_model = train_sgd(data, cfg_long, epoch_callback=grab)
-            short = train_sgd(data, SgdConfig(lam=1e-5, epochs=2, seed=9, averaging=averaging))
-            np.testing.assert_array_equal(short.w, snapshots[2])
-            np.testing.assert_array_equal(long_model.w, snapshots[4])
-
-    def test_no_averaging_returns_last_iterate(self):
-        # the average is kept on every run, so at every epoch the last
-        # iterate of an averaged run is the weights of the same run with
-        # averaging off
-        def trajectory(data, averaging):
-            snapshots = []
-            cfg = SgdConfig(lam=1e-4, t0=100, epochs=3, rskip=7, askip=5, seed=5, averaging=averaging)
-            callback = lambda e, w, last, sec: snapshots.append((w.copy(), last.copy()))
-            return train_sgd(data, cfg, epoch_callback=callback), snapshots
-
-        for data in (separable_1d(), reference_data("few-steps"), reference_data("many-steps")):
-            off, off_epochs = trajectory(data, False)
-            on, on_epochs = trajectory(data, True)
-            assert off.hyperparameters["averaging"] == "off"
-            assert off.diagnostics["captures"] == 0 < on.diagnostics["captures"]
-            assert off.diagnostics["steps"] == on.diagnostics["steps"]
-            np.testing.assert_array_equal(off.w, off_epochs[-1][0])
-            np.testing.assert_array_equal(on.w, on_epochs[-1][0])
-            for (w_off, last_off), (_, last_on) in zip(off_epochs, on_epochs, strict=True):
-                np.testing.assert_array_equal(w_off, last_off)
-                np.testing.assert_array_equal(last_on, w_off)
+        long_model, snapshots, lasts = run(data, lam=1e-5, epochs=4, seed=9)
+        np.testing.assert_array_equal(long_model.w, snapshots[-1])
+        for epochs in (1, 2, 3):
+            short, _, short_lasts = run(data, lam=1e-5, epochs=epochs, seed=9)
+            np.testing.assert_array_equal(short.w, snapshots[epochs - 1])
+            np.testing.assert_array_equal(short_lasts[-1], lasts[epochs - 1])
 
     def test_fallback_when_no_capture_fires(self):
         # 8 iterations with askip 16: the mean never captures, the final
         # iterate is returned
         data = separable_1d(4, 4)
-        cfg = SgdConfig(lam=1e-4, epochs=1, askip=16, rskip=16, seed=0)
-        model = train_sgd(data, cfg)
+        model, _, lasts = run(data, lam=1e-4, epochs=1, askip=16, rskip=16, seed=0)
         assert model.diagnostics["captures"] == 0
         assert np.linalg.norm(model.w) > 0
+        np.testing.assert_array_equal(model.w, lasts[-1])
 
     def test_averaging_changes_result(self):
+        # the returned mean and the last iterate of the same run differ
         rng = np.random.default_rng(4)
         X = rng.standard_normal((50, 3))
         y = np.where(rng.random(50) < 0.5, 1, -1)
         y[0], y[1] = 1, -1
-        data = Dataset(X, y)
-        on = train_sgd(data, SgdConfig(lam=1e-5, epochs=3, seed=7, averaging=True))
-        off = train_sgd(data, SgdConfig(lam=1e-5, epochs=3, seed=7, averaging=False))
-        assert not np.array_equal(on.w, off.w)
+        model, _, lasts = run(Dataset(X, y), lam=1e-5, epochs=3, seed=7)
+        assert model.diagnostics["captures"] > 0
+        assert not np.array_equal(model.w, lasts[-1])
 
     def test_iteration_time_independent_of_n(self):
         import time
