@@ -72,7 +72,6 @@ _FLAGS = {
     ),
     "--landmarks": dict(type=int, default=1600, help="landmark count v (default 1600)"),
     "--kmeans-iters": dict(type=int, default=None, help=f"Lloyd iteration cap (default {_KMEANS_ITERS})"),
-    "--rank": dict(type=int, default=None, help="embedding rank cap (default: full)"),
     "--model": dict(required=True, help="model file, written by training and read by predict"),
     "--c": dict(dest="C", type=float, default=BatchConfig.C, help="pair-loss weight C (default %(default)s)"),
     "--grad-tol": dict(type=float, default=BatchConfig.grad_tol, help="gradient-norm stop (default relative)"),
@@ -98,7 +97,7 @@ _FLAGS = {
     ),
 }
 _DATA = ("--data", "--seed", "--positive-labels")
-_EMBEDDING = ("--sigma2", "--embedding", "--landmarks", "--kmeans-iters", "--rank")
+_EMBEDDING = ("--sigma2", "--embedding", "--landmarks", "--kmeans-iters")
 _BATCH = ("--c", "--grad-tol", "--max-outer", "--cg-tol", "--cg-max")
 _SGD = ("--lambda", "--t0", "--epochs", "--rskip", "--askip")
 
@@ -144,14 +143,12 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     else:
         kernel = bandwidth_heuristic(standardized[0])
     if args.embedding == "rff":
-        if args.rank is not None:
-            raise ConfigError("--rank applies to the nystroem embedding only; --landmarks sets the rff rank")
         if args.kmeans_iters is not None:
             raise ConfigError("--kmeans-iters applies to the nystroem embedding only; rff fits no landmarks")
         emb_map = fit_rff(train.dim, args.landmarks, kernel, seed=args.seed)
     else:
         lm = _kmeans(args, standardized[0])
-        emb_map = fit_nystroem(lm, kernel, rank_cap=args.rank, seed=args.seed)
+        emb_map = fit_nystroem(lm, kernel, seed=args.seed)
     return standardizer, emb_map, [embed(emb_map, d) for d in standardized]
 
 
@@ -190,6 +187,7 @@ def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, e
     print(f"train_auc={train_auc:.6f}")
     print(f"test_auc={test_auc:.6f}")
     print(f"embedding_seconds={embedding_seconds:.3f}")
+    print(f"rank={emb_map.rank}")
     print(f"training_seconds={linear.diagnostics['seconds']:.3f}")
     if "converged" in linear.diagnostics:  # the batch solver's; SGD has no stopping test
         print(f"converged={int(linear.diagnostics['converged'])}")

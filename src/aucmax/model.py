@@ -3,7 +3,8 @@
 A model file is self-describing: it holds the standardizer, the embedding
 map, and the linear weights folded into the embedding, so prediction needs
 nothing but the file. A Nystroem map is stored as its landmarks, sigma2 and
-rank; scoring the folded weights reads nothing else. Floats are written
+rank r = v (a file with another r, from an earlier version, is refused);
+scoring the folded weights reads nothing else. Floats are written
 with 17 significant digits, which round-trips binary64 exactly, making
 saved models bit-reproducible.
 """
@@ -106,17 +107,14 @@ class TrainedPipeline:
             )
         if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
             raise DataError("embedding_id does not match the embedding: the weights belong to another one")
+        width = self.embedding.rank
         if self.folded is None:
-            if self.linear.w.size != self.embedding.rank:
-                raise DataError(
-                    f"weight length {self.linear.w.size} does not match embedding rank "
-                    f"{self.embedding.rank}"
-                )
+            if self.linear.w.size != width:
+                raise DataError(f"weight length {self.linear.w.size} does not match embedding rank {width}")
             with np.errstate(over="ignore", invalid="ignore"):
                 self.folded = self.embedding.fold(self.linear.w)
         else:
             self.folded = _weights(self.folded)
-            width = self.embedding.landmarks.v if isinstance(self.embedding, NystroemMap) else self.embedding.rank
             if self.folded.size != width:
                 raise DataError(f"{self.folded.size} folded weights, but the embedding takes {width}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -243,12 +241,14 @@ def save_model(path: str, pipe: TrainedPipeline):
 
 
 class _Section(dict):
-    """A section's values by key; a missing key is a ParseError."""
+    """A section's values by key, and in lines the file line of each scalar;
+    a missing key is a ParseError."""
 
     def __init__(self, name: str, line: int):
         super().__init__()
         self.name = name
         self.line = line
+        self.lines: dict[str, int] = {}
 
     def __missing__(self, key):
         raise ParseError(f"section [{self.name}] has no {key!r} line", self.line)
@@ -348,6 +348,7 @@ class _Reader:
                 break
             self.next()
             out[key] = _parse(types.get(key, str), key, "".join(text), self.lineno)
+            out.lines[key] = self.lineno
         for matrix, shape in matrices.items():
             shape = tuple(sizes.get(size, size) for size in shape)
             declared = tuple(out[size] if isinstance(size, str) else size for size in shape)
@@ -379,12 +380,10 @@ def load_model(path: str) -> TrainedPipeline:
             )
         else:
             emb = rd.read_section("nystroem")
-            embedding = NystroemMap(
-                LandmarkSet(emb["centroids"]),
-                GaussianKernelParams(emb["sigma2"]),
-                emb["r"],
-                seed=emb.get("seed"),
-            )
+            if emb["r"] != emb["v"]:
+                raise ParseError(f"rank {emb['r']} differs from the landmark count {emb['v']}: maps that keep fewer "
+                                 "directions than landmarks are no longer read: train the model again", emb.lines["r"])
+            embedding = NystroemMap(LandmarkSet(emb["centroids"]), GaussianKernelParams(emb["sigma2"]), emb.get("seed"))
 
         lin = rd.read_section("linear", folded=emb["v"] if "v" in emb else emb["D"])
         folded = lin.pop("weights").ravel()

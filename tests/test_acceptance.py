@@ -223,7 +223,7 @@ def test_criterion_04_nystroem_exact_at_full_rank():
     X = rng.standard_normal((50, 6))
     data = Dataset(X, np.where(np.arange(50) % 2 == 0, 1, -1))
     kernel = bandwidth_heuristic(data)
-    nys = fit_nystroem(LandmarkSet(X), kernel, rank_cap=None)
+    nys = fit_nystroem(LandmarkSet(X), kernel)
     features = embed(nys, data).X
     exact = kernel_matrix(X, X, kernel)
     err = float(np.max(np.abs(features @ features.T - exact)))

@@ -18,7 +18,7 @@ import pytest
 import aucmax
 from aucmax.cli import build_parser, main
 from aucmax.dataio import Dataset, parse_libsvm, split, to_libsvm
-from aucmax.model import load_model
+from aucmax.model import load_model, save_model
 from aucmax.synthetic import make_rings
 
 
@@ -113,7 +113,7 @@ class TestTrainPredictEval:
         code, out, _ = run(capsys, argv)
         assert code == 0
         keys = [line.partition("=")[0] for line in out.splitlines()]
-        assert keys == ["train_auc", "test_auc", "embedding_seconds", "training_seconds",
+        assert keys == ["train_auc", "test_auc", "embedding_seconds", "rank", "training_seconds",
                         "converged", "model"]
         assert parse_kv(out)["converged"] == "1"
         code, out, _ = run(capsys, [*argv, "--max-outer", "1"])
@@ -242,17 +242,6 @@ class TestDeterminism:
             assert run(capsys, ["train-sgd", "--data", rings_file, "--landmarks", "32",
                                 "--seed", "7", "--epochs", "3", "--model", path])[0] == 0
         assert open(a, "rb").read() == open(b, "rb").read()
-
-    def test_rank_at_or_above_the_landmark_count_changes_nothing(self, capsys, tmp_path, rings_file):
-        # a cap of v or more leaves the Cholesky route open, so the file is the uncapped one
-        models = []
-        for flags in ((), ("--rank", "32"), ("--rank", "64")):
-            path = tmp_path / f"rank{len(models)}.model"
-            assert run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "32",
-                                "--seed", "7", "--model", str(path), *flags])[0] == 0
-            models.append(path.read_bytes())
-        assert models[1] == models[0] and models[2] == models[0]
-        assert load_model(str(tmp_path / "rank0.model")).embedding.eigenvalues is None
 
     def test_seed_changes_model(self, capsys, tmp_path, rings_file):
         a, b = str(tmp_path / "a.model"), str(tmp_path / "b.model")
@@ -519,22 +508,33 @@ class TestExitCodes:
         assert err.startswith("error: cannot allocate") and err.count("\n") == 1
         assert not model.exists()
 
+    @staticmethod
+    def required(tmp_path, command):
+        """The flags besides --data that the command requires."""
+        return {"train-batch": ["--model", str(tmp_path / "m.model")],
+                "train-sgd": ["--model", str(tmp_path / "m.model")],
+                "gridsearch": ["--solver", "batch"],
+                "convergence": ["--report", str(tmp_path / "c.csv")],
+                "embed": ["--out", str(tmp_path / "f.csv")]}[command]
+
     def assert_nystroem_only(self, capsys, tmp_path, rings_file, command, flag, value):
-        extra = {"train-batch": ["--model", str(tmp_path / "m.model")],
-                 "train-sgd": ["--model", str(tmp_path / "m.model")],
-                 "gridsearch": ["--solver", "batch"],
-                 "convergence": ["--report", str(tmp_path / "c.csv")],
-                 "embed": ["--out", str(tmp_path / "f.csv")]}[command]
         code, _, err = run(capsys, [command, "--data", rings_file, "--embedding", "rff",
-                                    "--landmarks", "16", flag, value, *extra])
+                                    "--landmarks", "16", flag, value, *self.required(tmp_path, command)])
         assert code == 2
         assert err.startswith(f"error: {flag} applies to the nystroem embedding only") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
     def test_rank_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
-        # --rank caps the Nystroem rank only; under rff, --landmarks is the rank
-        self.assert_nystroem_only(capsys, tmp_path, rings_file, command, "--rank", "3")
+        # --rank is gone: the Nystroem rank is the count of landmarks kept, and
+        # under either embedding the flag is unknown
+        for embedding in ("rff", "nystroem"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--data", rings_file, "--embedding", embedding, "--rank", "3",
+                      *self.required(tmp_path, command)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --rank 3" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
     def test_kmeans_iters_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
@@ -796,7 +796,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--rank": (None, False),
         "--kmeans-iters": (None, False),
         "--c": (1.0, False),
         "--grad-tol": (None, False),
@@ -813,7 +812,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--rank": (None, False),
         "--kmeans-iters": (None, False),
         "--lambda": (1e-08, False),
         "--t0": (10000, False),
@@ -840,7 +838,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--rank": (None, False),
         "--kmeans-iters": (None, False),
         "--solver": (None, True),
         "--grid": (None, False),
@@ -859,7 +856,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--rank": (None, False),
         "--kmeans-iters": (None, False),
         "--lambda": (1e-08, False),
         "--t0": (10000, False),
@@ -883,7 +879,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--rank": (None, False),
         "--kmeans-iters": (None, False),
         "--out": (None, True),
     },
@@ -923,7 +918,7 @@ class TestCorruptModel:
         ("linear", r"^embedding_id \S+$", "embedding_id deadbeef", "embedding_id"),
         ("linear", r"^weights 1 \d+$", "weights 1 5", "line "),
         ("nystroem", r"^v \d+$", "v 999", "line "),
-        ("nystroem", r"^r \d+$", "r 3", "embedding_id"),
+        ("nystroem", r"^r \d+$", "r 3", "rank 3 differs from the landmark count"),
         ("nystroem", r"^r \d+$", "r 17", "rank 17"),
         ("nystroem", r"^d \d+$", "d 7", "line "),
         ("linear", r"^trained_by \S+\n", "", "line "),
@@ -996,6 +991,117 @@ class TestCorruptModel:
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
         assert f"line {at + 1}: bad value for 'sigma2'" in err
+
+
+# Two format 2 files written by the release that whitened a rank-deficient
+# landmark kernel matrix by its eigendecomposition, from `train-batch
+# --landmarks 4` on make_rings(n=60, seed=5): OLD_FULL_MODEL has r = v, and
+# OLD_CAPPED_MODEL, trained with `--rank 2` as well, r < v. OLD_FULL_SCORES is
+# what that release's predict wrote for OLD_FULL_MODEL on OLD_ROWS.
+OLD_FULL_MODEL = """\
+aucmax-model 2
+[meta]
+seed 0
+test_fraction 0.20000000000000001
+[standardizer]
+dim 2
+mean 1 2
+-0.25424777386036579 0.042529932677235358
+stdev 1 2
+1.1366033819595196 1.3607643363594308
+[nystroem]
+v 4
+r 4
+d 2
+sigma2 2
+seed 0
+centroids 4 2
+-0.78992461943264902 0.76885975505906801
+0.68984044481715634 1.1754563791280779
+0.98471393333251356 -0.70689947935038677
+-0.97365935915615198 -0.90643563978770703
+[linear]
+trained_by batch
+c 1
+cg_max 200
+cg_tol 0.10000000000000001
+grad_tol 0.026305254780596098
+max_outer 100
+embedding_id 99a313b319c5a754d4bd87ffd8d934fe1fb85c7eb35d6ceba742b8ad2c1c60b3
+weights 1 4
+1.9390015617819603 1.2369851016056119 2.9308594722526822 0.86890601145345581
+"""
+
+OLD_CAPPED_MODEL = """\
+aucmax-model 2
+[meta]
+seed 0
+test_fraction 0.20000000000000001
+[standardizer]
+dim 2
+mean 1 2
+-0.25424777386036579 0.042529932677235358
+stdev 1 2
+1.1366033819595196 1.3607643363594308
+[nystroem]
+v 4
+r 2
+d 2
+sigma2 2
+seed 0
+centroids 4 2
+-0.78992461943264902 0.76885975505906801
+0.68984044481715634 1.1754563791280779
+0.98471393333251356 -0.70689947935038677
+-0.97365935915615198 -0.90643563978770703
+[linear]
+trained_by batch
+c 1
+cg_max 200
+cg_tol 0.10000000000000001
+grad_tol 0.019159888978624664
+max_outer 100
+embedding_id 600739b69549429bc3bf97493b53110fbc5a3d2734800de524d70c273e337786
+weights 1 4
+2.5302563162688645 2.1516603963924452 2.1570964786351214 2.3414910822743451
+"""
+
+OLD_ROWS = """\
+1 1:-0.66376399808119246 2:0.59738739742311131
+-1 1:1.8197809674374823 2:0.013717467174400047
+-1 1:1.8396808046139532 2:-0.58470253169618069
+-1 1:-2.1990451934019908 2:-0.088268978969501893
+"""
+
+OLD_FULL_SCORES = """\
+4.4827712707882892
+3.2121675197698623
+3.205363787831812
+2.573861437148679
+"""
+
+
+class TestOlderModels:
+    def test_full_rank_file_scores_and_resaves_bitwise(self, capsys, tmp_path):
+        model, rows, scores = tmp_path / "old.model", tmp_path / "rows.libsvm", tmp_path / "s.txt"
+        model.write_text(OLD_FULL_MODEL)
+        rows.write_text(OLD_ROWS)
+        code, out, _ = run(capsys, ["predict", "--model", str(model), "--data", str(rows), "--scores", str(scores)])
+        assert code == 0 and out == "scored=4\n"
+        assert scores.read_text() == OLD_FULL_SCORES
+        save_model(str(tmp_path / "again.model"), load_model(str(model)))
+        assert (tmp_path / "again.model").read_text() == OLD_FULL_MODEL
+
+    def test_file_of_lower_rank_is_refused_at_its_r_line(self, capsys, tmp_path):
+        model, rows, scores = tmp_path / "old.model", tmp_path / "rows.libsvm", tmp_path / "s.txt"
+        model.write_text(OLD_CAPPED_MODEL)
+        rows.write_text(OLD_ROWS)
+        code, _, err = run(capsys, ["predict", "--model", str(model), "--data", str(rows), "--scores", str(scores)])
+        assert code == 3
+        line = OLD_CAPPED_MODEL.splitlines().index("r 2") + 1
+        assert err == (f"error: {model}: line {line}: rank 2 differs from the landmark count 4: maps that keep "
+                       "fewer directions than landmarks are no longer read: train the model again\n")
+        assert not scores.exists()
 
 
 def test_cli_start_imports_no_scipy():

@@ -1,7 +1,12 @@
 """Tests for k-means landmarks, the Nystroem map, and random cosine features."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aucmax.dataio import Dataset, SparseVector, Standardizer
 from aucmax.embedding import (
@@ -264,7 +269,7 @@ class TestFitNystroem:
         # W = [[1]] factors by Cholesky, with L = [[1]]
         lm = LandmarkSet(np.array([[1.0, 2.0]]))
         m = fit_nystroem(lm, GaussianKernelParams(1.0))
-        assert m.diagnostics["factorization"] == "cholesky" and m.eigenvalues is None
+        assert m.diagnostics == {"retained_rank": 1, "pruned_landmarks": 0, "dropped_mass": 0.0}
         np.testing.assert_array_equal(m.projection, [[1.0]])
         x = np.array([1.0, 2.0])
         np.testing.assert_allclose(embed_point(m, x), [1.0])
@@ -272,9 +277,10 @@ class TestFitNystroem:
     def test_duplicate_landmark_drops_rank(self):
         lm = LandmarkSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
         m = fit_nystroem(lm, GaussianKernelParams(1.0))
-        # all-ones 2x2 kernel matrix has spectrum {2, 0}
+        # the all-ones 2x2 kernel matrix has rank 1: the map keeps the first landmark
         assert m.rank == 1
-        np.testing.assert_allclose(m.eigenvalues, [2.0], atol=1e-12)
+        np.testing.assert_array_equal(m.landmarks.centroids, [[1.0, 0.0]])
+        assert m.diagnostics["pruned_landmarks"] == 1 and m.diagnostics["dropped_mass"] == 0.0
 
     def test_landmark_gram_reproduces_w(self):
         rng = np.random.default_rng(6)
@@ -296,13 +302,6 @@ class TestFitNystroem:
         emb = embed(m, ds)
         K = kernel_matrix(X, X, p)
         np.testing.assert_allclose(emb.X @ emb.X.T, K, atol=1e-6)
-
-    def test_rank_cap(self):
-        rng = np.random.default_rng(8)
-        lm = LandmarkSet(rng.standard_normal((10, 2)))
-        m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=3)
-        assert m.rank == 3
-        assert m.projection.shape == (3, 10)
 
     def test_embedded_gram_psd(self):
         rng = np.random.default_rng(9)
@@ -334,50 +333,43 @@ class TestFitNystroem:
     def test_factors_once(self, monkeypatch):
         # the fitted map keeps its whitening: features and folding factor nothing again
         calls = []
-        for name in ("cholesky", "eigh"):
-            factor = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda W, f=factor, n=name: calls.append((n, W.shape)) or f(W))
-        lm = LandmarkSet(np.random.default_rng(17).standard_normal((9, 2)))
-        for rank_cap, route in ((None, "cholesky"), (9, "cholesky"), (5, "eigh")):
+        factor = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda W: calls.append(W.shape) or factor(W))
+        C = np.random.default_rng(17).standard_normal((9, 2))
+        # two repeats: the full 11 x 11 matrix fails, and the 9 distinct landmarks factor
+        for duplicates, shapes in ((0, [(9, 9)]), (2, [(11, 11), (9, 9)])):
             calls.clear()
-            m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=rank_cap)
+            m = fit_nystroem(LandmarkSet(np.vstack([C, C[:duplicates]])), GaussianKernelParams(1.0))
             m.features(np.zeros((3, 2)))
             m.fold(np.ones(m.rank))
-            assert calls == [(route, (9, 9))]
+            assert calls == shapes
 
     def test_diagnostics_report_the_dropped_spectrum(self):
         rng = np.random.default_rng(16)
         C = rng.standard_normal((12, 3))
         p = GaussianKernelParams(1.0)
         m = fit_nystroem(LandmarkSet(C), p)
-        assert m.diagnostics == {
-            "factorization": "cholesky", "retained_rank": 12, "dropped_eigenvalues": 0, "dropped_mass": 0.0,
-        }
-        # three duplicates and a cap: the dropped mass is trace(W) - the kept eigenvalues, W's diagonal all ones
-        m = fit_nystroem(LandmarkSet(np.vstack([C, C[:3]])), p, rank_cap=5)
-        assert m.rank == 5
-        assert m.diagnostics["factorization"] == "eigh"
-        assert m.diagnostics["retained_rank"] == 5 and m.diagnostics["dropped_eigenvalues"] == 10
-        assert m.diagnostics["dropped_mass"] == pytest.approx(15 - m.eigenvalues.sum(), abs=1e-12)
-
-    def test_eigenvalue_ordering(self):
-        # a cap below v or duplicate landmarks take the eigh route, the one that has eigenvalues
-        C = np.random.default_rng(11).standard_normal((20, 3))
-        for rank_cap, duplicates in ((10, 0), (None, 3)):
-            lm = LandmarkSet(np.vstack([C, C[:duplicates]]))
-            m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=rank_cap)
-            assert m.diagnostics["factorization"] == "eigh"
-            assert m.eigenvalues.shape == (m.rank,)
-            assert np.all(np.diff(m.eigenvalues) <= 0)
-            assert np.all(m.eigenvalues > 0)
+        assert m.diagnostics == {"retained_rank": 12, "pruned_landmarks": 0, "dropped_mass": 0.0}
+        # three repeats: the map keeps the 12 distinct landmarks and drops only rounding
+        m = fit_nystroem(LandmarkSet(np.vstack([C, C[:3]])), p)
+        assert m.diagnostics["retained_rank"] == 12 and m.diagnostics["pruned_landmarks"] == 3
+        assert 0.0 <= m.diagnostics["dropped_mass"] <= 1e-12
+        # 60 landmarks on a segment: W is numerically rank-deficient, and the
+        # dropped mass is the trace of W less that of the embedded landmarks' Gram matrix
+        U = np.linspace(0.0, 1.0, 60)[:, None] * [1.0, 2.0, -1.0]
+        m = fit_nystroem(LandmarkSet(U), p)
+        E = m.features(U)
+        assert m.rank == m.diagnostics["retained_rank"] < 60
+        assert m.diagnostics["pruned_landmarks"] == 60 - m.rank
+        assert m.diagnostics["dropped_mass"] == pytest.approx(60 - np.einsum("ij,ij->", E, E), rel=1e-3)
 
     # Twelve landmarks, the second delta from the first. The pair sets the
     # smallest eigenvalue of W: the Cholesky certificate holds down to
-    # delta = 1e-4; at 5e-6 it fails while eigh keeps all 12 eigenvalues,
-    # and from 1e-6 down eigh drops one.
+    # delta = 1e-4; from 5e-6 down it fails, and the pivoted Cholesky keeps
+    # one landmark of the pair.
     ROUTES = [
         (1.0, "cholesky"), (1e-2, "cholesky"), (1e-4, "cholesky"),
-        (5e-6, "eigh"), (1e-6, "eigh"), (1e-8, "eigh"),
+        (5e-6, "pivoted"), (1e-6, "pivoted"), (1e-8, "pivoted"),
     ]
 
     @staticmethod
@@ -387,16 +379,16 @@ class TestFitNystroem:
         return C
 
     @pytest.mark.parametrize("delta, route", ROUTES)
-    def test_route_keeps_the_eigh_rank(self, delta, route):
+    def test_route_keeps_certified_landmarks(self, delta, route):
         C = self.paired_landmarks(delta)
         p = GaussianKernelParams(1.0)
         m = fit_nystroem(LandmarkSet(C), p)
-        assert m.diagnostics["factorization"] == route
+        kept = np.arange(12) if route == "cholesky" else np.delete(np.arange(12), 1)
+        np.testing.assert_array_equal(m.landmarks.centroids, C[kept])
+        assert m.diagnostics["pruned_landmarks"] == 12 - kept.size
         W = kernel_matrix(C, C, p)
-        lam = np.linalg.eigvalsh(0.5 * (W + W.T))
-        assert m.rank == np.count_nonzero(lam > 1e-12 * lam[-1])
         E = m.features(C)
-        assert np.max(np.abs(E @ E.T - W)) <= 1e-9 * lam[-1]
+        assert np.max(np.abs(E @ E.T - W)) <= m.diagnostics["dropped_mass"] + 1e-9 * 12
 
     @pytest.mark.parametrize("delta, route", ROUTES)
     def test_loaded_map_takes_the_fitted_route(self, tmp_path, delta, route):
@@ -406,20 +398,71 @@ class TestFitNystroem:
         path = str(tmp_path / "model.txt")
         save_model(path, TrainedPipeline(Standardizer(np.zeros(3), np.ones(3)), m, LinearModel(w, "batch", {})))
         loaded = load_model(path)
+        assert loaded.embedding.rank == (12 if route == "cholesky" else 11)
         X = np.vstack([C, np.random.default_rng(20).standard_normal((20, 3))])
         np.testing.assert_array_equal(loaded.embedding.features(X), m.features(X))
-        assert (loaded.embedding.eigenvalues is None) == (route == "cholesky")
         np.testing.assert_allclose(loaded.linear.w, w, rtol=0, atol=1e-9 * np.abs(w).max())
+
+
+@st.composite
+def crowded_landmarks(draw):
+    """A few random landmarks with exact and near repeats of some of them
+    (offsets 1e-8 to 1e-3) mixed in, and a bandwidth."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    C = rng.standard_normal((draw(st.integers(1, 10)), d))
+    offsets = st.sampled_from([0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3])
+    repeats = draw(st.lists(st.tuples(st.integers(0, C.shape[0] - 1), offsets), max_size=8))
+    rows = [C]
+    for i, offset in repeats:
+        u = rng.standard_normal(d)
+        rows.append(C[i] + offset * u / np.linalg.norm(u))
+    return np.vstack(rows)[rng.permutation(C.shape[0] + len(repeats))], draw(st.sampled_from([0.25, 1.0, 4.0]))
+
+
+class TestPrunedMap:
+    @settings(max_examples=60, deadline=None)
+    @given(crowded_landmarks())
+    def test_pruned_map_is_certified_exact_and_reproducible(self, case):
+        C, sigma2 = case
+        p = GaussianKernelParams(sigma2)
+        m = fit_nystroem(LandmarkSet(C), p)
+        v, kept = C.shape[0], m.landmarks.centroids
+        # the kept landmarks are rows of C, in C's order
+        rows = iter(C)
+        assert all(any(np.array_equal(row, r) for r in rows) for row in kept)
+        assert m.diagnostics["pruned_landmarks"] == v - m.rank
+        # their kernel matrix passes the certificate that the whitening rests on
+        W_kept = kernel_matrix(kept, kept, p)
+        assert float(np.vdot(m.projection, m.projection)) * float(np.trace(W_kept)) * 1e-12 < 1
+        # the map reproduces the whole v x v W up to the mass it reports dropped
+        W = kernel_matrix(C, C, p)
+        E = m.features(C)
+        assert np.max(np.abs(E @ E.T - W)) <= m.diagnostics["dropped_mass"] + 1e-9 * np.trace(W)
+        # a second fit gives the same bits, and a saved map loads to them and saves back to the byte
+        again = fit_nystroem(LandmarkSet(C), p)
+        np.testing.assert_array_equal(again.landmarks.centroids, kept)
+        np.testing.assert_array_equal(again.projection, m.projection)
+        assert again.diagnostics == m.diagnostics
+        pipe = TrainedPipeline(Standardizer(np.zeros(C.shape[1]), np.ones(C.shape[1])), m,
+                               LinearModel(np.ones(m.rank), "batch", {}))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp, "a.model"), Path(tmp, "b.model")
+            save_model(str(first), pipe)
+            loaded = load_model(str(first))
+            np.testing.assert_array_equal(loaded.embedding.projection, m.projection)
+            save_model(str(second), loaded)
+            assert first.read_bytes() == second.read_bytes()
 
 
 class TestEmbed:
     def test_dimension_contract(self):
         rng = np.random.default_rng(12)
         lm = LandmarkSet(rng.standard_normal((6, 3)))
-        m = fit_nystroem(lm, GaussianKernelParams(1.0), rank_cap=4)
+        m = fit_nystroem(lm, GaussianKernelParams(1.0))
         ds = Dataset(rng.standard_normal((9, 3)), _labels(9, rng))
         emb = embed(m, ds)
-        assert emb.X.shape == (9, 4)
+        assert emb.X.shape == (9, 6)
         np.testing.assert_array_equal(emb.y, ds.y)
 
     def test_index_sets(self):
@@ -491,17 +534,22 @@ class TestRff:
 
 class TestValidation:
     def test_nystroem_map_shape_check(self):
-        # the projection is rank x v, so the rank must fit the landmark count
-        lm = LandmarkSet(np.ones((3, 2)))
-        for rank in (0, 4):
-            with pytest.raises(DataError, match=f"rank {rank} must lie between 1 and the landmark count 3"):
-                NystroemMap(lm, GaussianKernelParams(1.0), rank)
+        # a map built from landmarks alone has one direction per landmark
+        m = NystroemMap(LandmarkSet(np.eye(3)), GaussianKernelParams(1.0))
+        assert m.rank == 3 and m.projection.shape == (3, 3)
+        assert m.features(np.zeros((5, 3))).shape == (5, 3)
 
     def test_rank_beyond_the_numerical_rank_fails_on_access(self):
-        # duplicate landmarks: W has numerical rank 1, so a map declaring 2 has no projection
-        m = NystroemMap(LandmarkSet(np.ones((2, 2))), GaussianKernelParams(1.0), 2)
-        with pytest.raises(DataError, match="numerical rank 1, the map declares 2"):
+        # duplicate landmarks: W has numerical rank 1, so a map of both has no projection
+        m = NystroemMap(LandmarkSet(np.ones((2, 2))), GaussianKernelParams(1.0))
+        with pytest.raises(DataError, match="kernel matrix of the 2 landmarks is not certified"):
             m.projection
+
+    def test_overflowing_landmark_kernel_is_a_numerical_error(self):
+        # squared norms of 1e400 make the kernel values nan, so no landmark can be whitened
+        lm = LandmarkSet(np.array([[1e200, 0.0], [0.0, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            fit_nystroem(lm, GaussianKernelParams(1.0))
 
     def test_landmarks_must_be_finite(self):
         with pytest.raises(DataError):

@@ -30,9 +30,9 @@ from aucmax.sgd import SgdConfig, train_sgd
 from aucmax.synthetic import make_rings
 
 
-def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0, rank_cap=None):
+def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0):
     """A fitted pipeline on rings; ``duplicates`` repeats that many landmarks,
-    so the Nystroem map drops part of the landmark kernel's spectrum."""
+    so the Nystroem map prunes them."""
     data = make_rings(n=240, seed=seed)
     std = standardize_fit(data)
     standardized = standardize_apply(std, data)
@@ -40,7 +40,7 @@ def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0, ran
     if embedding == "nystroem":
         lm = kmeans(standardized, v=16, max_iter=30, seed=seed)
         lm = LandmarkSet(np.vstack([lm.centroids, lm.centroids[:duplicates]]))
-        emb_map = fit_nystroem(lm, kernel, rank_cap=rank_cap, seed=seed)
+        emb_map = fit_nystroem(lm, kernel, seed=seed)
     else:
         emb_map = fit_rff(2, 16, kernel, seed=seed)
     emb = embed(emb_map, standardized)
@@ -72,8 +72,8 @@ class TestPipelineScoring:
     def test_folded_score_matches_explicit(self, duplicates):
         data, pipe = fit_pipeline(duplicates=duplicates)
         emb = pipe.embedding
-        assert emb.landmarks.v == 16 + duplicates
-        assert emb.rank <= 16
+        assert emb.rank == emb.landmarks.v == 16
+        assert emb.diagnostics["pruned_landmarks"] == duplicates
         # kappa(x, U) @ (P^T w) sums the products of embed(x) @ w in another
         # order; its rounding error is bounded by sum |kappa| |P|^T |w|
         Z = standardize_apply(pipe.standardizer, data).X
@@ -201,8 +201,8 @@ class TestModelFile:
         np.testing.assert_array_equal(np.signbit(loaded), np.signbit(w))
 
     def test_resave_is_byte_identical(self, tmp_path):
-        for embedding, rank_cap in (("nystroem", None), ("nystroem", 3), ("rff", None)):
-            _, pipe = fit_pipeline(embedding=embedding, rank_cap=rank_cap)
+        for embedding, duplicates in (("nystroem", 0), ("nystroem", 3), ("rff", 0)):
+            _, pipe = fit_pipeline(embedding=embedding, duplicates=duplicates)
             p1 = tmp_path / "a.txt"
             p2 = tmp_path / "b.txt"
             save_model(str(p1), pipe)
@@ -214,15 +214,13 @@ class TestModelFile:
             save_model(str(p2), loaded)
             assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("rank_cap", [None, 3])
-    def test_loaded_map_refactors_to_the_fitted_bits(self, tmp_path, rank_cap):
-        _, pipe = fit_pipeline(duplicates=2, rank_cap=rank_cap)
+    def test_loaded_map_refactors_to_the_fitted_bits(self, tmp_path):
+        _, pipe = fit_pipeline(duplicates=2)
         path = str(tmp_path / "model.txt")
         save_model(path, pipe)
         loaded = load_model(path)
-        assert loaded.embedding.rank == pipe.embedding.rank == (rank_cap or pipe.embedding.rank)
+        assert loaded.embedding.rank == pipe.embedding.rank == 16
         np.testing.assert_array_equal(loaded.embedding.projection, pipe.embedding.projection)
-        np.testing.assert_array_equal(loaded.embedding.eigenvalues, pipe.embedding.eigenvalues)
         w = pipe.linear.w
         np.testing.assert_allclose(loaded.linear.w, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
 
@@ -230,14 +228,13 @@ class TestModelFile:
         def refuse(*args, **kwargs):
             raise AssertionError("factorization called")
 
-        for duplicates, route in ((0, "cholesky"), (4, "eigh")):
+        for duplicates in (0, 4):
             data, pipe = fit_pipeline(duplicates=duplicates)
-            assert pipe.embedding.diagnostics["factorization"] == route
+            assert pipe.embedding.diagnostics["pruned_landmarks"] == duplicates
             path = str(tmp_path / "model.txt")
             save_model(path, pipe)
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "cholesky", refuse)
-                patch.setattr(np.linalg, "eigh", refuse)
                 loaded = load_model(path)
                 np.testing.assert_array_equal(loaded.score(data), pipe.score(data))
                 assert loaded.score_point(data.X[5]) == pipe.score_point(data.X[5])
@@ -290,10 +287,9 @@ class TestModelFile:
     @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
     @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
     def test_folded_length_must_match_embedding(self, embedding, extra):
-        # one folded weight per landmark (18, two of them repeated, so the
-        # rank is lower) or per random feature (16)
+        # one folded weight per landmark (16: the two repeats are pruned) or per random feature (16)
         _, pipe = fit_pipeline(embedding=embedding, duplicates=2)
-        width = 18 if embedding == "nystroem" else 16
+        width = 16
         assert pipe.folded.size == width
         with pytest.raises(DataError, match=f"^{width + extra} folded weights, but the embedding takes {width}$"):
             TrainedPipeline(pipe.standardizer, pipe.embedding, pipe.linear, folded=np.ones(width + extra))
