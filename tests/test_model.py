@@ -30,16 +30,18 @@ from aucmax.sgd import SgdConfig, train_sgd
 from aucmax.synthetic import make_rings
 
 
-def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0):
+def fit_pipeline(solver="batch", embedding="nystroem", seed=0, duplicates=0, rank=None):
     """A fitted pipeline on rings; ``duplicates`` repeats that many landmarks,
-    so the Nystroem map prunes them."""
+    so the Nystroem map prunes them. ``rank`` tiles the first that many
+    centroids over all 16 landmarks, so the map prunes to that rank."""
     data = make_rings(n=240, seed=seed)
     std = standardize_fit(data)
     standardized = standardize_apply(std, data)
     kernel = bandwidth_heuristic(standardized)
     if embedding == "nystroem":
         lm = kmeans(standardized, v=16, max_iter=30, seed=seed)
-        lm = LandmarkSet(np.vstack([lm.centroids, lm.centroids[:duplicates]]))
+        centroids = lm.centroids if rank is None else np.resize(lm.centroids[:rank], lm.centroids.shape)
+        lm = LandmarkSet(np.vstack([centroids, centroids[:duplicates]]))
         emb_map = fit_nystroem(lm, kernel, seed=seed)
     else:
         emb_map = fit_rff(2, 16, kernel, seed=seed)
@@ -214,12 +216,14 @@ class TestModelFile:
             save_model(str(p2), loaded)
             assert p1.read_bytes() == p2.read_bytes()
 
-    def test_loaded_map_refactors_to_the_fitted_bits(self, tmp_path):
-        _, pipe = fit_pipeline(duplicates=2)
+    @pytest.mark.parametrize("rank", [None, 3])
+    def test_loaded_map_refactors_to_the_fitted_bits(self, tmp_path, rank):
+        _, pipe = fit_pipeline(duplicates=2, rank=rank)
         path = str(tmp_path / "model.txt")
         save_model(path, pipe)
         loaded = load_model(path)
-        assert loaded.embedding.rank == pipe.embedding.rank == 16
+        assert loaded.embedding.rank == pipe.embedding.rank == (rank or 16)
+        assert pipe.embedding.diagnostics["pruned_landmarks"] == 18 - (rank or 16)
         np.testing.assert_array_equal(loaded.embedding.projection, pipe.embedding.projection)
         w = pipe.linear.w
         np.testing.assert_allclose(loaded.linear.w, w, rtol=1e-12, atol=1e-12 * np.abs(w).max())
