@@ -152,14 +152,19 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     return standardizer, emb_map, [embed(emb_map, d) for d in standardized]
 
 
-def _prepare(args):
-    """parse -> group -> split -> embed both parts."""
+def _prepare(args, embed_test: bool = False):
+    """parse -> group -> split -> fit on the training part and embed it.
+
+    The held-out part comes back raw, to be scored through the folded
+    weights, and also embedded when embed_test: for commands that score it
+    once per epoch or per seed.
+    """
     data = _load_grouped(args)
     train, test = split(data, args.test_fraction, args.seed)
     t0 = time.perf_counter()
-    standardizer, emb_map, (emb_train, emb_test) = _fit_embedded(args, train, test)
+    standardizer, emb_map, embedded = _fit_embedded(args, train, *([test] if embed_test else []))
     embedding_seconds = time.perf_counter() - t0
-    return standardizer, emb_map, emb_train, emb_test, embedding_seconds
+    return standardizer, emb_map, test, embedded, embedding_seconds
 
 
 def _config(cls, args, **fields):
@@ -175,14 +180,15 @@ def _write_csv(path: str, header: list, rows):
         writer.writerows(rows)
 
 
-def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, embedding_seconds):
+def _report_and_save(args, standardizer, emb_map, emb_train, test, linear, embedding_seconds):
     meta = {"seed": str(args.seed), "test_fraction": format_float(args.test_fraction)}
     if args.positive_labels:
         meta["positive_labels"] = args.positive_labels
     pipe = TrainedPipeline(standardizer, emb_map, linear, meta=meta)
-    # both AUCs first: a held-out part of one class fails here, before any file is written
+    # both AUCs first: a held-out part of one class fails here, before any file is written.
+    # The held-out rows are scored as predict scores them, through the folded weights.
     train_auc = auc(emb_train.X @ linear.w, emb_train.y).auc
-    test_auc = auc(emb_test.X @ linear.w, emb_test.y).auc
+    test_auc = auc(pipe.score(test), test.y).auc
     save_model(args.model, pipe)
     print(f"train_auc={train_auc:.6f}")
     print(f"test_auc={test_auc:.6f}")
@@ -196,25 +202,24 @@ def _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, e
 
 
 def cmd_train_batch(args) -> int:
-    standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
+    standardizer, emb_map, test, (emb_train,), emb_sec = _prepare(args)
     linear = train_batch(emb_train, _config(BatchConfig, args))
-    return _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, emb_sec)
+    return _report_and_save(args, standardizer, emb_map, emb_train, test, linear, emb_sec)
 
 
 def cmd_train_sgd(args) -> int:
-    standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
+    standardizer, emb_map, test, embedded, emb_sec = _prepare(args, embed_test=bool(args.curve))
     rows = []
 
     def snapshot(epoch, w, last, elapsed):
-        train_auc = auc(emb_train.X @ w, emb_train.y).auc
-        test_auc = auc(emb_test.X @ w, emb_test.y).auc
-        rows.append([epoch, f"{train_auc:.6f}", f"{test_auc:.6f}", f"{elapsed:.6f}"])
+        # the AUC on the training rows, then on the held-out rows
+        rows.append([epoch, *(f"{auc(d.X @ w, d.y).auc:.6f}" for d in embedded), f"{elapsed:.6f}"])
 
     callback = snapshot if args.curve else None
-    linear = train_sgd(emb_train, _config(SgdConfig, args), epoch_callback=callback)
+    linear = train_sgd(embedded[0], _config(SgdConfig, args), epoch_callback=callback)
     if args.curve:
         _write_csv(args.curve, ["epoch", "train_auc", "test_auc", "elapsed_seconds"], rows)
-    return _report_and_save(args, standardizer, emb_map, emb_train, emb_test, linear, emb_sec)
+    return _report_and_save(args, standardizer, emb_map, embedded[0], test, linear, emb_sec)
 
 
 def cmd_predict(args) -> int:
@@ -321,7 +326,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError("epochs grid must contain positive integers")
     seeds = [args.seed] if args.seeds is None else sorted(set(_comma_list("--seeds", args.seeds, _seed)))
 
-    standardizer, emb_map, emb_train, emb_test, emb_sec = _prepare(args)
+    _, _, _, (emb_train, emb_test), emb_sec = _prepare(args, embed_test=True)
     rows = []
     for seed in seeds:
         # one run per seed gives both variants: its mean and its last iterate

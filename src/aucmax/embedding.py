@@ -18,8 +18,21 @@ from .dataio import Dataset, SparseVector, dense_point
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
 
-# cap on float64 cells held by one distance/kernel chunk (~32 MB)
-_CHUNK_CELLS = 4_000_000
+# Cap on the float64 cells of one distance or kernel chunk: 2**18 cells,
+# 2 MB, one core's L2 cache on the x86-64 host measured. A pass holds two or
+# three chunk-sized arrays, so a fit holds its live arrays plus a few MB.
+# Over 2**18 to 2**20 cells (BLAS at one thread), 2**18 gave the fastest
+# k-means on both benchmark inputs: 0.37 CPU-s on the 16 000 rings rows at
+# v = 400 against 0.44 at 2**20 and 0.49 at 4e6 cells; the embedding of
+# 3681 spam-shaped rows at v = 1600 took 0.43 against 0.39 at 2**20.
+_CHUNK_CELLS = 2**18
+
+# Chunks hold a multiple of this many rows. BLAS gemv, which computes a
+# score's kappa(X, U) @ beta, takes rows in groups of 4 and the rest by a loop
+# that rounds differently, so a chunk boundary inside a group would change
+# scores in the last bit. Aligned chunks give every score the bits of one
+# gemv over all rows, whatever the budget.
+_ROW_GROUP = 8
 
 # the Cholesky whitening is taken when it certifies a condition number below 1 / _COND_DROP
 _COND_DROP = 1e-12
@@ -181,9 +194,14 @@ class RffMap:
 
 
 def _row_chunks(n_rows: int, n_cols: int) -> list[slice]:
-    """Slices covering range(n_rows), each of at most _CHUNK_CELLS / n_cols rows."""
-    step = max(1, _CHUNK_CELLS // max(n_cols, 1))
-    return [slice(lo, min(n_rows, lo + step)) for lo in range(0, n_rows, step)]
+    """Slices covering range(n_rows), each of at most _CHUNK_CELLS / n_cols rows
+    rounded down to a multiple of _ROW_GROUP, and of at least _ROW_GROUP. A
+    last chunk of one row joins the chunk before it: numpy multiplies a lone
+    row by gemv, which rounds differently from the gemm of the other rows."""
+    step = max(1, _CHUNK_CELLS // max(n_cols, 1) // _ROW_GROUP) * _ROW_GROUP
+    # no boundary at n_rows - 1, which would leave the last row alone
+    bounds = [*range(step, n_rows - 1, step)]
+    return [slice(lo, hi) for lo, hi in zip([0, *bounds], [*bounds, n_rows]) if hi > lo]
 
 
 def _assign(
@@ -294,9 +312,8 @@ def _lloyd(
         full = prev is None
         if not full:
             own = row_sq_norms(X - centroids[prev])
-            half = pairwise_sq_dists(centroids, centroids, c_norms)
-            np.fill_diagonal(half, np.inf)
-            half = 0.25 * half.min(axis=1)
+            # a quarter of each centroid's squared distance to its nearest other one
+            half = 0.25 * _assign(centroids, centroids, c_norms)[2]
             redo = np.flatnonzero(own + tol >= np.maximum(half[prev], lower * lower))
             new, nearest, second = _assign(X, centroids, c_norms, redo)
             computed = redo.size
@@ -367,26 +384,35 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
 
 
 def _landmark_kernel(landmarks: LandmarkSet, kernel: GaussianKernelParams) -> np.ndarray:
-    """The landmark kernel matrix W, symmetric to the bit."""
-    W = kernel_matrix(landmarks.centroids, landmarks.centroids, kernel)
-    return 0.5 * (W + W.T)
+    """The landmark kernel matrix W, symmetric to the bit, in chunks of rows.
+    Each chunk averages its part left of the diagonal with the transposed
+    part above it, which the earlier chunks wrote and nothing has touched since."""
+    C = landmarks.centroids
+    c_norms = row_sq_norms(C)
+    W = np.empty((C.shape[0], C.shape[0]))
+    for rows in _row_chunks(C.shape[0], C.shape[0]):
+        W[rows] = kernel_matrix(C[rows], C, kernel, c_norms)
+        left = W[rows, : rows.stop] + W[: rows.stop, rows].T
+        left *= 0.5
+        W[rows, : rows.stop] = left
+        W[: rows.stop, rows] = left.T
+    return W
 
 
 def _tril_inv(L: np.ndarray) -> np.ndarray:
-    """The inverse of the lower-triangular L: the inverses of its two diagonal
-    halves, joined by two products, with np.linalg.inv only at the base. At
-    v = 1600 this took 0.085 CPU-s against 0.36 for np.linalg.inv(L), which
-    does not know L is triangular (one x86-64 vCPU, BLAS at one thread)."""
+    """Overwrite the lower-triangular L with its inverse and return it: the
+    inverses of its two diagonal halves, in place, joined by two products,
+    with np.linalg.inv only at the base. At v = 1600 this took 0.085 CPU-s
+    against 0.36 for np.linalg.inv(L), which does not know L is triangular
+    (one x86-64 vCPU, BLAS at one thread)."""
     n = L.shape[0]
     if n <= _INV_BASE:
-        return np.linalg.inv(L)
+        L[...] = np.linalg.inv(L)
+        return L
     h = n // 2
     top, bottom = _tril_inv(L[:h, :h]), _tril_inv(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = top
-    out[h:, h:] = bottom
-    out[h:, :h] = -(bottom @ L[h:, :h]) @ top
-    return out
+    L[h:, :h] = -(bottom @ L[h:, :h]) @ top
+    return L
 
 
 def _certified_inverse(W: np.ndarray) -> np.ndarray | None:
@@ -394,12 +420,17 @@ def _certified_inverse(W: np.ndarray) -> np.ndarray | None:
     _COND_DROP < 1, else None. ||L^-1||_F^2 = trace(W^-1) is at least
     1 / lambda_min and trace(W) at least lambda_max, so the bound certifies a
     condition number below 1 / _COND_DROP. A failed factorization or a
-    non-finite inverse (whose square sum is not finite) is None too."""
+    non-finite inverse (whose square sum is not finite) is None too. A W
+    that the caller passed without keeping is freed before the inversion,
+    which then holds one v x v array, L, overwritten by its inverse."""
+    trace = float(np.trace(W))
     try:
-        P = _tril_inv(np.linalg.cholesky(W))
+        L = np.linalg.cholesky(W)
     except np.linalg.LinAlgError:
         return None
-    return P if float(np.vdot(P, P)) * float(np.trace(W)) * _COND_DROP < 1 else None
+    del W
+    P = _tril_inv(L)
+    return P if float(np.vdot(P, P)) * trace * _COND_DROP < 1 else None
 
 
 def _pivots(W: np.ndarray) -> tuple[list[int], list[float]]:
@@ -445,11 +476,11 @@ def fit_nystroem(landmarks: LandmarkSet, kernel: GaussianKernelParams, seed: int
     is not finite. So a pruned map is just a smaller landmark set; its
     dropped_mass is the residual trace, the part of trace(W) it leaves out."""
     v = landmarks.v
-    W = _landmark_kernel(landmarks, kernel)
-    P = _certified_inverse(W)
+    P = _certified_inverse(_landmark_kernel(landmarks, kernel))
     dropped_mass = 0.0
     if P is None:
-        order, mass = _pivots(W)
+        # W again: the whitening freed it, and on the common, certified route nothing else reads it
+        order, mass = _pivots(_landmark_kernel(landmarks, kernel))
         for k in range(len(order), 0, -1):
             kept = LandmarkSet(landmarks.centroids[np.sort(order[:k])], landmarks.diagnostics)
             P = _certified_inverse(_landmark_kernel(kept, kernel))

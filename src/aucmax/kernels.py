@@ -34,7 +34,12 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | Non
     if A.shape[1] != B.shape[1]:
         raise DataError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
     nb = row_sq_norms(B) if b_sq_norms is None else b_sq_norms
-    d2 = row_sq_norms(A)[:, None] + nb[None, :] - 2.0 * (A @ B.T)
+    # (||a||^2 + ||b||^2) + (-2 <a,b>), the bits of the out-of-place formula,
+    # with two distance-sized arrays alive where that one held four
+    G = A @ B.T
+    G *= -2.0
+    d2 = np.add.outer(row_sq_norms(A), nb)
+    d2 += G
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -14,14 +14,16 @@ those:
 - Scaled iterate (Bottou, "Stochastic Gradient Descent Tricks", 2012). The
   iterate is w = a v. A shrink multiplies the scalar a, and the margin test
   w.d < 1 becomes d.v < 1/a. The scale depends on t alone, so each epoch's
-  margin thresholds 1/a and step coefficients 1/(lambda (t + t0) a) are
-  computed up front as arrays, and a is folded into v at the epoch's end.
+  step coefficients c = 1/(lambda (t + t0) a) are computed up front as an
+  array, and a is folded into v at the epoch's end.
 - Lazy average. With A the sum of the scales at the captures so far, a step
   v += c d also adds A c d to a vector R. The sum of the captured iterates
   is then A v - R, so a capture is one scalar addition.
-- Blocks. Each epoch runs in blocks of _BLOCK pairs whose difference rows D
-  are gathered in one call. The scan takes the margins of the next _WINDOW
-  rows from one product and steps at the first one below its threshold; a
+- Blocks. Each epoch runs in blocks of _BLOCK pairs whose difference rows
+  are gathered in one call and multiplied by their coefficients, so each
+  row of D is the step c d and a step is one numpy addition; the margin
+  test is (c d).v < c/a. The scan takes the margins of the next _WINDOW
+  rows from one product and steps at the first one below its limit; a
   step makes the later margins stale, so the next window starts at the
   following row. R takes each block's steps in one product.
 
@@ -76,10 +78,10 @@ _BLOCK = 128
 # Rows whose margins come from one product. A step discards the margins
 # after it, so a wide window wastes work where steps are frequent and a
 # narrow one pays the product's call overhead where they are rare. With
-# BLAS at one thread, 32 rows took 1.20 us per iteration on criterion 08's
-# data (r = 64, 49% of iterations step) against 1.35 for the whole rest of
-# the block, and 0.35 against 0.36 on the rings-sgd training rows (r = 97,
-# 6% step); 8 rows took 1.14 and 0.45.
+# BLAS at one thread on one x86-64 vCPU, 32 rows took 3.25 us per iteration
+# on criterion 08's data (r = 64, 49% of iterations step) and 0.91 on the
+# rings-sgd training rows (r = 83, 6% step); 8 rows took 3.12 and 1.24,
+# 64 rows 3.41 and 0.89 (medians of 10 alternating runs).
 _WINDOW = 32
 
 
@@ -101,12 +103,6 @@ def train_sgd(
     Later epochs may update w and last in place, so a callback that keeps
     them must copy them.
     """
-    # scipy.linalg is imported here, not at module level: no other module of
-    # this package imports scipy, and its import costs about 0.12 CPU-s, which
-    # only SGD runs should pay. It comes before the first timer, so the epoch
-    # seconds leave it out.
-    from scipy.linalg.blas import daxpy
-
     pos_idx, neg_idx = data.class_indices()
     n, F = data.n, data.X
     rng = np.random.default_rng(cfg.seed)
@@ -128,23 +124,26 @@ def train_sgd(
         # the scale after iteration t's shrink, and at its margin test
         scale_after = np.cumprod(np.where(t % rskip == 0, 1.0 - rskip / (t + t0), 1.0))
         scale = np.concatenate(([1.0], scale_after[:-1]))
-        threshold = 1.0 / scale
         coef = 1.0 / (lam * (t + t0) * scale)
+        # the margin test d.v < 1/scale, on the step c d: (c d).v < c/scale
+        limit = coef / scale
         at_capture = t % askip == 0
         # A, the sum of the scales at the captures, after each iteration
         A = np.cumsum(np.where(at_capture, scale_after, 0.0))
-        # a step c d at iteration t adds A c d to R, with A as it stood
-        # before t; lazy holds that A c
-        lazy = np.concatenate(([0.0], A[:-1])) * coef
+        # a step c d at iteration t adds A c d to R, with A as it stood before t
+        A_before = np.concatenate(([0.0], A[:-1]))
         R = np.zeros(data.dim)
 
         for lo in range(0, n, _BLOCK):
             blk = slice(lo, min(lo + _BLOCK, n))
-            D = F.take(pos_rows[blk], axis=0) - F.take(neg_rows[blk], axis=0)
-            hits = _scan_block(D, v, threshold[blk], coef[blk], daxpy)
+            # each row is the step its iteration would take
+            D = F.take(pos_rows[blk], axis=0)
+            D -= F.take(neg_rows[blk], axis=0)
+            D *= coef[blk, None]
+            hits = _scan_block(D, v, limit[blk])
             steps += len(hits)
             if hits:
-                R += lazy[blk][hits] @ D[hits]
+                R += A_before[blk][hits] @ D[hits]
 
         captured += A[-1] * v - R
         q += int(np.count_nonzero(at_capture))
@@ -173,25 +172,20 @@ def train_sgd(
     )
 
 
-def _scan_block(D, v, threshold, coef, daxpy):
-    """Step v in place at each row of D whose margin falls below its
-    threshold, in order; the stepped rows.
-
-    Steps use BLAS daxpy, one call where numpy needs two and a temporary:
-    at r = 97 a numpy step took 0.85 us against daxpy's 0.38 us on a 2-vCPU
-    x86 host, which counts on data where most rows step.
-    """
+def _scan_block(D, v, limit):
+    """Add to v, in order, each row of D whose margin D[k].v falls below
+    limit[k]; the rows added."""
     hits = []
     k = 0
     while k < len(D):
         end = k + _WINDOW
-        below = D[k:end] @ v < threshold[k:end]
+        below = D[k:end] @ v < limit[k:end]
         j = int(below.argmax())
         if not below[j]:
             k = end
             continue
         k += j
-        daxpy(D[k], v, a=coef[k])
+        v += D[k]
         hits.append(k)
         k += 1
     return hits

@@ -107,6 +107,30 @@ class TestTrainPredictEval:
         elapsed = [float(r[3]) for r in body]
         assert elapsed == sorted(elapsed)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train-batch"],
+            ["train-sgd", "--epochs", "3"],
+            ["train-sgd", "--epochs", "3", "--curve", "curve.csv"],
+        ],
+        ids=["train-batch", "train-sgd", "train-sgd-curve"],
+    )
+    def test_printed_test_auc_is_eval_auc_of_predict(self, capsys, tmp_path, rings_file, argv, monkeypatch):
+        # the held-out rows are scored as predict scores them: through the folded weights
+        monkeypatch.chdir(tmp_path)
+        model, rows, scores = str(tmp_path / "m.model"), tmp_path / "held.libsvm", str(tmp_path / "s.txt")
+        code, out, _ = run(capsys, [*argv, "--data", rings_file, "--landmarks", "32", "--seed", "4",
+                                    "--model", model])
+        assert code == 0
+        with open(rings_file) as fh:
+            _, held_out = split(parse_libsvm(fh), 0.2, 4)
+        rows.write_text(to_libsvm(held_out))
+        assert run(capsys, ["predict", "--model", model, "--data", str(rows), "--scores", scores])[0] == 0
+        code, evaluated, _ = run(capsys, ["eval-auc", "--scores", scores, "--labels", str(rows)])
+        assert code == 0
+        assert parse_kv(out)["test_auc"] == evaluated.strip()
+
     def test_converged_line(self, capsys, tmp_path, rings_file):
         argv = ["train-batch", "--data", rings_file, "--landmarks", "16",
                 "--model", str(tmp_path / "m")]
@@ -1105,7 +1129,7 @@ class TestOlderModels:
 
 
 def test_cli_start_imports_no_scipy():
-    # scipy is left to the SGD step that needs it; importing it costs every CLI start
+    # importing scipy costs every CLI start about 23 MB of resident memory
     src = Path(aucmax.__file__).resolve().parents[1]
     probe = (
         "import sys, aucmax.cli; aucmax.cli.build_parser(); "
@@ -1122,13 +1146,23 @@ def test_cli_start_imports_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["train-batch", "predict"])
+@pytest.mark.parametrize(
+    "command", ["train-batch", "train-sgd", "gridsearch-sgd", "convergence", "predict", "kmeans", "embed"]
+)
 def test_batch_training_and_predict_import_no_scipy(tmp_path, rings_file, command):
-    # only train_sgd imports scipy, whose import adds about 29 MB of resident memory
+    # no command imports scipy: numpy is the only runtime dependency
     model = str(tmp_path / "m.model")
+    small = ["--landmarks", "16"]
     argv = {
-        "train-batch": ["train-batch", "--data", rings_file, "--landmarks", "32", "--model", model],
+        "train-batch": ["train-batch", "--data", rings_file, *small, "--model", model],
+        "train-sgd": ["train-sgd", "--data", rings_file, *small, "--epochs", "2", "--model", model],
+        "gridsearch-sgd": ["gridsearch", "--data", rings_file, *small, "--solver", "sgd", "--grid", "1e-7",
+                           "--folds", "2", "--epochs", "1"],
+        "convergence": ["convergence", "--data", rings_file, *small, "--epochs-grid", "1,2",
+                        "--report", str(tmp_path / "r.csv")],
         "predict": ["predict", "--model", model, "--data", rings_file, "--scores", str(tmp_path / "s.txt")],
+        "kmeans": ["kmeans", "--data", rings_file, *small, "--out", str(tmp_path / "c.txt")],
+        "embed": ["embed", "--data", rings_file, *small, "--out", str(tmp_path / "e.csv")],
     }
     if command == "predict":
         assert main(argv["train-batch"]) == 0

@@ -1,6 +1,7 @@
 """Tests for k-means landmarks, the Nystroem map, and random cosine features."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from aucmax.embedding import (
     LandmarkSet,
     NystroemMap,
     _kmeanspp,
+    _landmark_kernel,
     _lloyd,
     _row_chunks,
     embed,
@@ -493,6 +495,100 @@ class TestEmbed:
         m = fit_nystroem(lm, GaussianKernelParams(1.0))
         x = SparseVector([1], [1.0])
         np.testing.assert_allclose(embed_point(m, x), embed_point(m, np.array([0.0, 1.0, 0.0, 0.0])))
+
+
+class TestChunking:
+    def test_score_has_the_bits_of_one_product(self):
+        # at v = 610 the budget allows 429 rows, which would end a chunk inside
+        # one of gemv's groups of 4 rows: the chunks are 424 and 276 rows, and
+        # each score has the bits of one kappa(X, U) @ beta over all rows
+        rng = np.random.default_rng(40)
+        C, X = rng.standard_normal((610, 5)), rng.standard_normal((700, 5))
+        kernel = GaussianKernelParams(3.0)
+        chunks = _row_chunks(700, 610)
+        assert [c.stop for c in chunks] == [424, 700]
+        m = NystroemMap(LandmarkSet(C), kernel)
+        K = np.vstack([kernel_matrix(X[rows], C, kernel) for rows in chunks])
+        beta = rng.standard_normal(610)
+        np.testing.assert_array_equal(m.score(X, beta), K @ beta)
+
+    def test_landmark_kernel_is_symmetrized_by_chunks(self):
+        rng = np.random.default_rng(44)
+        C = rng.standard_normal((610, 5))
+        kernel = GaussianKernelParams(3.0)
+        K = np.vstack([kernel_matrix(C[rows], C, kernel) for rows in _row_chunks(610, 610)])
+        W = _landmark_kernel(LandmarkSet(C), kernel)
+        np.testing.assert_array_equal(W, 0.5 * (K + K.T))
+        np.testing.assert_array_equal(W, W.T)
+
+    def test_row_chunks_cover_in_whole_row_groups(self):
+        # 865 = 2 * 432 + 1 rows at v = 600: the lone last row joins the chunk before
+        for n_rows, n_cols in [(1, 1), (9, 2**18), (865, 600), (1000, 600), (5, 10**6), (2**18 + 3, 1)]:
+            chunks = _row_chunks(n_rows, n_cols)
+            assert chunks[0].start == 0 and chunks[-1].stop == n_rows
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            assert all((c.stop - c.start) % 8 == 0 for c in chunks[:-1])
+            assert n_rows == 1 or chunks[-1].stop - chunks[-1].start > 1
+        assert [c.stop for c in _row_chunks(865, 600)] == [432, 865]
+
+
+def traced_peak(fn):
+    """fn's result and the most bytes it held at once beyond what was held before, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Each n x v pass holds its output plus a fixed scratch of chunk-sized arrays.
+
+    The inputs span 16 chunks of the 2**18-cell budget (2 MB of float64) that
+    embedding.py documents. The traced excess over the output, in chunks, read
+    3.07 for features and score and 4.29 for kmeans (whose O(n) bounds and
+    labels add about one); fit_nystroem held W and its Cholesky factor, two
+    projection-sized arrays, plus 0.001. With chunks of 4e6 cells the same
+    excess read 30.6, 31.0 and 14.6.
+    """
+
+    CHUNK_BYTES = 2**18 * 8
+    SCRATCH = 6 * CHUNK_BYTES
+
+    @pytest.fixture(scope="class")
+    def nystroem(self):
+        rng = np.random.default_rng(41)
+        m = fit_nystroem(LandmarkSet(rng.standard_normal((256, 16))), GaussianKernelParams(4.0))
+        assert m.rank == 256
+        return m, rng.standard_normal((16384, 16))
+
+    def test_features(self, nystroem):
+        m, X = nystroem
+        out, peak = traced_peak(lambda: m.features(X))
+        assert X.shape[0] * m.rank >= 16 * self.CHUNK_BYTES / 8
+        assert peak <= out.nbytes + self.SCRATCH
+
+    def test_score(self, nystroem):
+        m, X = nystroem
+        out, peak = traced_peak(lambda: m.score(X, np.ones(m.rank)))
+        assert peak <= out.nbytes + self.SCRATCH
+
+    def test_kmeans(self):
+        rng = np.random.default_rng(42)
+        data = Dataset(rng.standard_normal((16384, 4)), np.ones(16384, dtype=np.int64))
+        out, peak = traced_peak(lambda: kmeans(data, 256, max_iter=5, seed=0))
+        assert out.diagnostics["lloyd_iterations"] > 1
+        assert peak <= out.centroids.nbytes + self.SCRATCH
+
+    def test_fit_nystroem(self):
+        # 2048 well-separated landmarks: W is near the identity, so the Cholesky route runs
+        rng = np.random.default_rng(43)
+        landmarks = LandmarkSet(rng.standard_normal((2048, 64)))
+        out, peak = traced_peak(lambda: fit_nystroem(landmarks, GaussianKernelParams(16.0)))
+        assert out.rank == 2048
+        assert peak <= 2 * out.projection.nbytes + self.SCRATCH
 
 
 class TestRff:

@@ -95,6 +95,13 @@ class TestPairwiseSqDists:
         B = np.array([[0.0, 0.0]])
         np.testing.assert_allclose(pairwise_sq_dists(A, B), [[0.0], [25.0]])
 
+    def test_bits_of_the_out_of_place_formula(self):
+        rng = np.random.default_rng(9)
+        A, B = rng.standard_normal((50, 7)) * 3, rng.standard_normal((40, 7))
+        an, bn = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
+        expected = np.maximum(an[:, None] + bn[None, :] - 2.0 * (A @ B.T), 0.0)
+        np.testing.assert_array_equal(pairwise_sq_dists(A, B), expected)
+
     def test_nonnegative_under_roundoff(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((40, 6)) * 1e8
