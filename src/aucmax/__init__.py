@@ -23,7 +23,6 @@ from .embedding import (
     NystroemMap,
     RffMap,
     embed,
-    embed_point,
     fit_nystroem,
     fit_rff,
     kmeans,
@@ -62,7 +61,6 @@ __all__ = [
     "bandwidth_heuristic",
     "binary_labels",
     "embed",
-    "embed_point",
     "fit_nystroem",
     "fit_rff",
     "gaussian_kernel",

@@ -117,10 +117,19 @@ class Standardizer:
 
 
 def dense_point(x: SparseVector | np.ndarray, dim: int) -> np.ndarray:
-    """One point, a SparseVector or a 1-D array, as a dense vector of length dim."""
-    xv = x.to_dense(dim) if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
+    """One point, a SparseVector or a 1-D array, as a new dense vector of
+    length dim, which the caller may overwrite. An array is checked as
+    Dataset checks its rows: numeric, finite, and here 1-D of length dim."""
+    if isinstance(x, SparseVector):
+        return x.to_dense(dim)
+    try:
+        xv = np.array(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"a point must be numeric, got {type(x).__name__}") from None
     if xv.shape != (dim,):
         raise DataError(f"expected a point of dimension {dim}, got shape {xv.shape}")
+    if not np.all(np.isfinite(xv)):
+        raise DataError("feature values must be finite")
     return xv
 
 

@@ -28,17 +28,20 @@ def row_sq_norms(X: np.ndarray) -> np.ndarray:
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray, b_sq_norms: np.ndarray | None = None) -> np.ndarray:
     """All-pairs ||a - b||^2 via ||a||^2 + ||b||^2 - 2<a,b>, clamped at 0.
 
-    The one distance formula; both arguments are dense. ``b_sq_norms``, when
-    given, is row_sq_norms(B), computed once by a caller that holds B fixed.
+    The one distance formula; both arguments are dense. A may also be one
+    1-D row, whose distances come back 1-D with the bits of the 2-D one-row
+    call and without its outer sum. ``b_sq_norms``, when given, is
+    row_sq_norms(B), computed once by a caller that holds B fixed.
     """
-    if A.shape[1] != B.shape[1]:
-        raise DataError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    if A.shape[-1] != B.shape[1]:
+        raise DataError(f"dimension mismatch: {A.shape[-1]} vs {B.shape[1]}")
     nb = row_sq_norms(B) if b_sq_norms is None else b_sq_norms
     # (||a||^2 + ||b||^2) + (-2 <a,b>), the bits of the out-of-place formula,
     # with two distance-sized arrays alive where that one held four
     G = A @ B.T
     G *= -2.0
-    d2 = np.add.outer(row_sq_norms(A), nb)
+    # a row's norm by the einsum loop of row_sq_norms: a dot product rounds differently
+    d2 = nb + np.einsum("i,i->", A, A) if A.ndim == 1 else np.add.outer(row_sq_norms(A), nb)
     d2 += G
     np.maximum(d2, 0.0, out=d2)
     return d2
@@ -58,8 +61,9 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Dense Gaussian kernel matrix between the rows of rows_a and of rows_b.
 
-    Both arguments are dense 2-D arrays of the same width. Symmetric with
-    unit diagonal when both are the same rows.
+    Both arguments are dense 2-D arrays of the same width, or rows_a is one
+    1-D row, whose kernel values come back 1-D. Symmetric with unit diagonal
+    when both are the same rows.
     ``b_sq_norms`` is as in :func:`pairwise_sq_dists`.
     """
     K = pairwise_sq_dists(rows_a, rows_b, b_sq_norms)

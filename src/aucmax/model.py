@@ -91,6 +91,9 @@ class TrainedPipeline:
     (``embedding.fold``): a Nystroem score is kappa(x, U) @ (projection.T @ w),
     which equals embed(x) @ w up to rounding in the last bits. A loaded
     pipeline is given folded, as its file stores it, and never folds.
+    score_point standardizes its own dense copy of the point in place and
+    hands the 1-D row to the embedding's score, which skips the chunking of
+    many rows: its score has the bits of score() of the one-row Dataset.
     """
 
     standardizer: Standardizer
@@ -132,8 +135,10 @@ class TrainedPipeline:
         return self.embedding.score(standardized.X, self.folded)
 
     def score_point(self, x: SparseVector | np.ndarray) -> float:
-        z = (dense_point(x, self.dim) - self.standardizer.mean) / self.standardizer.stdev
-        return float(self.embedding.score(z.reshape(1, -1), self.folded)[0])
+        z = dense_point(x, self.dim)
+        z -= self.standardizer.mean
+        z /= self.standardizer.stdev
+        return float(self.embedding.score(z, self.folded))
 
 
 def _positive(text: str) -> float:

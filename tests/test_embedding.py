@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aucmax import embedding
 from aucmax.dataio import Dataset, SparseVector, Standardizer
 from aucmax.embedding import (
     LandmarkSet,
     NystroemMap,
+    _assign,
     _kmeanspp,
     _landmark_kernel,
     _lloyd,
@@ -180,6 +182,14 @@ def _gaussian_rows(n, d, v):
     return X, X[_kmeanspp(X, v, rng)]
 
 
+def _lognormal_rows(n, d, v):
+    """Standardized heavy-tailed rows, shaped like spambase's."""
+    rng = np.random.default_rng(57)
+    X = rng.lognormal(0.0, 1.0, (n, d))
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    return X, X[_kmeanspp(X, v, rng)]
+
+
 def _far_rows(seed):
     """Rows 1e8 from the origin with spread 10: the distance formula's
     rounding, about eps * 1e16, is as large as the gaps it must separate."""
@@ -204,6 +214,8 @@ class TestLloydExact:
         "rings-v64": lambda: _rings_rows(3000, 64),
         "rings-v400": lambda: _rings_rows(3000, 400),
         "gaussian-d57": lambda: _gaussian_rows(1500, 57, 40),
+        # v close to n: the gap product spares too few rows and is dropped after one
+        "lognormal-d57": lambda: _lognormal_rows(600, 57, 500),
         "v1": lambda: _gaussian_rows(200, 3, 1),
         "v2": lambda: _rings_rows(500, 2),
         "mirrored-grid": _mirrored_grid,
@@ -257,6 +269,22 @@ class TestLloydExact:
             sub = pairwise_sq_dists(X[idx], C, c_norms)
             assert np.all(np.abs(sub - full[idx]) <= 2 * bound[idx])
 
+    @pytest.mark.parametrize("case", ["lognormal-d57", "rings-v64"])
+    def test_gap_product_only_while_it_pays(self, case, monkeypatch):
+        X, init = self.CASES[case]()
+        assign, products = _assign, [0]
+
+        def counted(A, centroids, *args):
+            products[-1] += A is centroids
+            return assign(A, centroids, *args)
+
+        monkeypatch.setattr(embedding, "_assign", counted)
+        _, history = _lloyd(X, init, 100, lambda *_: products.append(0))
+        products.pop()
+        # one per iteration after the first, until one spares no more than v rows
+        want = [0, 1, 0] if case == "lognormal-d57" else [0] + [1] * (len(history) - 1)
+        assert products == want
+
     def test_most_distance_rows_skipped(self):
         ds = make_rings(4000, seed=7)
         lm = kmeans(ds, v=100, seed=0)
@@ -274,7 +302,7 @@ class TestFitNystroem:
         assert m.diagnostics == {"retained_rank": 1, "pruned_landmarks": 0, "dropped_mass": 0.0}
         np.testing.assert_array_equal(m.projection, [[1.0]])
         x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(embed_point(m, x), [1.0])
+        np.testing.assert_allclose(m.features(x[None])[0], [1.0])
 
     def test_duplicate_landmark_drops_rank(self):
         lm = LandmarkSet(np.array([[1.0, 0.0], [1.0, 0.0]]))
@@ -290,7 +318,7 @@ class TestFitNystroem:
         lm = LandmarkSet(C)
         p = GaussianKernelParams(2.0)
         m = fit_nystroem(lm, p)
-        Z = np.vstack([embed_point(m, C[i]) for i in range(15)])
+        Z = m.features(C)
         W = kernel_matrix(C, C, p)
         np.testing.assert_allclose(Z @ Z.T, W, atol=1e-8)
 
@@ -310,7 +338,7 @@ class TestFitNystroem:
         lm = LandmarkSet(rng.standard_normal((12, 3)))
         m = fit_nystroem(lm, GaussianKernelParams(0.8))
         Xq = rng.standard_normal((30, 3))
-        Z = np.vstack([embed_point(m, q) for q in Xq])
+        Z = m.features(Xq)
         eigs = np.linalg.eigvalsh(Z @ Z.T)
         assert eigs.min() >= -1e-10
 
@@ -490,6 +518,20 @@ class TestEmbed:
         for i in range(5):
             np.testing.assert_allclose(emb.X[i], embed_point(m, X[i]), atol=1e-13)
 
+    @pytest.mark.parametrize("kind", ["nystroem", "pruned", "rff"])
+    def test_one_row_has_the_bits_of_the_one_row_matrix(self, kind):
+        rng = np.random.default_rng(17)
+        C = rng.standard_normal((9, 3))
+        if kind == "rff":
+            m = fit_rff(3, 40, GaussianKernelParams(2.0), seed=1)
+        else:
+            m = fit_nystroem(LandmarkSet(np.vstack([C, C[:2]]) if kind == "pruned" else C), GaussianKernelParams(2.0))
+            assert m.diagnostics["pruned_landmarks"] == (2 if kind == "pruned" else 0)
+        beta = rng.standard_normal(m.rank)
+        for x in rng.standard_normal((20, 3)) * 2:
+            assert m.features(x).tobytes() == m.features(x[None])[0].tobytes()
+            assert m.score(x, beta).tobytes() == m.score(x[None], beta)[0].tobytes()
+
     def test_sparse_point(self):
         lm = LandmarkSet(np.eye(4))
         m = fit_nystroem(lm, GaussianKernelParams(1.0))
@@ -596,7 +638,7 @@ class TestRff:
         rng = np.random.default_rng(14)
         m = fit_rff(5, 4096, GaussianKernelParams(1.0), seed=0)
         x = rng.standard_normal(5)
-        z = embed_point(m, x)
+        z = m.features(x[None])[0]
         assert abs(z @ z - 1.0) < 0.05
 
     def test_unbiased_kernel_estimate(self):
@@ -606,7 +648,8 @@ class TestRff:
         vals = []
         for seed in range(50):
             m = fit_rff(3, 2048, p, seed=seed)
-            vals.append(embed_point(m, x) @ embed_point(m, y))
+            z = m.features(np.vstack([x, y]))
+            vals.append(z[0] @ z[1])
         assert abs(np.mean(vals) - np.exp(-1.0)) < 0.05
 
     def test_scale(self):
@@ -625,7 +668,7 @@ class TestRff:
         ds = Dataset(rng.standard_normal((6, 3)), np.array([1, -1] * 3))
         emb = embed(m, ds)
         assert emb.X.shape == (6, 32)
-        np.testing.assert_allclose(emb.X[0], embed_point(m, ds.X[0]), atol=1e-13)
+        np.testing.assert_allclose(emb.X[0], m.features(ds.X[:1])[0], atol=1e-13)
 
 
 class TestValidation:

@@ -87,6 +87,21 @@ class TestKernelMatrix:
     def test_dim_mismatch(self):
         with pytest.raises(DataError):
             kernel_matrix(np.ones((2, 3)), np.ones((2, 4)), GaussianKernelParams(1.0))
+        with pytest.raises(DataError):
+            kernel_matrix(np.ones(3), np.ones((2, 4)), GaussianKernelParams(1.0))
+
+    @pytest.mark.parametrize("d, v", [(2, 83), (57, 1600), (3, 1), (5, 7)])
+    def test_one_row_has_the_bits_of_the_one_row_matrix(self, d, v):
+        # the single-row route must not move a score: same distances, same kernel values
+        rng = np.random.default_rng(d + v)
+        B = rng.standard_normal((v, d)) * rng.uniform(0.1, 10.0, size=d)
+        b_norms = np.einsum("ij,ij->i", B, B)
+        p = GaussianKernelParams(float(d))
+        for a in rng.standard_normal((25, d)) * 3:
+            one = kernel_matrix(a, B, p, b_norms)
+            assert one.shape == (v,)
+            assert one.tobytes() == kernel_matrix(a[None], B, p, b_norms)[0].tobytes()
+            assert pairwise_sq_dists(a, B).tobytes() == pairwise_sq_dists(a[None], B)[0].tobytes()
 
 
 class TestPairwiseSqDists:

@@ -1,6 +1,7 @@
 """Tests for model containers, the text model file, and the rings generator."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,55 @@ class TestPipelineScoring:
         _, pipe = fit_pipeline()
         with pytest.raises(DataError, match="outside dimension 2"):
             pipe.score_point(SparseVector([5], [1.0]))
+
+    @pytest.mark.parametrize(
+        "x, match",
+        [
+            (np.array([np.nan, 1.0]), "finite"),
+            (np.array([1.0, np.inf]), "finite"),
+            (np.array([-np.inf, 0.0]), "finite"),
+            (np.array(["a", "b"]), "numeric"),
+            ([[1.0], [2.0, 3.0]], "numeric"),
+            (np.ones(3), "dimension 2"),
+            (np.ones((1, 2)), "dimension 2"),
+            (np.float64(1.0), "dimension 2"),
+        ],
+        ids=["nan", "inf", "minus-inf", "strings", "ragged", "length", "two-d", "scalar"],
+    )
+    def test_score_point_rejects_a_bad_array(self, x, match):
+        # the DataError that score() raises for the one-row Dataset, and no RuntimeWarning on the way
+        _, pipe = fit_pipeline()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=match):
+                pipe.score_point(x)
+
+    @pytest.mark.parametrize(
+        "embedding, duplicates", [("nystroem", 0), ("nystroem", 4), ("rff", 0)], ids=["nystroem", "pruned", "rff"]
+    )
+    def test_score_point_has_the_bits_of_the_one_row_dataset(self, embedding, duplicates, tmp_path):
+        data, fitted = fit_pipeline(embedding=embedding, duplicates=duplicates)
+        path = str(tmp_path / "model.txt")
+        save_model(path, fitted)
+        X = data.X.copy()
+        X[::3, 0] = 0.0  # sparse points with a missing feature too
+        for pipe in (fitted, load_model(path)):
+            assert pipe.embedding.rank == 16
+            for i in range(0, data.n, 5):
+                x, nonzero = X[i], np.flatnonzero(X[i])
+                want = pipe.score(Dataset(X[i : i + 1], data.y[i : i + 1]))[0].tobytes()
+                assert np.float64(pipe.score_point(x)).tobytes() == want
+                assert np.float64(pipe.score_point(SparseVector(nonzero, x[nonzero]))).tobytes() == want
+
+    @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
+    def test_score_point_leaves_its_array_alone(self, embedding):
+        # score_point standardizes in place, on its own copy
+        data, pipe = fit_pipeline(embedding=embedding)
+        x = data.X[3]
+        before = x.copy()
+        first = pipe.score_point(x)
+        assert x.tobytes() == before.tobytes()
+        assert pipe.score_point(x) == first
 
 
 class TestModelFile:
