@@ -21,10 +21,12 @@ LIBLINEAR truncates its Newton steps (Lin, Weng & Keerthi, JMLR 2008): plain
 CG stops once the residual ||H s + g|| falls below cg_tol ||g||, 0.1 by
 default. Its HVPs take only the active rows: H v = v + 2C X_A^T
 alpha_A(X_A v) is exact (the active-set trick of primal SVM Newton methods,
-Chapelle 2007). When at most half of the rows are active, X_A is gathered
-once per aggregate; otherwise the product runs over X itself and no copy is
-made. The gradient w + 2C X^T gamma scatters gamma_A into an n-vector and
-runs over X. Plain CG commutes with a rotation of the features, so the
+Chapelle 2007). The HVP and the gradient multiply X[:e], the shortest
+prefix of the rows that holds all of A, which is exact wherever A lies.
+After each accepted step train_batch swaps rows of X in place, in chunks
+of the embedding's 2 MB budget, until A fills the front, so that e = |A|
+and no copy of X_A is made; it undoes the swaps before it returns or
+raises. Plain CG commutes with a rotation of the features, so the
 solver's steps and scores do not depend on the basis of the embedding.
 """
 
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import ConfigError, NumericalError
+from .embedding import _CHUNK_CELLS
+from .errors import ConfigError, DataError, NumericalError
 from .model import LinearModel
 
 
@@ -97,7 +100,6 @@ class PairAggregates:
         self.m_act = m[tail:]
         self.c_act = np.concatenate([n_neg - k, self.m_act]).astype(np.float64)
         self.s_act = scores[self.rows]
-        self._gathered = None
 
     @staticmethod
     def _suffix(x: np.ndarray) -> np.ndarray:
@@ -110,6 +112,11 @@ class PairAggregates:
         out = np.zeros(x.size + 1)
         np.cumsum(x, out=out[1:])
         return out
+
+    @property
+    def end(self) -> int:
+        """One past the last active row, 0 when none: X[:end] holds every active row."""
+        return int(self.rows.max()) + 1 if self.rows.size else 0
 
     @property
     def active_pairs(self) -> int:
@@ -141,23 +148,11 @@ class PairAggregates:
         )
 
     def gradient(self, w: np.ndarray, X, C: float) -> np.ndarray:
-        """Squared hinge gradient, for the w whose scores X @ w built these aggregates."""
-        g = np.zeros(X.shape[0])
+        """Squared hinge gradient, for the w whose scores X @ w built these
+        aggregates. It reads only the rows X[:end]."""
+        g = np.zeros(self.end)
         g[self.rows] = self.gamma()
-        return w + 2.0 * C * (X.T @ g)
-
-    def active_features(self, X):
-        """(M, sel) with M[sel] == X[rows]: the matrix the HVP multiplies and
-        the positions of the active rows in it.
-
-        When at most half of the rows are active, M is the gathered X[rows],
-        made on the first call, and sel takes all of it. Otherwise M is X.
-        """
-        if 2 * self.rows.size > X.shape[0]:
-            return X, self.rows
-        if self._gathered is None:
-            self._gathered = X[self.rows]
-        return self._gathered, slice(None)
+        return w + 2.0 * C * (X[: g.size].T @ g)
 
     def alpha(self, proj: np.ndarray) -> np.ndarray:
         """Hessian-vector coefficients on the active rows, given proj = X[rows] @ v.
@@ -177,12 +172,14 @@ class PairAggregates:
 def hvp_fast(agg: PairAggregates, v: np.ndarray, data: Dataset, C: float) -> np.ndarray:
     """Generalized-Hessian product at the weights the aggregates were built from.
 
-    Only the active rows enter it; see PairAggregates.active_features.
+    It multiplies only data.X[:agg.end], in which the rows that are not
+    active get a zero coefficient; train_batch keeps the active rows at the
+    front, so that prefix is exactly the active rows.
     """
-    M, sel = agg.active_features(data.X)
-    a = np.zeros(M.shape[0])
-    a[sel] = agg.alpha((M @ v)[sel])
-    return v + 2.0 * C * (M.T @ a)
+    X = data.X[: agg.end]
+    a = np.zeros(X.shape[0])
+    a[agg.rows] = agg.alpha((X @ v)[agg.rows])
+    return v + 2.0 * C * (X.T @ a)
 
 
 def conjugate_gradient(apply_H, g: np.ndarray, cg_tol: float, cg_max: int) -> tuple[np.ndarray, list[float]]:
@@ -227,8 +224,62 @@ def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
     residual falls below cg_tol * ||g|| or after cg_max HVPs. Starts
     from w = 0 and stops when the gradient norm falls below the tolerance
     (default 1e-4 * max(1, initial gradient norm)) or after max_outer
-    steps. Every accepted step strictly decreases the objective.
+    steps. Every accepted step strictly decreases the objective. A starting
+    objective or a gradient norm that is not finite, as a C too large for
+    the rows gives, is a NumericalError.
+
+    The rows of data.X are reordered in place while the solver runs (a
+    read-only data.X is a DataError) and are back in their order, bit for
+    bit, when it returns or raises.
     """
+    if not data.X.flags.writeable:
+        raise DataError("train_batch reorders the rows of X in place while it runs, and X is read-only")
+    # the row pairs (a, b) exchanged so far, one entry per chunk, in order
+    swaps: list[tuple[np.ndarray, np.ndarray]] = []
+    try:
+        # an overflow surfaces as a NumericalError, or as a rejected line-search trial
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _newton(data, cfg, swaps)
+    finally:
+        for a, b in reversed(swaps):
+            _swap_rows(data.X, a, b)
+
+
+def _swap_rows(X: np.ndarray, a: np.ndarray, b: np.ndarray, log: list | None = None):
+    """Exchange rows a[k] and b[k] of X for every k, in chunks whose two
+    row copies together stay within the embedding's 2 MB budget; append
+    each chunk's pair to log once it is exchanged."""
+    step = max(1, _CHUNK_CELLS // (2 * max(X.shape[1], 1)))
+    for lo in range(0, a.size, step):
+        rows_a, rows_b = a[lo : lo + step], b[lo : lo + step]
+        kept = X[rows_a]
+        X[rows_a] = X[rows_b]
+        X[rows_b] = kept
+        if log is not None:
+            log.append((rows_a, rows_b))
+
+
+def _to_front(X: np.ndarray, agg: PairAggregates, scores: np.ndarray, class_idx: tuple, swaps: list):
+    """Swap rows until agg's active rows are X[:m], m of them, and carry
+    scores and the row indices in agg.rows and class_idx along. Rows
+    already in front stay."""
+    m = agg.rows.size
+    active = np.zeros(X.shape[0], dtype=bool)
+    active[agg.rows] = True
+    holes = np.flatnonzero(~active[:m])
+    if holes.size == 0:
+        return
+    movers = m + np.flatnonzero(active[m:])
+    _swap_rows(X, holes, movers, swaps)
+    scores[holes], scores[movers] = scores[movers], scores[holes]
+    position = np.arange(X.shape[0])
+    position[holes], position[movers] = movers, holes
+    for idx in (agg.rows, *class_idx):
+        idx[:] = position[idx]
+
+
+def _newton(data: Dataset, cfg: BatchConfig, swaps: list) -> LinearModel:
+    """train_batch's iterations; they swap rows of data.X and log the swaps in swaps."""
     pos_idx, neg_idx = data.class_indices()
     X = data.X
     n, r = X.shape
@@ -238,13 +289,16 @@ def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
     scores = np.zeros(n)
     t_start = time.perf_counter()
 
+    # every row is active at w = 0, so no row moves yet
     agg = PairAggregates(scores, pos_idx, neg_idx)
     g = agg.gradient(w, X, C)
     g0_norm = float(np.linalg.norm(g))
+    objectives = [agg.objective(w, C)]
+    if not np.isfinite(objectives[0]) or not np.isfinite(g0_norm):
+        raise NumericalError(f"the objective or its gradient at w = 0 overflows at C = {C:g}")
     tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-4 * max(1.0, g0_norm)
 
     grad_norms = [g0_norm]
-    objectives = [agg.objective(w, C)]
     cg_iterations: list[int] = []
     active_rows: list[int] = []
     halvings = 0
@@ -282,10 +336,13 @@ def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
             )
 
         w, scores, agg = trial_w, trial_scores, trial_agg
+        _to_front(X, agg, scores, (pos_idx, neg_idx), swaps)
         outer += 1
         objectives.append(trial_obj)
         g = agg.gradient(w, X, C)
         gn = float(np.linalg.norm(g))
+        if not np.isfinite(gn):
+            raise NumericalError(f"the gradient norm overflows after {outer} Newton steps at C = {C:g}")
         grad_norms.append(gn)
         converged = gn <= tol
 

@@ -52,7 +52,9 @@ class Dataset:
     """Labeled rows, raw, standardized or embedded: a dense finite float64 n x dim X and int labels y.
 
     Labels are kept as written; :func:`binary_labels` makes them +-1 for
-    training. Values are treated as immutable after construction.
+    training. Values are treated as immutable after construction, with one
+    exception: train_batch reorders the rows of X in place while it runs
+    and restores them, bit for bit, before it returns or raises.
     """
 
     X: np.ndarray

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .model import LinearModel
 
 
@@ -102,6 +102,9 @@ def train_sgd(
     last iterate and the cumulative solver time, callback cost excluded.
     Later epochs may update w and last in place, so a callback that keeps
     them must copy them.
+
+    Step sizes, or a squared weight norm at an epoch's end, that are not
+    finite, as a lambda too small for the rows gives, are a NumericalError.
     """
     pos_idx, neg_idx = data.class_indices()
     n, F = data.n, data.X
@@ -124,9 +127,13 @@ def train_sgd(
         # the scale after iteration t's shrink, and at its margin test
         scale_after = np.cumprod(np.where(t % rskip == 0, 1.0 - rskip / (t + t0), 1.0))
         scale = np.concatenate(([1.0], scale_after[:-1]))
-        coef = 1.0 / (lam * (t + t0) * scale)
-        # the margin test d.v < 1/scale, on the step c d: (c d).v < c/scale
-        limit = coef / scale
+        with np.errstate(over="ignore", divide="ignore"):
+            coef = 1.0 / (lam * (t + t0) * scale)
+            # the margin test d.v < 1/scale, on the step c d: (c d).v < c/scale
+            limit = coef / scale
+        # scale is at most 1, so limit is at least coef: a finite limit has a finite coef
+        if not np.all(np.isfinite(limit)):
+            raise NumericalError(f"the step sizes of epoch {epoch} overflow at lambda = {lam:g}")
         at_capture = t % askip == 0
         # A, the sum of the scales at the captures, after each iteration
         A = np.cumsum(np.where(at_capture, scale_after, 0.0))
@@ -148,6 +155,9 @@ def train_sgd(
         captured += A[-1] * v - R
         q += int(np.count_nonzero(at_capture))
         v *= scale_after[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(v @ v):
+                raise NumericalError(f"the weights overflow in epoch {epoch} at lambda = {lam:g}")
         elapsed += time.perf_counter() - t_start
         if epoch_callback is not None:
             epoch_callback(epoch, captured / q if q else v, v, elapsed)

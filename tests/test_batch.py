@@ -1,12 +1,15 @@
 """Tests for the pair aggregation, gradient/HVP oracles, CG, and the solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import aucmax.batch
 from aucmax.batch import BatchConfig, PairAggregates, conjugate_gradient, hvp_fast, train_batch
 from aucmax.dataio import Dataset
-from aucmax.errors import ConfigError, DataError
+from aucmax.embedding import _CHUNK_CELLS
+from aucmax.errors import ConfigError, DataError, NumericalError
 from aucmax.metrics import auc
 
 
@@ -83,9 +86,9 @@ def random_instance(rng, n_max=60, r_max=8, spread=1.0):
     return Dataset(X, y)
 
 
-def instances_by_active_share(rng, gathered, count=60, lattice=False):
+def instances_by_active_share(rng, at_most_half, count=60, lattice=False):
     """(data, w) pairs whose active rows are at most half of the rows
-    (gathered=True) or more than half. A class offset along the first column
+    (at_most_half=True) or more than half. A class offset along the first column
     and a weight of varying length spread the margins, so that anywhere from
     none to all of the rows have an active pair. With lattice=True features
     and weights are multiples of 1/4, so scores are exact and some margins
@@ -102,7 +105,7 @@ def instances_by_active_share(rng, gathered, count=60, lattice=False):
         data = Dataset(X, data.y)
         s = data.X @ w
         rows = {i for pair in active_pairs(s, data.y) for i in pair}
-        if (2 * len(rows) <= data.n) == gathered:
+        if (2 * len(rows) <= data.n) == at_most_half:
             found.append((data, w))
     return found
 
@@ -135,8 +138,8 @@ class TestPairAggregates:
 
     def test_active_rows_are_the_rows_of_active_pairs(self):
         rng = np.random.default_rng(13)
-        for gathered in (True, False):
-            for data, w in instances_by_active_share(rng, gathered, count=30):
+        for at_most_half in (True, False):
+            for data, w in instances_by_active_share(rng, at_most_half, count=30):
                 s = data.X @ w
                 agg = PairAggregates(s, *data.class_indices())
                 expected = {i for pair in active_pairs(s, data.y) for i in pair}
@@ -150,11 +153,11 @@ class TestPairAggregates:
             expected = brute_loss(w, data.X, data.y)
             np.testing.assert_allclose(aggregates(w, data).loss(), expected, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("gathered", [True, False], ids=["at-most-half-active", "over-half-active"])
-    def test_loss_and_gradient_with_inactive_rows_and_ties(self, gathered):
-        rng = np.random.default_rng(19 + gathered)
+    @pytest.mark.parametrize("at_most_half", [True, False], ids=["at-most-half-active", "over-half-active"])
+    def test_loss_and_gradient_with_inactive_rows_and_ties(self, at_most_half):
+        rng = np.random.default_rng(19 + at_most_half)
         inactive_rows = at_threshold = 0
-        for data, w in instances_by_active_share(rng, gathered, count=40, lattice=True):
+        for data, w in instances_by_active_share(rng, at_most_half, count=40, lattice=True):
             s = data.X @ w
             pos_idx, neg_idx = data.class_indices()
             margins = 1.0 - s[pos_idx, None] + s[None, neg_idx]
@@ -244,22 +247,25 @@ class TestHvpFast:
             got = hvp_fast(aggregates(w, data), v, data, C)
             np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
 
-    @pytest.mark.parametrize("gathered", [True, False], ids=["at-most-half-active", "over-half-active"])
-    def test_matches_bruteforce_on_each_branch(self, gathered):
-        rng = np.random.default_rng(15 + gathered)
-        for data, w in instances_by_active_share(rng, gathered):
+    @pytest.mark.parametrize("at_most_half", [True, False], ids=["at-most-half-active", "over-half-active"])
+    def test_matches_bruteforce_on_each_branch(self, at_most_half):
+        # the product multiplies X[:end], the prefix that ends at the last
+        # active row, wherever the active rows lie: rows past it are never read
+        rng = np.random.default_rng(15 + at_most_half)
+        unread = 0
+        for data, w in instances_by_active_share(rng, at_most_half):
             agg = aggregates(w, data)
-            M, _ = agg.active_features(data.X)
-            # the gathered copy holds exactly the active rows; otherwise X is used as is
-            assert (M is not data.X) == gathered
-            if gathered:
-                np.testing.assert_array_equal(M, data.X[agg.rows])
+            assert agg.end == (agg.rows.max() + 1 if agg.rows.size else 0)
             v = rng.standard_normal(data.dim)
             C = float(rng.uniform(0.05, 4.0))
             expected = brute_hvp(w, v, data.X, data.y, C)
-            np.testing.assert_allclose(hvp_fast(agg, v, data, C), expected, rtol=1e-8, atol=1e-12)
-            # the copy is made once per aggregate
-            assert agg.active_features(data.X)[0] is M
+            got = hvp_fast(agg, v, data, C)
+            np.testing.assert_allclose(got, expected, rtol=1e-8, atol=1e-12)
+            poisoned = Dataset(data.X.copy(), data.y)
+            poisoned.X[agg.end :] = np.nan
+            np.testing.assert_array_equal(hvp_fast(agg, v, poisoned, C), got)
+            unread += data.n - agg.end
+        assert unread > 0
 
     def test_quadratic_form_at_least_identity(self):
         rng = np.random.default_rng(5)
@@ -536,3 +542,101 @@ class TestGradScaling:
             for k, (data, w) in enumerate(problems):
                 best[k] = min(best[k], seconds(data, w))
         assert best[1] / best[0] < 2.5
+
+
+def shrinking_instance():
+    """test_counters_match_the_work_done's separated classes: the active rows
+    fall from all of them to under half, so rows move between steps."""
+    data = random_instance(np.random.default_rng(17), n_max=60, r_max=6)
+    return Dataset(data.X + 3.0 * data.y[:, None], data.y)
+
+
+class TestRowsInPlace:
+    """train_batch moves the active rows of data.X to the front while it
+    runs, multiplies only them, and leaves data.X as it came."""
+
+    def test_every_hvp_multiplies_exactly_the_active_rows(self, monkeypatch):
+        products = []
+
+        class CountedProducts(np.ndarray):
+            """Rows whose products record the shape of the matrix operand."""
+
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.asarray(self) @ other
+
+        per_hvp = []
+        hvp = aucmax.batch.hvp_fast
+
+        def counted_hvp(*args):
+            products.clear()
+            out = hvp(*args)
+            per_hvp.append(list(products))
+            return out
+
+        monkeypatch.setattr(aucmax.batch, "hvp_fast", counted_hvp)
+        data = shrinking_instance()
+        data.X = data.X.view(CountedProducts)
+        diag = train_batch(data, BatchConfig(C=1.0)).diagnostics
+        assert min(diag["active_rows"]) < data.n
+        expected = np.repeat(diag["active_rows"], diag["cg_iterations"])
+        assert len(per_hvp) == diag["hvps"] == expected.size
+        for shapes, m in zip(per_hvp, expected):
+            assert shapes == [(m, data.dim), (data.dim, m)]
+
+    def test_rows_come_back_bitwise(self):
+        data = shrinking_instance()
+        original = data.X.copy()
+        first = train_batch(data, BatchConfig(C=1.0))
+        assert data.X.tobytes() == original.tobytes()
+        # a second solve on the same rows, as gridsearch makes one per C, has the same bits
+        second = train_batch(data, BatchConfig(C=1.0))
+        assert second.w.tobytes() == first.w.tobytes()
+        assert data.X.tobytes() == original.tobytes()
+
+    def test_rows_come_back_after_an_error_mid_solve(self, monkeypatch):
+        data = shrinking_instance()
+        original = data.X.copy()
+        cg = aucmax.batch.conjugate_gradient
+
+        def failing_cg(*args):
+            if not np.array_equal(data.X, original):
+                raise NumericalError("stopped once rows had moved")
+            return cg(*args)
+
+        monkeypatch.setattr(aucmax.batch, "conjugate_gradient", failing_cg)
+        with pytest.raises(NumericalError, match="rows had moved"):
+            train_batch(data, BatchConfig(C=1.0))
+        assert data.X.tobytes() == original.tobytes()
+
+    def test_read_only_rows_are_refused(self):
+        data = shrinking_instance()
+        original = data.X.copy()
+        data.X.flags.writeable = False
+        with pytest.raises(DataError, match="read-only"):
+            train_batch(data, BatchConfig(C=1.0))
+        assert data.X.tobytes() == original.tobytes()
+
+    def test_working_set_is_a_few_chunks(self):
+        # 16 chunks of the 2 MB budget; the separated classes end with under
+        # half of the rows active, and an earlier step's active block spans
+        # 7 chunks. The traced peak above the input read 1.6 chunks: the
+        # two half-chunk copies of a swap and the O(n) vectors. A gathered
+        # copy of the active rows read 7.8.
+        chunk_bytes = _CHUNK_CELLS * 8
+        rng = np.random.default_rng(44)
+        y = np.where(rng.random(16384) < 0.5, 1, -1)
+        X = rng.standard_normal((16384, 256))
+        X[:, 0] += 3.0 * y
+        data = Dataset(X, y)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            diag = train_batch(data, BatchConfig(C=1.0)).diagnostics
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        rows_per_chunk = _CHUNK_CELLS // data.dim
+        assert 2 * diag["active_rows"][-1] <= data.n
+        assert any(6 * rows_per_chunk <= m <= data.n // 2 for m in diag["active_rows"])
+        assert peak <= 3 * chunk_bytes

@@ -512,6 +512,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not model.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [("train-batch", "--c", "1e200"),
+                                                      ("train-sgd", "--lambda", "1e-320")],
+                             ids=["batch-c", "sgd-lambda"])
+    def test_overflowing_regularization_exits_four(self, capsys, tmp_path, command, flag, value):
+        # the squared gradient norm at w = 0, or the SGD step sizes, overflow;
+        # a silent all-zero model is not a result
+        path = tmp_path / "rings300.libsvm"
+        path.write_text(to_libsvm(make_rings(n=300, seed=3)))
+        model = tmp_path / "m.model"
+        code, _, err = run(capsys, [command, "--data", str(path), "--landmarks", "20",
+                                    flag, value, "--model", str(model)])
+        assert code == 4
+        assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
+        assert not model.exists()
+
     @pytest.mark.parametrize("flag, value", [("--grad-tol", "inf"), ("--grad-tol", "nan"),
                                              ("--cg-tol", "nan")],
                              ids=["grad-tol-inf", "grad-tol-nan", "cg-tol-nan"])
