@@ -24,7 +24,7 @@ alpha_A(X_A v) is exact (the active-set trick of primal SVM Newton methods,
 Chapelle 2007). The HVP and the gradient multiply X[:e], the shortest
 prefix of the rows that holds all of A, which is exact wherever A lies.
 After each accepted step train_batch swaps rows of X in place, in chunks
-of the embedding's 2 MB budget, until A fills the front, so that e = |A|
+of dataio's 2 MB budget, until A fills the front, so that e = |A|
 and no copy of X_A is made; it undoes the swaps before it returns or
 raises. Plain CG commutes with a rotation of the features, so the
 solver's steps and scores do not depend on the basis of the embedding.
@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset
-from .embedding import _CHUNK_CELLS
+from .dataio import Dataset, _row_chunks
 from .errors import ConfigError, DataError, NumericalError
 from .model import LinearModel
 
@@ -247,11 +246,10 @@ def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
 
 def _swap_rows(X: np.ndarray, a: np.ndarray, b: np.ndarray, log: list | None = None):
     """Exchange rows a[k] and b[k] of X for every k, in chunks whose two
-    row copies together stay within the embedding's 2 MB budget; append
-    each chunk's pair to log once it is exchanged."""
-    step = max(1, _CHUNK_CELLS // (2 * max(X.shape[1], 1)))
-    for lo in range(0, a.size, step):
-        rows_a, rows_b = a[lo : lo + step], b[lo : lo + step]
+    row copies together stay within the 2 MB chunk budget; append each
+    chunk's pair to log once it is exchanged."""
+    for chunk in _row_chunks(a.size, 2 * X.shape[1]):
+        rows_a, rows_b = a[chunk], b[chunk]
         kept = X[rows_a]
         X[rows_a] = X[rows_b]
         X[rows_b] = kept

@@ -4,7 +4,8 @@ k-means landmarks, the Nystroem map whitened by the inverse Cholesky factor
 of its landmark kernel matrix (on a rank-deficient matrix, of the
 landmarks that a diagonally pivoted Cholesky keeps), and a
 random-Fourier-feature map as the baseline embedding. embed returns a plain
-Dataset of dense n x rank rows.
+Dataset of dense n x rank rows. Both maps embed and score rows in chunks by
+dataio's chunk rule, through one route, _chunked.
 """
 
 from __future__ import annotations
@@ -14,25 +15,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataio import Dataset, SparseVector, dense_point
+from .dataio import Dataset, SparseVector, _row_chunks, dense_point
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
-
-# Cap on the float64 cells of one distance or kernel chunk: 2**18 cells,
-# 2 MB, one core's L2 cache on the x86-64 host measured. A pass holds two or
-# three chunk-sized arrays, so a fit holds its live arrays plus a few MB.
-# Over 2**18 to 2**20 cells (BLAS at one thread), 2**18 gave the fastest
-# k-means on both benchmark inputs: 0.37 CPU-s on the 16 000 rings rows at
-# v = 400 against 0.44 at 2**20 and 0.49 at 4e6 cells; the embedding of
-# 3681 spam-shaped rows at v = 1600 took 0.43 against 0.39 at 2**20.
-_CHUNK_CELLS = 2**18
-
-# Chunks hold a multiple of this many rows. BLAS gemv, which computes a
-# score's kappa(X, U) @ beta, takes rows in groups of 4 and the rest by a loop
-# that rounds differently, so a chunk boundary inside a group would change
-# scores in the last bit. Aligned chunks give every score the bits of one
-# gemv over all rows, whatever the budget.
-_ROW_GROUP = 8
 
 # the Cholesky whitening is taken when it certifies a condition number below 1 / _COND_DROP
 _COND_DROP = 1e-12
@@ -110,23 +95,13 @@ class NystroemMap:
     value_bound = 1.0
 
     @cached_property
-    def _landmark_sq_norms(self) -> np.ndarray:
-        return row_sq_norms(self.landmarks.centroids)
-
-    def _kernel_times(self, X: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """kappa(X, U) @ M, in chunks of X's rows; for one 1-D row x, kappa(x, U) @ M
-        with no chunks and no output copy."""
-        if X.ndim == 1:
-            return kernel_matrix(X, self.landmarks.centroids, self.kernel, self._landmark_sq_norms) @ M
-        out = np.empty((X.shape[0], *M.shape[1:]))
-        for rows in _row_chunks(X.shape[0], self.landmarks.v):
-            K = kernel_matrix(X[rows], self.landmarks.centroids, self.kernel, self._landmark_sq_norms)
-            out[rows] = K @ M
-        return out
+    def _route(self) -> tuple:
+        """_chunked's route: kernel_matrix and its arguments after the rows."""
+        return kernel_matrix, self.landmarks.centroids, self.kernel, row_sq_norms(self.landmarks.centroids)
 
     def features(self, X: np.ndarray) -> np.ndarray:
         """The n x rank embedding of X's rows, in chunks of rows; of one 1-D row, its rank-vector."""
-        return self._kernel_times(X, self.projection.T)
+        return _chunked(X, self.projection.T, self._route)
 
     def fold(self, w: np.ndarray) -> np.ndarray:
         """The weights over the kernel values that make score equal features(X) @ w:
@@ -135,14 +110,15 @@ class NystroemMap:
 
     def unfold(self, beta: np.ndarray) -> np.ndarray:
         """The w that fold maps to beta = projection.T @ w: L^T @ beta, since
-        projection is L^-1, with L factored again from W."""
+        projection is L^-1 (whose access certifies W), with L factored again from W."""
+        self.projection  # a DataError unless W is certified
         return np.linalg.cholesky(_landmark_kernel(self.landmarks, self.kernel)).T @ beta
 
     def score(self, X: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """kappa(x, U) @ beta for each row x of X, beta from fold: O(v d) per row,
         with no rank x v product. One 1-D row x gives a scalar with the bits of
         the one-row X."""
-        return self._kernel_times(X, beta)
+        return _chunked(X, beta, self._route)
 
 
 @dataclass
@@ -161,6 +137,9 @@ class RffMap:
             raise DataError("frequencies must be D x d with one phase per row")
         if self.frequencies.shape[0] < 1:
             raise DataError("need at least one random feature")
+        if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.phases))):
+            raise DataError("frequencies and phases must be finite")
+        self._route = (self._cosines, self.frequencies, self.phases, self.scale)  # _chunked's route
 
     @property
     def rank(self) -> int:
@@ -174,23 +153,16 @@ class RffMap:
     def scale(self) -> float:
         return float(np.sqrt(2.0 / self.frequencies.shape[0]))
 
-    @property
-    def value_bound(self) -> float:
-        """score multiplies features, which lie within +-scale, into the weights."""
-        return self.scale
+    # score multiplies features, which lie within +-scale, into the weights
+    value_bound = scale
 
-    def _cosines(self, X: np.ndarray) -> np.ndarray:
-        return self.scale * np.cos(X @ self.frequencies.T + self.phases)
+    @staticmethod
+    def _cosines(X: np.ndarray, frequencies: np.ndarray, phases: np.ndarray, scale: float) -> np.ndarray:
+        return scale * np.cos(X @ frequencies.T + phases)
 
     def features(self, X: np.ndarray) -> np.ndarray:
-        """The n x rank embedding of X's rows, in chunks of rows; of one 1-D row,
-        its rank-vector, with no chunks and no output copy."""
-        if X.ndim == 1:
-            return self._cosines(X)
-        out = np.empty((X.shape[0], self.rank))
-        for rows in _row_chunks(X.shape[0], self.rank):
-            out[rows] = self._cosines(X[rows])
-        return out
+        """The n x rank embedding of X's rows, in chunks of rows; of one 1-D row, its rank-vector."""
+        return _chunked(X, None, self._route)
 
     def fold(self, w: np.ndarray) -> np.ndarray:
         """The features are explicit, so the weights need no folding."""
@@ -199,19 +171,21 @@ class RffMap:
     unfold = fold
 
     def score(self, X: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """features(X) @ w; a scalar for one 1-D row."""
-        return self.features(X) @ w
+        """features(X) @ w, in chunks of rows, with no n x rank array; a scalar for one 1-D row."""
+        return _chunked(X, w, self._route)
 
 
-def _row_chunks(n_rows: int, n_cols: int) -> list[slice]:
-    """Slices covering range(n_rows), each of at most _CHUNK_CELLS / n_cols rows
-    rounded down to a multiple of _ROW_GROUP, and of at least _ROW_GROUP. A
-    last chunk of one row joins the chunk before it: numpy multiplies a lone
-    row by gemv, which rounds differently from the gemm of the other rows."""
-    step = max(1, _CHUNK_CELLS // max(n_cols, 1) // _ROW_GROUP) * _ROW_GROUP
-    # no boundary at n_rows - 1, which would leave the last row alone
-    bounds = [*range(step, n_rows - 1, step)]
-    return [slice(lo, hi) for lo, hi in zip([0, *bounds], [*bounds, n_rows]) if hi > lo]
+def _chunked(X: np.ndarray, M: np.ndarray | None, route: tuple) -> np.ndarray:
+    """block(X, U, b, c) @ M, or without M when None, in chunks of X's rows, for a map's route
+    (block, U, b, c), whose block gives one value per row of U; one 1-D row takes no chunks.
+    Unpacked, not starred: a starred call added 0.3 us to a 7 us score (Python 3.11)."""
+    block, U, b, c = route
+    if X.ndim == 1:
+        return block(X, U, b, c) if M is None else block(X, U, b, c) @ M
+    out = np.empty((X.shape[0], *(U.shape[:1] if M is None else M.shape[1:])))
+    for rows in _row_chunks(X.shape[0], U.shape[0]):
+        out[rows] = block(X[rows], U, b, c) if M is None else block(X[rows], U, b, c) @ M
+    return out
 
 
 def _assign(

@@ -118,49 +118,48 @@ def train_sgd(
     steps = 0
 
     elapsed = 0.0
-    for epoch in range(1, cfg.epochs + 1):
-        t_start = time.perf_counter()
-        pos_rows = pos_idx[rng.integers(0, pos_idx.size, size=n)]
-        neg_rows = neg_idx[rng.integers(0, neg_idx.size, size=n)]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            t_start = time.perf_counter()
+            pos_rows = pos_idx[rng.integers(0, pos_idx.size, size=n)]
+            neg_rows = neg_idx[rng.integers(0, neg_idx.size, size=n)]
 
-        t = np.arange((epoch - 1) * n + 1, epoch * n + 1)
-        # the scale after iteration t's shrink, and at its margin test
-        scale_after = np.cumprod(np.where(t % rskip == 0, 1.0 - rskip / (t + t0), 1.0))
-        scale = np.concatenate(([1.0], scale_after[:-1]))
-        with np.errstate(over="ignore", divide="ignore"):
+            t = np.arange((epoch - 1) * n + 1, epoch * n + 1)
+            # the scale after iteration t's shrink, and at its margin test
+            scale_after = np.cumprod(np.where(t % rskip == 0, 1.0 - rskip / (t + t0), 1.0))
+            scale = np.concatenate(([1.0], scale_after[:-1]))
             coef = 1.0 / (lam * (t + t0) * scale)
             # the margin test d.v < 1/scale, on the step c d: (c d).v < c/scale
             limit = coef / scale
-        # scale is at most 1, so limit is at least coef: a finite limit has a finite coef
-        if not np.all(np.isfinite(limit)):
-            raise NumericalError(f"the step sizes of epoch {epoch} overflow at lambda = {lam:g}")
-        at_capture = t % askip == 0
-        # A, the sum of the scales at the captures, after each iteration
-        A = np.cumsum(np.where(at_capture, scale_after, 0.0))
-        # a step c d at iteration t adds A c d to R, with A as it stood before t
-        A_before = np.concatenate(([0.0], A[:-1]))
-        R = np.zeros(data.dim)
+            # scale is at most 1, so limit is at least coef: a finite limit has a finite coef
+            if not np.all(np.isfinite(limit)):
+                raise NumericalError(f"the step sizes of epoch {epoch} overflow at lambda = {lam:g}")
+            at_capture = t % askip == 0
+            # A, the sum of the scales at the captures, after each iteration
+            A = np.cumsum(np.where(at_capture, scale_after, 0.0))
+            # a step c d at iteration t adds A c d to R, with A as it stood before t
+            A_before = np.concatenate(([0.0], A[:-1]))
+            R = np.zeros(data.dim)
 
-        for lo in range(0, n, _BLOCK):
-            blk = slice(lo, min(lo + _BLOCK, n))
-            # each row is the step its iteration would take
-            D = F.take(pos_rows[blk], axis=0)
-            D -= F.take(neg_rows[blk], axis=0)
-            D *= coef[blk, None]
-            hits = _scan_block(D, v, limit[blk])
-            steps += len(hits)
-            if hits:
-                R += A_before[blk][hits] @ D[hits]
+            for lo in range(0, n, _BLOCK):
+                blk = slice(lo, min(lo + _BLOCK, n))
+                # each row is the step its iteration would take
+                D = F.take(pos_rows[blk], axis=0)
+                D -= F.take(neg_rows[blk], axis=0)
+                D *= coef[blk, None]
+                hits = _scan_block(D, v, limit[blk])
+                steps += len(hits)
+                if hits:
+                    R += A_before[blk][hits] @ D[hits]
 
-        captured += A[-1] * v - R
-        q += int(np.count_nonzero(at_capture))
-        v *= scale_after[-1]
-        with np.errstate(over="ignore", invalid="ignore"):
+            captured += A[-1] * v - R
+            q += int(np.count_nonzero(at_capture))
+            v *= scale_after[-1]
             if not np.isfinite(v @ v):
                 raise NumericalError(f"the weights overflow in epoch {epoch} at lambda = {lam:g}")
-        elapsed += time.perf_counter() - t_start
-        if epoch_callback is not None:
-            epoch_callback(epoch, captured / q if q else v, v, elapsed)
+            elapsed += time.perf_counter() - t_start
+            if epoch_callback is not None:
+                epoch_callback(epoch, captured / q if q else v, v, elapsed)
 
     return LinearModel(
         captured / q if q else v,

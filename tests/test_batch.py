@@ -7,8 +7,7 @@ import pytest
 
 import aucmax.batch
 from aucmax.batch import BatchConfig, PairAggregates, conjugate_gradient, hvp_fast, train_batch
-from aucmax.dataio import Dataset
-from aucmax.embedding import _CHUNK_CELLS
+from aucmax.dataio import _CHUNK_CELLS, Dataset
 from aucmax.errors import ConfigError, DataError, NumericalError
 from aucmax.metrics import auc
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -475,13 +476,17 @@ class TestExitCodes:
         assert code == 3
         assert "line 1" in err
 
-    @pytest.mark.parametrize("index, message", [
-        ("9223372036854775808", "line 1: feature index 9223372036854775808"),
-        ("4611686018427387904", "1 x 4611686018427387904"),
-    ], ids=["beyond-intp", "array-too-big"])
-    def test_oversized_feature_index(self, capsys, tmp_path, index, message):
+    @pytest.mark.parametrize("token, message", [
+        ("9223372036854775808:2", "line 1: feature index 9223372036854775808"),
+        ("4611686018427387904:2", "1 x 4611686018427387904"),
+        ("3", "line 1: malformed feature token '3'"),
+        ("x:2", "line 1: feature index 'x' is not an integer"),
+        ("3:inf", "line 1: feature value 'inf' is not finite"),
+    ], ids=["beyond-intp", "array-too-big", "malformed-token", "index-not-integer", "value-not-finite"])
+    def test_oversized_feature_index(self, capsys, tmp_path, token, message):
+        # and the other feature tokens that parse_libsvm refuses
         data = tmp_path / "wide.libsvm"
-        data.write_text(f"+1 1:1 {index}:2\n")
+        data.write_text(f"+1 1:1 {token}\n")
         code, _, err = run(capsys, ["kmeans", "--data", str(data), "--landmarks", "1",
                                     "--out", str(tmp_path / "c.txt")])
         assert code == 3
@@ -513,16 +518,20 @@ class TestExitCodes:
         assert not model.exists()
 
     @pytest.mark.parametrize("command, flag, value", [("train-batch", "--c", "1e200"),
-                                                      ("train-sgd", "--lambda", "1e-320")],
-                             ids=["batch-c", "sgd-lambda"])
+                                                      ("train-sgd", "--lambda", "1e-320"),
+                                                      ("train-sgd", "--lambda", "1e-300")],
+                             ids=["batch-c", "sgd-lambda", "sgd-lambda-1e-300"])
     def test_overflowing_regularization_exits_four(self, capsys, tmp_path, command, flag, value):
-        # the squared gradient norm at w = 0, or the SGD step sizes, overflow;
-        # a silent all-zero model is not a result
+        # the squared gradient norm at w = 0, the SGD step sizes, or the SGD
+        # weights overflow; a silent all-zero model is not a result, and the
+        # error line is the only report: no RuntimeWarning comes before it
         path = tmp_path / "rings300.libsvm"
         path.write_text(to_libsvm(make_rings(n=300, seed=3)))
         model = tmp_path / "m.model"
-        code, _, err = run(capsys, [command, "--data", str(path), "--landmarks", "20",
-                                    flag, value, "--model", str(model)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, [command, "--data", str(path), "--landmarks", "20",
+                                        flag, value, "--model", str(model)])
         assert code == 4
         assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
         assert not model.exists()
@@ -950,6 +959,7 @@ class TestCorruptModel:
         ("linear", r"^(weights \d+ \d+\n)\S+", r"\1abc", "line "),
         ("standardizer", r"^dim \d+\n", "", "line "),
         ("linear", r"^weights \d+ \d+$", "weights x 1", "line "),
+        ("linear", r"^weights \d+ \d+$", "weights 1", "expected matrix header 'weights'"),
         ("nystroem", r"^sigma2 \S+$", "sigma2 abc", "line "),
         ("nystroem", r"^seed \S+$", "seed x", "line "),
         ("linear", r"^c \S+$", "c abc", "line "),
@@ -970,7 +980,7 @@ class TestCorruptModel:
         ("linear", r"^(weights 1 \d+\n)\S+ \S+", r"\g<1>1.7e308 1.7e308", "overflow"),
         ("nystroem", r"^v \d+(\n(?:.*\n)*?centroids )\d+", r"v 99999999999\g<1>99999999999", "row has"),
         ("nystroem", r"^d \d+(\n(?:.*\n)*?centroids \d+ )\d+", r"d 99999999999\g<1>99999999999", "row has"),
-    ], ids=["matrix-cell", "missing-dim", "matrix-header", "sigma2-text", "seed-text",
+    ], ids=["matrix-cell", "missing-dim", "matrix-header", "matrix-header-short", "sigma2-text", "seed-text",
             "c-text", "sigma2-negative", "foreign-embedding-id", "weights-length", "nystroem-v",
             "nystroem-r", "nystroem-r-beyond-v", "nystroem-d", "missing-trained-by", "missing-embedding-id",
             "empty-embedding-id", "nan-mean", "nan-stdev", "inf-stdev", "nan-weight",
@@ -986,6 +996,24 @@ class TestCorruptModel:
         assert code == 3
         assert message in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("array, value", [("frequencies", np.nan), ("phases", np.inf)],
+                             ids=["nan-frequency", "inf-phase"])
+    def test_non_finite_random_feature_exits_three(self, capsys, tmp_path, rings_file, array, value):
+        # save_model writes the embedding_id of the damaged arrays, so only the finite check can refuse them
+        path = tmp_path / "rff.model"
+        assert main(["train-batch", "--data", rings_file, "--embedding", "rff", "--landmarks", "16",
+                     "--model", str(path)]) == 0
+        pipe = load_model(str(path))
+        getattr(pipe.embedding, array).flat[1] = value
+        save_model(str(path), pipe)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                        "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert err == f"error: {path}: frequencies and phases must be finite\n"
 
     @pytest.mark.parametrize("damage", ["cell", "short-row"])
     def test_matrix_error_names_its_line(self, capsys, tmp_path, rings_file, model_text, damage):

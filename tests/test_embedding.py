@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aucmax import embedding
-from aucmax.dataio import Dataset, SparseVector, Standardizer
+from aucmax.dataio import Dataset, SparseVector, Standardizer, _row_chunks
 from aucmax.embedding import (
     LandmarkSet,
     NystroemMap,
@@ -18,7 +18,6 @@ from aucmax.embedding import (
     _kmeanspp,
     _landmark_kernel,
     _lloyd,
-    _row_chunks,
     embed,
     embed_point,
     fit_nystroem,
@@ -450,9 +449,17 @@ def crowded_landmarks(draw):
     return np.vstack(rows)[rng.permutation(C.shape[0] + len(repeats))], draw(st.sampled_from([0.25, 1.0, 4.0]))
 
 
+def _copies_past_a_pivot_block():
+    """200 distinct landmarks and copies of the first 40, at sigma2 = 4: the
+    pivoted Cholesky keeps 200, so it updates W after its first block of pivots."""
+    C = 3.0 * np.random.default_rng(5).standard_normal((200, 8))
+    return np.vstack([C, C[:40]]), 4.0
+
+
 class TestPrunedMap:
     @settings(max_examples=60, deadline=None)
     @given(crowded_landmarks())
+    @example(_copies_past_a_pivot_block())
     def test_pruned_map_is_certified_exact_and_reproducible(self, case):
         C, sigma2 = case
         p = GaussianKernelParams(sigma2)
@@ -589,9 +596,10 @@ class TestWorkingSet:
     """Each n x v pass holds its output plus a fixed scratch of chunk-sized arrays.
 
     The inputs span 16 chunks of the 2**18-cell budget (2 MB of float64) that
-    embedding.py documents. The traced excess over the output, in chunks, read
-    3.07 for features and score and 4.29 for kmeans (whose O(n) bounds and
-    labels add about one); fit_nystroem held W and its Cholesky factor, two
+    dataio.py documents. The traced excess over the output, in chunks, read
+    2.07 for features and score, 2.03 for RFF score (17.97 when it built all
+    n x D cosines) and 4.29 for kmeans (whose O(n) bounds and labels add
+    about one); fit_nystroem held W and its Cholesky factor, two
     projection-sized arrays, plus 0.001. With chunks of 4e6 cells the same
     excess read 30.6, 31.0 and 14.6.
     """
@@ -614,6 +622,13 @@ class TestWorkingSet:
 
     def test_score(self, nystroem):
         m, X = nystroem
+        out, peak = traced_peak(lambda: m.score(X, np.ones(m.rank)))
+        assert peak <= out.nbytes + self.SCRATCH
+
+    def test_rff_score(self, nystroem):
+        # all n x D cosines at once would be 16 chunks
+        _, X = nystroem
+        m = fit_rff(16, 256, GaussianKernelParams(4.0), seed=0)
         out, peak = traced_peak(lambda: m.score(X, np.ones(m.rank)))
         assert peak <= out.nbytes + self.SCRATCH
 
@@ -683,6 +698,18 @@ class TestValidation:
         m = NystroemMap(LandmarkSet(np.ones((2, 2))), GaussianKernelParams(1.0))
         with pytest.raises(DataError, match="kernel matrix of the 2 landmarks is not certified"):
             m.projection
+
+    def test_unfold_beyond_the_numerical_rank_fails_on_access(self, tmp_path):
+        # a loaded model whose landmark 1 duplicates landmark 0 scores through its folded weights, but has no w
+        rng = np.random.default_rng(45)
+        m = fit_nystroem(LandmarkSet(rng.standard_normal((3, 2))), GaussianKernelParams(1.0))
+        pipe = TrainedPipeline(Standardizer(np.zeros(2), np.ones(2)), m, LinearModel(np.ones(3), "batch", {}))
+        m.landmarks.centroids[1] = m.landmarks.centroids[0]
+        save_model(str(tmp_path / "m.model"), pipe)
+        loaded = load_model(str(tmp_path / "m.model"))
+        assert np.isfinite(loaded.score_point(np.zeros(2)))
+        with pytest.raises(DataError, match="kernel matrix of the 3 landmarks is not certified"):
+            loaded.linear.w
 
     def test_overflowing_landmark_kernel_is_a_numerical_error(self):
         # squared norms of 1e400 make the kernel values nan, so no landmark can be whitened
