@@ -28,8 +28,8 @@ from .embedding import (
     kmeans,
 )
 from .errors import AucmaxError, ConfigError, DataError, NumericalError, ParseError
-from .kernels import GaussianKernelParams, bandwidth_heuristic, gaussian_kernel, kernel_matrix
-from .metrics import AucResult, auc, auc_bruteforce
+from .kernels import GaussianKernelParams, bandwidth_heuristic, kernel_matrix
+from .metrics import AucResult, auc
 from .model import LinearModel, TrainedPipeline, load_model, save_model
 from .sgd import SgdConfig, train_sgd
 
@@ -57,13 +57,11 @@ __all__ = [
     "Standardizer",
     "TrainedPipeline",
     "auc",
-    "auc_bruteforce",
     "bandwidth_heuristic",
     "binary_labels",
     "embed",
     "fit_nystroem",
     "fit_rff",
-    "gaussian_kernel",
     "kernel_matrix",
     "kmeans",
     "load_model",

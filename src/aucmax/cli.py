@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import inspect
 import math
 import sys
 import time
@@ -54,9 +53,6 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-# kmeans's own cap, which --kmeans-iters overrides only when given
-_KMEANS_ITERS = inspect.signature(kmeans).parameters["max_iter"].default
-
 # every shared flag, declared once; each dest is the config field it sets and
 # each solver default is the config's own
 _FLAGS = {
@@ -71,19 +67,10 @@ _FLAGS = {
         choices=("nystroem", "rff"), default="nystroem", help="feature construction (default nystroem)"
     ),
     "--landmarks": dict(type=int, default=1600, help="landmark count v (default 1600)"),
-    "--kmeans-iters": dict(type=int, default=None, help=f"Lloyd iteration cap (default {_KMEANS_ITERS})"),
     "--model": dict(required=True, help="model file, written by training and read by predict"),
     "--c": dict(dest="C", type=float, default=BatchConfig.C, help="pair-loss weight C (default %(default)s)"),
     "--grad-tol": dict(type=float, default=BatchConfig.grad_tol, help="gradient-norm stop (default relative)"),
     "--max-outer": dict(type=int, default=BatchConfig.max_outer, help="Newton step cap (default %(default)s)"),
-    "--cg-tol": dict(
-        type=float,
-        default=BatchConfig.cg_tol,
-        help="CG stop: residual relative to the gradient norm (default %(default)s)",
-    ),
-    "--cg-max": dict(
-        type=int, default=BatchConfig.cg_max, help="CG iteration cap per Newton step (default %(default)s)"
-    ),
     "--lambda": dict(
         dest="lam", type=float, default=SgdConfig.lam, help="regularization scale (default %(default)s)"
     ),
@@ -97,8 +84,8 @@ _FLAGS = {
     ),
 }
 _DATA = ("--data", "--seed", "--positive-labels")
-_EMBEDDING = ("--sigma2", "--embedding", "--landmarks", "--kmeans-iters")
-_BATCH = ("--c", "--grad-tol", "--max-outer", "--cg-tol", "--cg-max")
+_EMBEDDING = ("--sigma2", "--embedding", "--landmarks")
+_BATCH = ("--c", "--grad-tol", "--max-outer")
 _SGD = ("--lambda", "--t0", "--epochs", "--rskip", "--askip")
 
 
@@ -128,12 +115,6 @@ def _load_grouped(args) -> Dataset:
         return Dataset(data.X, binary_labels(data.y, positive))
 
 
-def _kmeans(args, data: Dataset):
-    """kmeans at --landmarks and --seed, capped by --kmeans-iters when given."""
-    cap = _KMEANS_ITERS if args.kmeans_iters is None else args.kmeans_iters
-    return kmeans(data, v=args.landmarks, max_iter=cap, seed=args.seed)
-
-
 def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     """Fit the standardizer and the embedding map on train; embed train and each held-out set."""
     standardizer = standardize_fit(train)
@@ -143,11 +124,9 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     else:
         kernel = bandwidth_heuristic(standardized[0])
     if args.embedding == "rff":
-        if args.kmeans_iters is not None:
-            raise ConfigError("--kmeans-iters applies to the nystroem embedding only; rff fits no landmarks")
         emb_map = fit_rff(train.dim, args.landmarks, kernel, seed=args.seed)
     else:
-        lm = _kmeans(args, standardized[0])
+        lm = kmeans(standardized[0], v=args.landmarks, seed=args.seed)
         emb_map = fit_nystroem(lm, kernel, seed=args.seed)
     return standardizer, emb_map, [embed(emb_map, d) for d in standardized]
 
@@ -353,7 +332,7 @@ def cmd_convergence(args) -> int:
 def cmd_kmeans(args) -> int:
     with open_text(args.data) as fh:
         data = parse_libsvm(fh)
-    lm = _kmeans(args, data)
+    lm = kmeans(data, v=args.landmarks, seed=args.seed)
     with open(args.out, "w") as fh:
         fh.write(f"{lm.v} {lm.dim}\n")
         for row in lm.centroids:
@@ -433,10 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="comma-separated solver seeds")
     p.add_argument("--report", required=True, help="output CSV")
 
-    p = command(
-        "kmeans", cmd_kmeans, "write landmark centroids for a dataset",
-        "--data", "--seed", "--landmarks", "--kmeans-iters",
-    )
+    p = command("kmeans", cmd_kmeans, "write landmark centroids for a dataset", "--data", "--seed", "--landmarks")
     p.add_argument("--out", required=True, help="output centroid file")
 
     p = command("embed", cmd_embed, "fit an embedding and write embedded features", *_DATA, *_EMBEDDING)

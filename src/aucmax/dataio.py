@@ -330,12 +330,18 @@ def standardize_fit(data: Dataset) -> Standardizer:
     """Fit zero-mean unit-variance statistics (population variance).
 
     Constant features get a stdev guard of 1 so they pass through centered.
+    A feature whose mean square overflows float64 is a DataError that names it.
     """
     if data.n < 1:
         raise DataError("cannot fit a standardizer on an empty dataset")
-    mean, var = _column_moments(data.X)
+    with np.errstate(over="ignore"):
+        mean, var = _column_moments(data.X)
+        rms_sq = var + mean**2
+    # an overflowing var or mean**2 (a spread or offset past about 1e154) would pass the constant test
+    huge = np.flatnonzero(np.isinf(rms_sq))
+    if huge.size:
+        raise DataError(f"feature {huge[0] + 1} is too large to standardize: its mean square overflows")
     # features whose variance sits at float noise level count as constant
-    rms_sq = var + mean**2
     eps = np.finfo(np.float64).eps
     constant = var <= (eps**2) * np.maximum(rms_sq, 1.0)
     stdev = np.sqrt(np.where(constant, 1.0, var))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataio import Dataset, SparseVector, _row_chunks, dense_point
 from .errors import ConfigError, DataError, NumericalError
-from .kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
+from .kernels import FAR_SQ_NORM, GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
 
 # the Cholesky whitening is taken when it certifies a condition number below 1 / _COND_DROP
 _COND_DROP = 1e-12
@@ -45,8 +45,9 @@ class LandmarkSet:
         self.centroids = np.atleast_2d(np.asarray(self.centroids, dtype=np.float64))
         if self.centroids.shape[0] < 1:
             raise DataError("need at least one landmark")
-        if not np.all(np.isfinite(self.centroids)):
-            raise DataError("landmarks must be finite")
+        # pairwise_sq_dists takes its B rows, the landmarks, below FAR_SQ_NORM
+        if not np.all(row_sq_norms(self.centroids) < FAR_SQ_NORM):
+            raise DataError("landmarks must be finite, with squared norms below 2**1021")
 
     @property
     def v(self) -> int:

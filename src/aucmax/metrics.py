@@ -64,14 +64,3 @@ def auc(scores, labels, tie_policy: str = "half") -> AucResult:
     ties = int(pos_at @ neg_at)
     losses = int(pos_at.sum()) * int(neg_at.sum()) - wins - ties
     return _result_from_counts(wins, ties, losses, tie_policy)
-
-
-def auc_bruteforce(scores, labels, tie_policy: str = "half") -> AucResult:
-    """Literal enumeration of every positive/negative pair, the test oracle."""
-    scores, labels = _check_inputs(scores, labels)
-    s_pos = scores[labels == 1]
-    s_neg = scores[labels == -1]
-    wins = int(np.sum(s_pos[:, None] > s_neg[None, :]))
-    ties = int(np.sum(s_pos[:, None] == s_neg[None, :]))
-    losses = s_pos.size * s_neg.size - wins - ties
-    return _result_from_counts(wins, ties, losses, tie_policy)

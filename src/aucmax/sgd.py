@@ -105,9 +105,13 @@ def train_sgd(
 
     Step sizes, or a squared weight norm at an epoch's end, that are not
     finite, as a lambda too small for the rows gives, are a NumericalError.
+    A schedule whose t + t0 or askip leaves int64 is a ConfigError.
     """
     pos_idx, neg_idx = data.class_indices()
     n, F = data.n, data.X
+    # t + t0, t % askip and t % rskip run in int64, and rskip <= t0 (SgdConfig)
+    if max(cfg.t0 + cfg.epochs * n, cfg.askip) >= 2**63:
+        raise ConfigError("the schedule leaves int64: t0 + epochs * n and askip must stay below 2**63")
     rng = np.random.default_rng(cfg.seed)
     lam, t0, rskip, askip = cfg.lam, cfg.t0, cfg.rskip, cfg.askip
     # the iterate over its scale; the scale is 1 at the start of each epoch

@@ -11,14 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from aucmax.batch import BatchConfig, PairAggregates, hvp_fast, train_batch
+from aucmax.batch import BatchConfig, hvp_fast, train_batch
 from aucmax.cli import main as cli_main
 from aucmax.dataio import Dataset, parse_libsvm, split, standardize_apply, standardize_fit, to_libsvm
 from aucmax.embedding import LandmarkSet, embed, fit_nystroem, kmeans
 from aucmax.kernels import bandwidth_heuristic, kernel_matrix
-from aucmax.metrics import auc, auc_bruteforce
+from aucmax.metrics import auc
 from aucmax.sgd import SgdConfig, train_sgd
 from aucmax.synthetic import make_rings
+from oracles import aggregates, auc_bruteforce, brute_grad, brute_hvp
 
 
 def verdict(number: int, ok: bool, detail: str) -> bool:
@@ -51,41 +52,6 @@ def _pair_instances(count: int, rng: np.random.Generator):
 @pytest.fixture(scope="module")
 def pair_instances():
     return _pair_instances(200, np.random.default_rng(20240817))
-
-
-def aggregates(data: Dataset, w: np.ndarray) -> PairAggregates:
-    return PairAggregates(data.X @ w, *data.class_indices())
-
-
-def brute_active(data: Dataset, w: np.ndarray):
-    """Literal active-pair scan with the solver's own float comparison."""
-    s = data.X @ w
-    pos_idx, neg_idx = data.class_indices()
-    pairs = []
-    for i in pos_idx:
-        t = s[i] - 1.0
-        for j in neg_idx:
-            if s[j] > t:
-                pairs.append((i, j))
-    return s, pairs
-
-
-def brute_grad(data, w, C):
-    s, pairs = brute_active(data, w)
-    g = w.copy()
-    for i, j in pairs:
-        diff = data.X[i] - data.X[j]
-        g -= 2.0 * C * (1.0 - (s[i] - s[j])) * diff
-    return g
-
-
-def brute_hvp(data, w, v, C):
-    s, pairs = brute_active(data, w)
-    hv = v.copy()
-    for i, j in pairs:
-        diff = data.X[i] - data.X[j]
-        hv += 2.0 * C * float(diff @ v) * diff
-    return hv
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +140,7 @@ def test_criterion_02_gradient_correctness(pair_instances):
     worst_fd = 0.0
     worst_brute = 0.0
     for data, w, C in pair_instances:
-        g = aggregates(data, w).gradient(w, data.X, C)
+        g = aggregates(w, data).gradient(w, data.X, C)
 
         h = 1e-6
         g_fd = np.empty_like(g)
@@ -182,12 +148,12 @@ def test_criterion_02_gradient_correctness(pair_instances):
             step = np.zeros_like(w)
             step[k] = h
             up, down = w + step, w - step
-            f_up, f_down = (aggregates(data, v).objective(v, C) for v in (up, down))
+            f_up, f_down = (aggregates(v, data).objective(v, C) for v in (up, down))
             g_fd[k] = (f_up - f_down) / (2.0 * h)
         denom = max(1.0, float(np.linalg.norm(g)))
         worst_fd = max(worst_fd, float(np.linalg.norm(g_fd - g)) / denom)
 
-        g_brute = brute_grad(data, w, C)
+        g_brute = brute_grad(w, data.X, data.y, C)
         worst_brute = max(worst_brute, float(np.linalg.norm(g_brute - g)) / denom)
     elapsed = time.perf_counter() - t0
     ok = worst_fd <= 1e-5 and worst_brute <= 1e-10 and elapsed < 30.0
@@ -203,8 +169,8 @@ def test_criterion_03_hvp_correctness(pair_instances):
     curvature_ok = True
     for data, w, C in pair_instances:
         v = rng.standard_normal(w.size)
-        hv = hvp_fast(aggregates(data, w), v, data, C)
-        hv_brute = brute_hvp(data, w, v, C)
+        hv = hvp_fast(aggregates(w, data), v, data, C)
+        hv_brute = brute_hvp(w, v, data.X, data.y, C)
         worst = max(
             worst,
             float(np.linalg.norm(hv_brute - hv)) / max(1.0, float(np.linalg.norm(hv))),

@@ -10,54 +10,7 @@ from aucmax.batch import BatchConfig, PairAggregates, conjugate_gradient, hvp_fa
 from aucmax.dataio import _CHUNK_CELLS, Dataset
 from aucmax.errors import ConfigError, DataError, NumericalError
 from aucmax.metrics import auc
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles: literal enumeration of every positive/negative pair.
-# The active-pair predicate matches the implementation bit for bit
-# (s_j > s_i - 1.0 evaluated in that float order).
-# ---------------------------------------------------------------------------
-
-
-def active_pairs(s, y):
-    out = []
-    for i in np.flatnonzero(y == 1):
-        t = s[i] - 1.0
-        for j in np.flatnonzero(y == -1):
-            if s[j] > t:
-                out.append((i, j))
-    return out
-
-
-def brute_grad(w, X, y, C):
-    s = X @ w
-    g = w.copy()
-    for i, j in active_pairs(s, y):
-        d = 1.0 - s[i] + s[j]
-        g += 2.0 * C * d * (X[j] - X[i])
-    return g
-
-
-def brute_hvp(w, v, X, y, C):
-    s = X @ w
-    out = v.copy()
-    for i, j in active_pairs(s, y):
-        diff = X[i] - X[j]
-        out += 2.0 * C * float(diff @ v) * diff
-    return out
-
-
-def brute_loss(w, X, y):
-    s = X @ w
-    return sum((1.0 - s[i] + s[j]) ** 2 for i, j in active_pairs(s, y))
-
-
-def brute_objective(w, X, y, C):
-    return 0.5 * float(w @ w) + C * brute_loss(w, X, y)
-
-
-def aggregates(w, data):
-    return PairAggregates(data.X @ w, *data.class_indices())
+from oracles import active_pairs, aggregates, brute_grad, brute_hvp, brute_loss
 
 
 def active_counts(agg, n):

@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +191,16 @@ class TestTrainPredictEval:
         expected = pipe.score(data)
         reloaded = np.array([float(x) for x in scores_path.read_text().split()])
         assert np.array_equal(reloaded, expected)
+
+    @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
+    def test_predict_scores_a_far_row_finitely(self, capsys, tmp_path, rings_file, embedding):
+        # ||x||^2 of the first row overflows float64, where the distance formula gives nan
+        model, rows, scores = (str(tmp_path / name) for name in ("m.model", "far.libsvm", "s.txt"))
+        assert run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "6", "--embedding", embedding,
+                            "--model", model])[0] == 0
+        Path(rows).write_text("1 1:1e308 2:0\n-1 1:0.5 2:0.5\n")
+        assert run(capsys, ["predict", "--model", model, "--data", rows, "--scores", scores])[0] == 0
+        assert run(capsys, ["eval-auc", "--scores", scores, "--labels", rows])[0] == 0
 
 
 class TestEvalAuc:
@@ -525,20 +534,48 @@ class TestExitCodes:
         # the squared gradient norm at w = 0, the SGD step sizes, or the SGD
         # weights overflow; a silent all-zero model is not a result, and the
         # error line is the only report: no RuntimeWarning comes before it
+        # (tier-1 turns RuntimeWarnings into errors)
         path = tmp_path / "rings300.libsvm"
         path.write_text(to_libsvm(make_rings(n=300, seed=3)))
         model = tmp_path / "m.model"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, _, err = run(capsys, [command, "--data", str(path), "--landmarks", "20",
-                                        flag, value, "--model", str(model)])
+        code, _, err = run(capsys, [command, "--data", str(path), "--landmarks", "20",
+                                    flag, value, "--model", str(model)])
         assert code == 4
         assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
         assert not model.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--grad-tol", "inf"), ("--grad-tol", "nan"),
-                                             ("--cg-tol", "nan")],
-                             ids=["grad-tol-inf", "grad-tol-nan", "cg-tol-nan"])
+    @pytest.mark.parametrize("flags", [("--t0", "99999999999999999999"),
+                                       ("--askip", "99999999999999999999"),
+                                       ("--t0", str(2**64), "--rskip", str(2**63)),
+                                       ("--t0", str(2**63 - 1), "--epochs", "1")],
+                             ids=["t0", "askip", "rskip", "t0-plus-iterations"])
+    def test_schedule_beyond_int64_exits_two(self, capsys, tmp_path, flags):
+        # the schedule runs in int64: past it numpy raises OverflowError, or
+        # t + t0 wraps and the model comes out all zero
+        path = tmp_path / "rings300.libsvm"
+        path.write_text(to_libsvm(make_rings(n=300, seed=3)))
+        model = tmp_path / "m.model"
+        code, _, err = run(capsys, ["train-sgd", "--data", str(path), "--landmarks", "20",
+                                    *flags, "--model", str(model)])
+        assert code == 2
+        assert err.startswith("error: the schedule leaves int64") and err.count("\n") == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["1e200", "1e160"])
+    def test_overflowing_feature_exits_three(self, capsys, tmp_path, value):
+        # the feature's variance overflows float64, which the constant test
+        # must not take for a column of one value
+        path = tmp_path / "rings101.libsvm"
+        path.write_text(to_libsvm(make_rings(n=100, seed=3)) + f"1 1:{value} 2:0\n")
+        model = tmp_path / "m.model"
+        code, _, err = run(capsys, ["train-batch", "--data", str(path), "--landmarks", "5",
+                                    "--model", str(model)])
+        assert code == 3
+        assert err.startswith("error: feature 1 is too large to standardize") and err.count("\n") == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--grad-tol", "inf"), ("--grad-tol", "nan")],
+                             ids=["grad-tol-inf", "grad-tol-nan"])
     def test_non_finite_tolerance_exits_two(self, capsys, tmp_path, rings_file, flag, value):
         model = tmp_path / "m.model"
         code, _, err = run(capsys, ["train-batch", "--data", rings_file, "--landmarks", "5",
@@ -563,31 +600,33 @@ class TestExitCodes:
                 "train-sgd": ["--model", str(tmp_path / "m.model")],
                 "gridsearch": ["--solver", "batch"],
                 "convergence": ["--report", str(tmp_path / "c.csv")],
-                "embed": ["--out", str(tmp_path / "f.csv")]}[command]
+                "embed": ["--out", str(tmp_path / "f.csv")],
+                "kmeans": ["--out", str(tmp_path / "c.txt")]}[command]
 
-    def assert_nystroem_only(self, capsys, tmp_path, rings_file, command, flag, value):
-        code, _, err = run(capsys, [command, "--data", rings_file, "--embedding", "rff",
-                                    "--landmarks", "16", flag, value, *self.required(tmp_path, command)])
-        assert code == 2
-        assert err.startswith(f"error: {flag} applies to the nystroem embedding only") and err.count("\n") == 1
+    def assert_unrecognized(self, capsys, tmp_path, rings_file, command, flag, value):
+        """flag is unknown to command, under either embedding where the command takes one."""
+        embeddings = [[]] if command == "kmeans" else [["--embedding", e] for e in ("rff", "nystroem")]
+        for embedding in embeddings:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--data", rings_file, *embedding, flag, value, *self.required(tmp_path, command)])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
     def test_rank_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
-        # --rank is gone: the Nystroem rank is the count of landmarks kept, and
-        # under either embedding the flag is unknown
-        for embedding in ("rff", "nystroem"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--data", rings_file, "--embedding", embedding, "--rank", "3",
-                      *self.required(tmp_path, command)])
-            assert exc.value.code == 2
-            assert "unrecognized arguments: --rank 3" in capsys.readouterr().err
-        assert not any(tmp_path.iterdir())
+        # --rank is gone: the Nystroem rank is the count of landmarks kept
+        self.assert_unrecognized(capsys, tmp_path, rings_file, command, "--rank", "3")
 
-    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed"])
+    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "gridsearch", "convergence", "embed", "kmeans"])
     def test_kmeans_iters_with_rff_exits_two(self, capsys, tmp_path, rings_file, command):
-        # rff fits no landmarks, so a Lloyd cap there is a mistake, even a valid one
-        self.assert_nystroem_only(capsys, tmp_path, rings_file, command, "--kmeans-iters", "5")
+        # --kmeans-iters is gone: Lloyd runs to kmeans's own cap
+        self.assert_unrecognized(capsys, tmp_path, rings_file, command, "--kmeans-iters", "5")
+
+    @pytest.mark.parametrize("flag, value", [("--cg-tol", "0.01"), ("--cg-max", "50")])
+    def test_cg_caps_exit_two(self, capsys, tmp_path, rings_file, flag, value):
+        # the truncated CG's tolerance and cap are BatchConfig's alone
+        self.assert_unrecognized(capsys, tmp_path, rings_file, "train-batch", flag, value)
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -783,9 +822,9 @@ class TestFlagsReachSolvers:
 
     def test_train_batch(self, capsys, tmp_path, rings_file):
         found = self.hyperparameters(capsys, tmp_path, rings_file, "train-batch", "--c", "2",
-                                     "--grad-tol", "1e-3", "--max-outer", "7", "--cg-tol", "0.01",
-                                     "--cg-max", "50")
-        assert found == {"c": 2.0, "grad_tol": 1e-3, "max_outer": 7, "cg_tol": 0.01, "cg_max": 50}
+                                     "--grad-tol", "1e-3", "--max-outer", "7")
+        # the CG caps are BatchConfig's defaults, which no flag sets
+        assert found == {"c": 2.0, "grad_tol": 1e-3, "max_outer": 7, "cg_tol": 0.1, "cg_max": 200}
 
     def test_train_sgd(self, capsys, tmp_path, rings_file):
         found = self.hyperparameters(capsys, tmp_path, rings_file, "train-sgd", "--lambda", "1e-6",
@@ -818,20 +857,20 @@ class TestFlagsReachSolvers:
                            for seed in (3, 4)]
 
 
-    @pytest.mark.parametrize("flags, cap", [((), 100), (("--kmeans-iters", "3"), 3)], ids=["default", "given"])
-    @pytest.mark.parametrize("command", ["train-batch", "kmeans"])
-    def test_kmeans_iters(self, capsys, monkeypatch, tmp_path, rings_file, command, flags, cap):
-        caps = []
+    @pytest.mark.parametrize("command", ["train-batch", "kmeans"], ids=["train-batch-default", "kmeans-default"])
+    def test_kmeans_iters(self, capsys, monkeypatch, tmp_path, rings_file, command):
+        # no cap is passed, so Lloyd runs to kmeans's own default
+        calls = []
         fit = aucmax.cli.kmeans
 
-        def record(data, v, max_iter, seed):
-            caps.append(max_iter)
-            return fit(data, v=v, max_iter=max_iter, seed=seed)
+        def record(data, **kwargs):
+            calls.append(kwargs)
+            return fit(data, **kwargs)
 
         monkeypatch.setattr(aucmax.cli, "kmeans", record)
         out = ["--model", str(tmp_path / "m.model")] if command == "train-batch" else ["--out", str(tmp_path / "c")]
-        assert run(capsys, [command, "--data", rings_file, "--landmarks", "16", *flags, *out])[0] == 0
-        assert caps == [cap]
+        assert run(capsys, [command, "--data", rings_file, "--landmarks", "16", "--seed", "2", *out])[0] == 0
+        assert calls == [{"v": 16, "seed": 2}]
 
 
 # option -> (default, required) for every subcommand; argparse's -h is left out
@@ -844,12 +883,9 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (None, False),
         "--c": (1.0, False),
         "--grad-tol": (None, False),
         "--max-outer": (100, False),
-        "--cg-tol": (0.1, False),
-        "--cg-max": (200, False),
         "--model": (None, True),
     },
     "train-sgd": {
@@ -860,7 +896,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (None, False),
         "--lambda": (1e-08, False),
         "--t0": (10000, False),
         "--epochs": (20, False),
@@ -886,7 +921,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (None, False),
         "--solver": (None, True),
         "--grid": (None, False),
         "--folds": (3, False),
@@ -904,7 +938,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (None, False),
         "--lambda": (1e-08, False),
         "--t0": (10000, False),
         "--rskip": (16, False),
@@ -917,7 +950,6 @@ OPTIONS = {
         "--data": (None, True),
         "--seed": (0, False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (None, False),
         "--out": (None, True),
     },
     "embed": {
@@ -927,7 +959,6 @@ OPTIONS = {
         "--sigma2": (None, False),
         "--embedding": ("nystroem", False),
         "--landmarks": (1600, False),
-        "--kmeans-iters": (None, False),
         "--out": (None, True),
     },
 }
@@ -1008,12 +1039,24 @@ class TestCorruptModel:
         getattr(pipe.embedding, array).flat[1] = value
         save_model(str(path), pipe)
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
-                                        "--scores", str(tmp_path / "s.txt")])
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
         assert code == 3
         assert err == f"error: {path}: frequencies and phases must be finite\n"
+
+    def test_far_landmark_exits_three(self, capsys, tmp_path, rings_file):
+        # past a squared norm of 2**1021 the distance formula can overflow
+        # into nan against this landmark
+        path = tmp_path / "far.model"
+        assert main(["train-batch", "--data", rings_file, "--landmarks", "6", "--model", str(path)]) == 0
+        pipe = load_model(str(path))
+        pipe.embedding.landmarks.centroids[0] = [1e200, 0.0]
+        save_model(str(path), pipe)
+        capsys.readouterr()
+        code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
+                                    "--scores", str(tmp_path / "s.txt")])
+        assert code == 3
+        assert err == f"error: {path}: landmarks must be finite, with squared norms below 2**1021\n"
 
     @pytest.mark.parametrize("damage", ["cell", "short-row"])
     def test_matrix_error_names_its_line(self, capsys, tmp_path, rings_file, model_text, damage):

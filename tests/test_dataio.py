@@ -18,6 +18,7 @@ from aucmax.dataio import (
     to_libsvm,
 )
 from aucmax.errors import ConfigError, DataError, ParseError
+from aucmax.synthetic import make_rings
 
 
 class TestSparseVector:
@@ -267,6 +268,14 @@ class TestStandardize:
         out = standardize_apply(standardize_fit(ds), ds)
         np.testing.assert_allclose(out.X.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.X.var(axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [1e200, 1e160, -1e308])
+    def test_overflowing_feature_is_a_data_error(self, value):
+        # var or mean**2 overflows: the constant test must not take that for a constant column
+        rings = make_rings(n=100, seed=3)
+        ds = Dataset(np.vstack([rings.X, [[0.0, value]]]), np.append(rings.y, 1))
+        with pytest.raises(DataError, match="feature 2 is too large"):
+            standardize_fit(ds)
 
     def test_dim_mismatch(self):
         s = standardize_fit(Dataset(np.ones((2, 3)), np.array([1, -1])))

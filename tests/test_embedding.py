@@ -24,7 +24,7 @@ from aucmax.embedding import (
     fit_rff,
     kmeans,
 )
-from aucmax.errors import ConfigError, DataError, NumericalError
+from aucmax.errors import ConfigError, DataError
 from aucmax.kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
 from aucmax.model import LinearModel, TrainedPipeline, load_model, save_model
 from aucmax.synthetic import make_rings
@@ -711,11 +711,12 @@ class TestValidation:
         with pytest.raises(DataError, match="kernel matrix of the 3 landmarks is not certified"):
             loaded.linear.w
 
-    def test_overflowing_landmark_kernel_is_a_numerical_error(self):
-        # squared norms of 1e400 make the kernel values nan, so no landmark can be whitened
-        lm = LandmarkSet(np.array([[1e200, 0.0], [0.0, 1.0]]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
-            fit_nystroem(lm, GaussianKernelParams(1.0))
+    def test_overflowing_landmark_is_a_data_error(self):
+        # past a squared norm of 2**1021 the distance formula can overflow into nan
+        for far in (1e200, 2.0**511):
+            with pytest.raises(DataError, match="squared norms below 2\\*\\*1021"):
+                LandmarkSet(np.array([[far, 0.0], [0.0, 1.0]]))
+        LandmarkSet(np.array([[np.nextafter(2.0**510.5, 0), 0.0]]))
 
     def test_landmarks_must_be_finite(self):
         with pytest.raises(DataError):

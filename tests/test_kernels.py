@@ -8,10 +8,10 @@ from aucmax.errors import ConfigError, DataError
 from aucmax.kernels import (
     GaussianKernelParams,
     bandwidth_heuristic,
-    gaussian_kernel,
     kernel_matrix,
     pairwise_sq_dists,
 )
+from oracles import gaussian_kernel
 
 
 class TestParams:
@@ -116,6 +116,20 @@ class TestPairwiseSqDists:
         an, bn = np.einsum("ij,ij->i", A, A), np.einsum("ij,ij->i", B, B)
         expected = np.maximum(an[:, None] + bn[None, :] - 2.0 * (A @ B.T), 0.0)
         np.testing.assert_array_equal(pairwise_sq_dists(A, B), expected)
+
+    def test_a_far_row_is_summed_directly(self):
+        # ||a||^2 overflows on the first three rows, where the formula gives NaN
+        rng = np.random.default_rng(11)
+        A = np.array([[1e308, 0.0], [1e154, 1e154], [-1e308, 1e308], [0.5, -0.25], [1e150, 0.0]])
+        B = rng.standard_normal((9, 2))
+        d2 = pairwise_sq_dists(A, B)
+        assert np.all(d2[:3] == np.inf)
+        # the other rows keep the formula's bits, and a far row's distance is exact where it is finite
+        assert d2[3:].tobytes() == pairwise_sq_dists(A[3:], B).tobytes()
+        np.testing.assert_allclose(pairwise_sq_dists(np.array([[1e154, 0.0]]), B)[0],
+                                   ((np.array([1e154, 0.0]) - B) ** 2).sum(axis=1), rtol=1e-15)
+        for a, row in zip(A, d2):
+            assert pairwise_sq_dists(a, B).tobytes() == row.tobytes()
 
     def test_nonnegative_under_roundoff(self):
         rng = np.random.default_rng(7)

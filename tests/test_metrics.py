@@ -6,19 +6,8 @@ import pytest
 from aucmax.batch import PairAggregates
 from aucmax.dataio import Dataset
 from aucmax.errors import ConfigError, DataError
-from aucmax.metrics import auc, auc_bruteforce
-
-
-def brute_objective(w, X, y, C):
-    """Literal double sum over all positive/negative pairs."""
-    s = X @ w
-    total = 0.0
-    for i in np.flatnonzero(y == 1):
-        for j in np.flatnonzero(y == -1):
-            d = 1.0 - s[i] + s[j]
-            if d > 0:
-                total += d**2
-    return 0.5 * float(w @ w) + C * total
+from aucmax.metrics import auc
+from oracles import auc_bruteforce, brute_objective
 
 
 class TestAucExamples:

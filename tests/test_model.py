@@ -155,6 +155,17 @@ class TestPipelineScoring:
                 assert np.float64(pipe.score_point(SparseVector(nonzero, x[nonzero]))).tobytes() == want
 
     @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
+    def test_a_far_point_scores_finitely(self, embedding):
+        # ||x||^2 overflows float64, where the distance formula gives NaN
+        data, pipe = fit_pipeline(embedding=embedding)
+        far = np.array([1e308, 0.0])
+        score = pipe.score_point(far)
+        assert np.isfinite(score)
+        assert np.float64(score).tobytes() == pipe.score(Dataset(far[None], [1]))[0].tobytes()
+        if embedding == "nystroem":
+            assert score == 0.0  # every kernel value is 0
+
+    @pytest.mark.parametrize("embedding", ["nystroem", "rff"])
     def test_score_point_leaves_its_array_alone(self, embedding):
         # score_point standardizes in place, on its own copy
         data, pipe = fit_pipeline(embedding=embedding)

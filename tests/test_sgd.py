@@ -175,6 +175,14 @@ class TestConfigValidation:
             SgdConfig(lam=1e-6, t0=10, rskip=16)
         SgdConfig(lam=1e-6, t0=16, rskip=16)  # t0 + 1 > rskip holds
 
+    def test_schedule_stays_in_int64(self):
+        # the last iteration's t + t0 is t0 + epochs * n: 2**63 - 1 runs, 2**63 would wrap
+        data = constant_pair(4, [1.0], [-1.0])
+        train_sgd(data, SgdConfig(t0=2**63 - 1 - 2 * 4, epochs=2))
+        for fields in (dict(t0=2**63 - 2 * 4, epochs=2), dict(askip=2**63)):
+            with pytest.raises(ConfigError, match="int64"):
+                train_sgd(data, SgdConfig(**fields))
+
 
 def separable_1d(n_pos=20, n_neg=30):
     X = np.concatenate([np.ones(n_pos), -np.ones(n_neg)]).reshape(-1, 1)
