@@ -223,7 +223,10 @@ def train_batch(data: Dataset, cfg: BatchConfig) -> LinearModel:
     residual falls below cg_tol * ||g|| or after cg_max HVPs. Starts
     from w = 0 and stops when the gradient norm falls below the tolerance
     (default 1e-4 * max(1, initial gradient norm)) or after max_outer
-    steps. Every accepted step strictly decreases the objective. A starting
+    steps. A line search that fails where the gradient norm is already at
+    float resolution (sqrt(eps) * max(1, initial norm)) also stops it, as
+    converged, and the model records that norm as its grad_tol, the bound
+    its w meets. Every accepted step strictly decreases the objective. A starting
     objective or a gradient norm that is not finite, as a C too large for
     the rows gives, is a NumericalError.
 
@@ -325,8 +328,10 @@ def _newton(data: Dataset, cfg: BatchConfig, swaps: list) -> LinearModel:
         if not accepted:
             gn = float(np.linalg.norm(g))
             if gn <= np.sqrt(np.finfo(np.float64).eps) * max(1.0, g0_norm):
-                # flat at float resolution: accept w as converged
+                # flat at float resolution: accept w as converged, and
+                # record the gradient bound that it meets
                 converged = True
+                tol = gn
                 break
             raise NumericalError(
                 "line search could not decrease the objective after 30 halvings "

@@ -116,7 +116,9 @@ def _load_grouped(args) -> Dataset:
 
 
 def _fit_embedded(args, train: Dataset, *held_out: Dataset):
-    """Fit the standardizer and the embedding map on train; embed train and each held-out set."""
+    """Fit the standardizer and the embedding map on train; embed train and
+    each held-out set. The last value is the seconds all of this took."""
+    t0 = time.perf_counter()
     standardizer = standardize_fit(train)
     standardized = [standardize_apply(standardizer, d) for d in (train, *held_out)]
     if args.sigma2 is not None:
@@ -128,7 +130,8 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     else:
         lm = kmeans(standardized[0], v=args.landmarks, seed=args.seed)
         emb_map = fit_nystroem(lm, kernel, seed=args.seed)
-    return standardizer, emb_map, [embed(emb_map, d) for d in standardized]
+    embedded = [embed(emb_map, d) for d in standardized]
+    return standardizer, emb_map, embedded, time.perf_counter() - t0
 
 
 def _prepare(args, embed_test: bool = False):
@@ -140,14 +143,13 @@ def _prepare(args, embed_test: bool = False):
     """
     data = _load_grouped(args)
     train, test = split(data, args.test_fraction, args.seed)
-    t0 = time.perf_counter()
-    standardizer, emb_map, embedded = _fit_embedded(args, train, *([test] if embed_test else []))
-    embedding_seconds = time.perf_counter() - t0
-    return standardizer, emb_map, test, embedded, embedding_seconds
+    standardizer, emb_map, embedded, seconds = _fit_embedded(args, train, *([test] if embed_test else []))
+    return standardizer, emb_map, test, embedded, seconds
 
 
 def _config(cls, args, **fields):
-    """A BatchConfig or SgdConfig from the flags the subcommand takes; fields set the rest."""
+    """A BatchConfig or SgdConfig from the flags the subcommand takes; fields set the rest.
+    Commands build theirs before they open --data: a bad setting is refused before any input is read."""
     taken = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
     return cls(**{**taken, **fields})
 
@@ -181,12 +183,14 @@ def _report_and_save(args, standardizer, emb_map, emb_train, test, linear, embed
 
 
 def cmd_train_batch(args) -> int:
+    cfg = _config(BatchConfig, args)
     standardizer, emb_map, test, (emb_train,), emb_sec = _prepare(args)
-    linear = train_batch(emb_train, _config(BatchConfig, args))
+    linear = train_batch(emb_train, cfg)
     return _report_and_save(args, standardizer, emb_map, emb_train, test, linear, emb_sec)
 
 
 def cmd_train_sgd(args) -> int:
+    cfg = _config(SgdConfig, args)
     standardizer, emb_map, test, embedded, emb_sec = _prepare(args, embed_test=bool(args.curve))
     rows = []
 
@@ -195,7 +199,7 @@ def cmd_train_sgd(args) -> int:
         rows.append([epoch, *(f"{auc(d.X @ w, d.y).auc:.6f}" for d in embedded), f"{elapsed:.6f}"])
 
     callback = snapshot if args.curve else None
-    linear = train_sgd(embedded[0], _config(SgdConfig, args), epoch_callback=callback)
+    linear = train_sgd(embedded[0], cfg, epoch_callback=callback)
     if args.curve:
         _write_csv(args.curve, ["epoch", "train_auc", "test_auc", "elapsed_seconds"], rows)
     return _report_and_save(args, standardizer, emb_map, embedded[0], test, linear, emb_sec)
@@ -250,31 +254,27 @@ def _stratified_folds(data: Dataset, k: int, seed: int) -> list[np.ndarray]:
 
 
 def cmd_gridsearch(args) -> int:
-    data = _load_grouped(args)
+    if args.solver == "batch":
+        cls, field, train, grid = BatchConfig, "C", train_batch, DEFAULT_C_GRID
+    else:
+        cls, field, train, grid = SgdConfig, "lam", train_sgd, DEFAULT_LAMBDA_GRID
     if args.grid is not None:
         grid = sorted(set(_comma_list("--grid", args.grid, float)))
-    else:
-        grid = DEFAULT_C_GRID if args.solver == "batch" else DEFAULT_LAMBDA_GRID
-    if any(v <= 0 for v in grid):
-        raise ConfigError("grid values must be positive")
+    configs = [_config(cls, args, **{field: value}) for value in grid]
     if args.folds < 2:
         raise ConfigError(f"need at least 2 folds, got {args.folds}")
 
+    data = _load_grouped(args)
     folds = _stratified_folds(data, args.folds, args.seed)
     all_idx = np.arange(data.n)
     rows = []
     for fold_id, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_idx, val_idx)
-        _, _, (emb_train, emb_val) = _fit_embedded(args, data.subset(train_idx), data.subset(val_idx))
-        for value in grid:
-            t0 = time.perf_counter()
-            if args.solver == "batch":
-                linear = train_batch(emb_train, _config(BatchConfig, args, C=value))
-            else:
-                linear = train_sgd(emb_train, _config(SgdConfig, args, lam=value))
-            seconds = time.perf_counter() - t0
+        _, _, (emb_train, emb_val), _ = _fit_embedded(args, data.subset(train_idx), data.subset(val_idx))
+        for value, cfg in zip(grid, configs):
+            linear = train(emb_train, cfg)
             score = auc(emb_val.X @ linear.w, emb_val.y).auc
-            rows.append((value, fold_id, score, seconds))
+            rows.append((value, fold_id, score, linear.diagnostics["seconds"]))
 
     means = {value: np.mean([r[2] for r in rows if r[0] == value]) for value in grid}
     best_auc = max(means.values())
@@ -304,18 +304,18 @@ def cmd_convergence(args) -> int:
     if epochs_grid[0] < 1:
         raise ConfigError("epochs grid must contain positive integers")
     seeds = [args.seed] if args.seeds is None else sorted(set(_comma_list("--seeds", args.seeds, _seed)))
+    configs = [_config(SgdConfig, args, epochs=epochs_grid[-1], seed=seed) for seed in seeds]
 
     _, _, _, (emb_train, emb_test), emb_sec = _prepare(args, embed_test=True)
     rows = []
-    for seed in seeds:
+    for cfg in configs:
         # one run per seed gives both variants: its mean and its last iterate
-        def snapshot(epoch, w, last, elapsed, seed=seed):
+        def snapshot(epoch, w, last, elapsed, seed=cfg.seed):
             if epoch in epochs_grid:
                 for variant, weights in (("averaged", w), ("non-averaged", last)):
                     score = auc(emb_test.X @ weights, emb_test.y).auc
                     rows.append((variant, epoch, seed, score, elapsed))
 
-        cfg = _config(SgdConfig, args, epochs=epochs_grid[-1], seed=seed)
         train_sgd(emb_train, cfg, epoch_callback=snapshot)
 
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -344,9 +344,7 @@ def cmd_kmeans(args) -> int:
 
 def cmd_embed(args) -> int:
     data = _load_grouped(args)
-    t0 = time.perf_counter()
-    _, _, (emb,) = _fit_embedded(args, data)
-    seconds = time.perf_counter() - t0
+    _, _, (emb,), seconds = _fit_embedded(args, data)
     _write_csv(
         args.out,
         ["label"] + [f"f{k}" for k in range(emb.dim)],

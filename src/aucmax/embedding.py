@@ -216,18 +216,18 @@ def _kmeanspp(X: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
     """Distance-weighted seeding; returns v distinct row indices."""
     n = X.shape[0]
     x_norms = row_sq_norms(X)
-
-    def sq_dists_to(i: int) -> np.ndarray:
-        return pairwise_sq_dists(X[i : i + 1], X, x_norms)[0]
-
     chosen = np.empty(v, dtype=np.int64)
     chosen[0] = rng.integers(n)
     picked = np.zeros(n, dtype=bool)
     picked[chosen[0]] = True
-    d2 = sq_dists_to(chosen[0])
+    d2 = pairwise_sq_dists(X[chosen[0]], X, x_norms)
     d2[chosen[0]] = 0.0
     for k in range(1, v):
-        cum = np.cumsum(d2)
+        with np.errstate(over="ignore"):
+            cum = np.cumsum(d2)
+        if not np.isfinite(cum[-1]):
+            # the draw below would land past the last row
+            raise DataError("the rows are too far apart to seed k-means: their squared distances overflow float64")
         if cum[-1] <= 0.0:
             # remaining mass is zero (duplicate points): fall back to uniform
             pool = np.flatnonzero(~picked)
@@ -237,7 +237,7 @@ def _kmeanspp(X: np.ndarray, v: int, rng: np.random.Generator) -> np.ndarray:
             idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         chosen[k] = idx
         picked[idx] = True
-        np.minimum(d2, sq_dists_to(idx), out=d2)
+        np.minimum(d2, pairwise_sq_dists(X[idx], X, x_norms), out=d2)
         d2[idx] = 0.0
     return chosen
 

@@ -50,15 +50,12 @@ class LinearModel:
     something reads it, which scoring never does.
     """
 
-    def __init__(
-        self, w, trained_by: str, hyperparameters: dict, embedding_id: str = "", diagnostics: dict | None = None
-    ):
+    def __init__(self, w, trained_by: str, hyperparameters: dict, diagnostics: dict | None = None):
         self._w = w if callable(w) else _weights(w)
         if trained_by not in ("batch", "sgd"):
             raise DataError(f"unknown solver tag {trained_by!r}")
         self.trained_by = trained_by
         self.hyperparameters = hyperparameters
-        self.embedding_id = embedding_id
         self.diagnostics = diagnostics
 
     @property
@@ -108,8 +105,6 @@ class TrainedPipeline:
                 f"embedding expects dimension {self.embedding.dim}, standardizer has "
                 f"{self.standardizer.dim}"
             )
-        if self.linear.embedding_id and self.linear.embedding_id != embedding_digest(self.embedding):
-            raise DataError("embedding_id does not match the embedding: the weights belong to another one")
         width = self.embedding.rank
         if self.folded is None:
             if self.linear.w.size != width:
@@ -148,12 +143,6 @@ def _positive(text: str) -> float:
     return value
 
 
-def _nonempty(text: str) -> str:
-    if not text:
-        raise ValueError("empty value")
-    return text
-
-
 # the hyperparameters either solver records, with their types
 _HYPERPARAMETERS = {
     "askip": int,
@@ -187,7 +176,7 @@ _SCHEMA = {
     ),
     # the folded weights: one per landmark, or one per random feature
     "linear": (
-        {"trained_by": str, **_HYPERPARAMETERS, "embedding_id": _nonempty},
+        {"trained_by": str, **_HYPERPARAMETERS, "embedding_id": str},
         {"weights": (1, "folded")},
     ),
 }
@@ -393,6 +382,8 @@ def load_model(path: str) -> TrainedPipeline:
         lin = rd.read_section("linear", folded=emb["v"] if "v" in emb else emb["D"])
         folded = lin.pop("weights").ravel()
         trained_by = lin.pop("trained_by")
-        embedding_id = lin.pop("embedding_id")
-        linear = LinearModel(lambda: embedding.unfold(folded), trained_by, dict(lin), embedding_id=embedding_id)
+        if lin.pop("embedding_id") != embedding_digest(embedding):
+            raise ParseError("embedding_id does not match the embedding: the weights belong to another one",
+                             lin.lines["embedding_id"])
+        linear = LinearModel(lambda: embedding.unfold(folded), trained_by, dict(lin))
         return TrainedPipeline(standardizer, embedding, linear, meta=dict(meta), folded=folded)

@@ -7,9 +7,12 @@ import pytest
 
 import aucmax.batch
 from aucmax.batch import BatchConfig, PairAggregates, conjugate_gradient, hvp_fast, train_batch
-from aucmax.dataio import _CHUNK_CELLS, Dataset
+from aucmax.dataio import _CHUNK_CELLS, Dataset, standardize_apply, standardize_fit
+from aucmax.embedding import embed, fit_nystroem, kmeans
 from aucmax.errors import ConfigError, DataError, NumericalError
+from aucmax.kernels import bandwidth_heuristic
 from aucmax.metrics import auc
+from aucmax.synthetic import make_rings
 from oracles import active_pairs, aggregates, brute_grad, brute_hvp, brute_loss
 
 
@@ -63,6 +66,35 @@ def instances_by_active_share(rng, at_most_half, count=60, lattice=False):
 
 
 class TestPairAggregates:
+    @pytest.mark.parametrize("n", [1_000, 100_000])
+    def test_sorts_and_searches_each_row_once(self, n, monkeypatch):
+        # the O(n log n) claim as a count: a construction sorts each class
+        # once and binary-searches each row once, with no n+ x n- work
+        sorted_sizes, needles = [], []
+
+        class CountedNumpy:
+            """numpy, with the sizes given to argsort and searchsorted recorded."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, a, *args, **kwargs):
+                sorted_sizes.append(np.size(a))
+                return np.argsort(a, *args, **kwargs)
+
+            def searchsorted(self, a, v, *args, **kwargs):
+                needles.append(np.size(v))
+                return np.searchsorted(a, v, *args, **kwargs)
+
+        rng = np.random.default_rng(8)
+        positive = rng.random(n) < 0.3
+        pos_idx, neg_idx = np.flatnonzero(positive), np.flatnonzero(~positive)
+        monkeypatch.setattr(aucmax.batch, "np", CountedNumpy())
+        agg = PairAggregates(rng.standard_normal(n), pos_idx, neg_idx)
+        assert 0 < agg.active_pairs < pos_idx.size * neg_idx.size
+        assert sorted_sizes == [pos_idx.size, neg_idx.size]
+        assert needles == [pos_idx.size, neg_idx.size]
+
     def test_counts_match_enumeration(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -451,6 +483,18 @@ class TestTrainBatch:
         model = train_batch(data, BatchConfig(C=1.0))
         assert model.diagnostics["converged"]
         assert model.diagnostics["grad_norms"][-1] <= model.hyperparameters["grad_tol"]
+
+    def test_stop_at_float_resolution_records_the_bound_it_meets(self):
+        # a grad_tol below float resolution: the line search fails at a
+        # gradient norm within sqrt(eps) of zero, which the solver accepts as
+        # converged, and the model records that norm, not the unmet 1e-12
+        raw = make_rings(n=300, seed=3)
+        rows = standardize_apply(standardize_fit(raw), raw)
+        emb_map = fit_nystroem(kmeans(rows, v=20, seed=0), bandwidth_heuristic(rows))
+        model = train_batch(embed(emb_map, rows), BatchConfig(C=1.0, grad_tol=1e-12))
+        diag, tol = model.diagnostics, model.hyperparameters["grad_tol"]
+        assert diag["converged"] and diag["outer_iterations"] < 100
+        assert 1e-12 < diag["grad_norms"][-1] <= tol
 
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigError):

@@ -561,6 +561,16 @@ class TestExitCodes:
         assert err.startswith("error: the schedule leaves int64") and err.count("\n") == 1
         assert not model.exists()
 
+    def test_overflowing_seeding_distances_exit_three(self, capsys, tmp_path):
+        # kmeans clusters raw rows, unstandardized: this one's squared distances overflow float64
+        path = tmp_path / "rings101.libsvm"
+        path.write_text(to_libsvm(make_rings(n=100, seed=3)) + "1 1:1e160 2:0\n")
+        out = tmp_path / "c.txt"
+        code, _, err = run(capsys, ["kmeans", "--data", str(path), "--landmarks", "5", "--out", str(out)])
+        assert code == 3
+        assert err.startswith("error: the rows are too far apart to seed k-means") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["1e200", "1e160"])
     def test_overflowing_feature_exits_three(self, capsys, tmp_path, value):
         # the feature's variance overflows float64, which the constant test
@@ -776,6 +786,43 @@ def test_negative_seed_is_a_usage_error(capsys, tmp_path, rings_file, argv):
     code, err = exit_code(capsys, [command, "--data", rings_file, "--landmarks", "4", *rest])
     assert code == 2
     assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+# each solver flag, at a value its config refuses, under every command that
+# applies it; each grid value the configs refuse; --folds; --epochs-grid
+_COMMANDS = {"train-batch": ["train-batch", "--model", "OUT"], "train-sgd": ["train-sgd", "--model", "OUT"],
+             "gridsearch-sgd": ["gridsearch", "--solver", "sgd"], "convergence": ["convergence", "--report", "OUT"]}
+_USAGE_ERRORS = {
+    **{f"{command}:{flag}={value}": [*_COMMANDS[command], flag, value]
+       for flag, value, commands in [
+           ("--c", "-1", ["train-batch"]),
+           ("--grad-tol", "0", ["train-batch"]),
+           ("--max-outer", "0", ["train-batch"]),
+           ("--lambda", "-1", ["train-sgd", "convergence"]),
+           ("--t0", "-1", ["train-sgd", "gridsearch-sgd", "convergence"]),
+           ("--epochs", "0", ["train-sgd", "gridsearch-sgd"]),
+           ("--rskip", "0", ["train-sgd", "gridsearch-sgd", "convergence"]),
+           ("--askip", "0", ["train-sgd", "gridsearch-sgd", "convergence"]),
+       ]
+       for command in commands},
+    **{f"gridsearch-{solver}:--grid={value}": ["gridsearch", "--solver", solver, "--grid", value]
+       for solver in ("batch", "sgd") for value in ("0", "-1", "inf", "nan")},
+    "gridsearch:--folds=1": ["gridsearch", "--solver", "batch", "--folds", "1"],
+    "convergence:--epochs-grid=0,1": ["convergence", "--report", "OUT", "--epochs-grid", "0,1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_USAGE_ERRORS))
+def test_usage_error_comes_before_any_input(capsys, monkeypatch, tmp_path, rings_file, case):
+    def refuse(path):
+        pytest.fail(f"{path} was opened before the usage error was found")
+
+    monkeypatch.setattr(aucmax.cli, "open_text", refuse)
+    command, *rest = [str(tmp_path / "out") if a == "OUT" else a for a in _USAGE_ERRORS[case]]
+    code, _, err = run(capsys, [command, "--data", rings_file, *rest])
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 
@@ -1081,13 +1128,14 @@ class TestCorruptModel:
         assert err == f"error: {path}: line 1: model format 1 is no longer read: train the model again\n"
 
     def test_error_names_the_model_file(self, capsys, tmp_path, rings_file, model_text):
-        # an error found while building the pipeline, after parsing, names the model too
+        # a foreign embedding_id, found once the embedding is read, names the model and its line
         path = tmp_path / "foreign.model"
         path.write_text(re.sub(r"^embedding_id \S+$", "embedding_id deadbeef", model_text, flags=re.M))
+        line = next(no for no, text in enumerate(model_text.splitlines(), 1) if text.startswith("embedding_id "))
         code, _, err = run(capsys, ["predict", "--model", str(path), "--data", rings_file,
                                     "--scores", str(tmp_path / "s.txt")])
         assert code == 3
-        assert err.startswith(f"error: {path}: embedding_id") and rings_file not in err
+        assert err.startswith(f"error: {path}: line {line}: embedding_id") and rings_file not in err
 
     def test_error_names_the_file_line_past_blank_lines(self, capsys, tmp_path, rings_file, model_text):
         lines = model_text.splitlines()

@@ -115,6 +115,18 @@ class TestKmeans:
         chosen = _kmeanspp(X, 2, EdgeRng())
         assert chosen[0] != chosen[1]
 
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 1.0]] * 5 + [[1e160, 0.0]],
+        [[4e153, 0.0], [-4e153, 0.0]] * 10 + [[0.0, 1.0]] * 5,
+    ], ids=["far-row", "many-large-rows"])
+    def test_overflowing_seeding_distances_are_a_data_error(self, rows):
+        # the seeding's running sum of squared distances reaches inf, from
+        # one row's distance or from many finite ones: the draw would land
+        # past the last row
+        X = np.array(rows)
+        with pytest.raises(DataError, match="overflow"):
+            kmeans(Dataset(X, _labels(X.shape[0], np.random.default_rng(0))), v=3, seed=0)
+
     def test_diagnostics(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((200, 3))
@@ -168,6 +180,12 @@ def _integer_rows(seed, n, d, v):
     rng = np.random.default_rng(seed)
     X = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
     return X, X[rng.choice(n, v, replace=False)]
+
+
+def _box_rows(seed, n, d, v):
+    """Normal rows, and v centroids drawn uniformly from a box, not from the rows."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d)), rng.uniform(-2.0, 2.0, (v, d))
 
 
 def _rings_rows(n, v):
@@ -225,6 +243,8 @@ class TestLloydExact:
         "late-tie": lambda: _integer_rows(5, 35, 2, 4),
         # duplicates that leave a cluster empty after the first iteration
         "late-empty": lambda: _integer_rows(5, 20, 1, 5),
+        # a cluster left empty by a partial assignment, in the second iteration
+        "partial-empty": lambda: _box_rows(10, 15, 2, 7),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -240,6 +260,9 @@ class TestLloydExact:
         if case in ("late-tie", "late-empty"):
             # the near tie or the re-seeding took a full assignment after the first
             assert max(rows[1:]) >= X.shape[0]
+        if case == "partial-empty":
+            # the re-seed reads every row's distances after the partial assignment computed some
+            assert max(rows[1:]) > X.shape[0]
 
     def test_mirrored_tie_goes_to_lowest_index(self):
         X, init = _mirrored_grid()

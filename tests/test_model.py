@@ -186,7 +186,8 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.folded, pipe.folded)
         # w is unfolded from the stored folded weights, exact up to rounding
         np.testing.assert_allclose(loaded.linear.w, pipe.linear.w, rtol=1e-12, atol=1e-12 * np.abs(pipe.linear.w).max())
-        assert loaded.linear.embedding_id == embedding_digest(pipe.embedding)
+        with open(path) as fh:
+            assert f"\nembedding_id {embedding_digest(pipe.embedding)}\n" in fh.read()
         assert loaded.linear.trained_by == "batch"
 
     def test_roundtrip_rff(self, tmp_path):
@@ -317,13 +318,20 @@ class TestModelFile:
         v, d = pipe.embedding.landmarks.v, pipe.dim
         assert path.stat().st_size < 26 * (v * d + v + 2 * d) + 2048
 
-    def test_digest_binds_embedding(self):
+    def test_digest_binds_embedding(self, tmp_path):
         _, pipe_a = fit_pipeline(seed=0)
         _, pipe_b = fit_pipeline(seed=1)
-        assert embedding_digest(pipe_a.embedding) != embedding_digest(pipe_b.embedding)
-        pipe_a.linear.embedding_id = embedding_digest(pipe_b.embedding)
-        with pytest.raises(DataError, match="embedding_id"):
-            TrainedPipeline(pipe_a.standardizer, pipe_a.embedding, pipe_a.linear)
+        digest_a, digest_b = embedding_digest(pipe_a.embedding), embedding_digest(pipe_b.embedding)
+        assert digest_a != digest_b
+        path = tmp_path / "model.txt"
+        save_model(str(path), pipe_a)
+        lines = path.read_text().splitlines()
+        at = lines.index(f"embedding_id {digest_a}")
+        lines[at] = f"embedding_id {digest_b}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"line {at + 1}: embedding_id does not match") as exc:
+            load_model(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
