@@ -66,7 +66,9 @@ _FLAGS = {
     "--embedding": dict(
         choices=("nystroem", "rff"), default="nystroem", help="feature construction (default nystroem)"
     ),
-    "--landmarks": dict(type=int, default=1600, help="landmark count v (default 1600)"),
+    "--landmarks": dict(
+        type=int, default=1600, help="landmark cap v, or the rff feature count (default %(default)s)"
+    ),
     "--model": dict(required=True, help="model file, written by training and read by predict"),
     "--c": dict(dest="C", type=float, default=BatchConfig.C, help="pair-loss weight C (default %(default)s)"),
     "--grad-tol": dict(type=float, default=BatchConfig.grad_tol, help="gradient-norm stop (default relative)"),
@@ -128,7 +130,7 @@ def _fit_embedded(args, train: Dataset, *held_out: Dataset):
     if args.embedding == "rff":
         emb_map = fit_rff(train.dim, args.landmarks, kernel, seed=args.seed)
     else:
-        lm = kmeans(standardized[0], v=args.landmarks, seed=args.seed)
+        lm = kmeans(standardized[0], v=args.landmarks, seed=args.seed, kernel=kernel)
         emb_map = fit_nystroem(lm, kernel, seed=args.seed)
     embedded = [embed(emb_map, d) for d in standardized]
     return standardizer, emb_map, embedded, time.perf_counter() - t0
@@ -148,9 +150,11 @@ def _prepare(args, embed_test: bool = False):
 
 
 def _config(cls, args, **fields):
-    """A BatchConfig or SgdConfig from the flags the subcommand takes; fields set the rest.
-    Commands build theirs before they open --data: a bad setting is refused before any input is read."""
-    taken = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
+    """A BatchConfig or SgdConfig from the flags the subcommand takes, but for those left None;
+    fields set the rest. Commands build theirs before they open --data: a bad setting is
+    refused before any input is read."""
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    taken = {name: value for name, value in given.items() if value is not None}
     return cls(**{**taken, **fields})
 
 
@@ -159,6 +163,12 @@ def _write_csv(path: str, header: list, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _print_rank(args, emb_map):
+    print(f"rank={emb_map.rank}")
+    if args.embedding == "nystroem":  # random features prune nothing
+        print(f"pruned_landmarks={emb_map.diagnostics['pruned_landmarks']}")
 
 
 def _report_and_save(args, standardizer, emb_map, emb_train, test, linear, embedding_seconds):
@@ -174,7 +184,7 @@ def _report_and_save(args, standardizer, emb_map, emb_train, test, linear, embed
     print(f"train_auc={train_auc:.6f}")
     print(f"test_auc={test_auc:.6f}")
     print(f"embedding_seconds={embedding_seconds:.3f}")
-    print(f"rank={emb_map.rank}")
+    _print_rank(args, emb_map)
     print(f"training_seconds={linear.diagnostics['seconds']:.3f}")
     if "converged" in linear.diagnostics:  # the batch solver's; SGD has no stopping test
         print(f"converged={int(linear.diagnostics['converged'])}")
@@ -256,6 +266,9 @@ def _stratified_folds(data: Dataset, k: int, seed: int) -> list[np.ndarray]:
 def cmd_gridsearch(args) -> int:
     if args.solver == "batch":
         cls, field, train, grid = BatchConfig, "C", train_batch, DEFAULT_C_GRID
+        for flag in _SGD[1:]:
+            if getattr(args, flag[2:]) is not None:
+                raise ConfigError(f"{flag} applies to --solver sgd only")
     else:
         cls, field, train, grid = SgdConfig, "lam", train_sgd, DEFAULT_LAMBDA_GRID
     if args.grid is not None:
@@ -344,13 +357,13 @@ def cmd_kmeans(args) -> int:
 
 def cmd_embed(args) -> int:
     data = _load_grouped(args)
-    _, _, (emb,), seconds = _fit_embedded(args, data)
+    _, emb_map, (emb,), seconds = _fit_embedded(args, data)
     _write_csv(
         args.out,
         ["label"] + [f"f{k}" for k in range(emb.dim)],
         ([int(label)] + [format_float(v) for v in row] for label, row in zip(emb.y, emb.X)),
     )
-    print(f"rank={emb.dim}")
+    _print_rank(args, emb_map)
     print(f"embedding_seconds={seconds:.3f}")
     return 0
 
@@ -394,9 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="count ties as losses")
 
     p = command(
-        "gridsearch", cmd_gridsearch, "stratified cross-validation over C or lambda",
-        *_DATA, *_EMBEDDING, "--t0", "--epochs", "--rskip", "--askip",
+        "gridsearch", cmd_gridsearch, "stratified cross-validation over C or lambda", *_DATA, *_EMBEDDING,
     )
+    for flag in _SGD[1:]:
+        # unset unless given, so that --solver batch can refuse a given one
+        spec = _FLAGS[flag]
+        p.add_argument(flag, **{**spec, "default": None, "help": "--solver sgd: " + spec["help"] % spec})
     p.add_argument("--solver", choices=("batch", "sgd"), required=True)
     p.add_argument("--grid", default=None, help="comma-separated values (defaults per solver)")
     p.add_argument("--folds", type=int, default=3)

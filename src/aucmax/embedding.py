@@ -1,11 +1,12 @@
 """Finite-dimensional feature construction.
 
-k-means landmarks, the Nystroem map whitened by the inverse Cholesky factor
-of its landmark kernel matrix (on a rank-deficient matrix, of the
-landmarks that a diagonally pivoted Cholesky keeps), and a
-random-Fourier-feature map as the baseline embedding. embed returns a plain
-Dataset of dense n x rank rows. Both maps embed and score rows in chunks by
-dataio's chunk rule, through one route, _chunked.
+k-means landmarks (given a kernel, from only the seeds a pivoted Cholesky
+keeps when their kernel matrix does not factor), the Nystroem map whitened
+by the inverse Cholesky factor of its landmark kernel matrix (on a
+rank-deficient matrix, of the landmarks that a diagonally pivoted Cholesky
+keeps), and a random-Fourier-feature map as the baseline embedding. embed
+returns a plain Dataset of dense n x rank rows. Both maps embed and score
+rows in chunks by dataio's chunk rule, through one route, _chunked.
 """
 
 from __future__ import annotations
@@ -28,14 +29,18 @@ _INV_BASE = 64
 # _pivots updates the residual of the landmark kernel once per this many pivots
 _PIVOT_BLOCK = 128
 
+# _factors computes the Cholesky factor in panels of at most this many rows
+_PANEL = 128
+
 
 @dataclass
 class LandmarkSet:
     """v landmark points, one per row.
 
-    diagnostics, filled by kmeans, holds lloyd_iterations, the final
-    inertia and distance_rows: per Lloyd iteration, the rows whose
-    distances to every centroid were computed.
+    diagnostics, filled by kmeans, holds seeds, the count of centroids
+    Lloyd started from, pruned_seeds, the k-means++ seeds cut before it,
+    lloyd_iterations, the final inertia and distance_rows: per Lloyd
+    iteration, the rows whose distances to every centroid were computed.
     """
 
     centroids: np.ndarray
@@ -67,7 +72,8 @@ class NystroemMap:
     landmark count v. A map built from landmarks alone (a loaded model's)
     computes projection on first access, by the same function as
     fit_nystroem: on one machine, the same bits. diagnostics, filled by
-    fit_nystroem, holds retained_rank, pruned_landmarks and dropped_mass.
+    fit_nystroem, holds retained_rank, pruned_landmarks (the seeds kmeans
+    cut and the centroids fit_nystroem dropped) and dropped_mass.
     """
 
     landmarks: LandmarkSet
@@ -358,11 +364,19 @@ def _lloyd(
     return centroids, history
 
 
-def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> LandmarkSet:
+def kmeans(
+    data: Dataset, v: int, max_iter: int = 100, seed: int = 0, kernel: GaussianKernelParams | None = None
+) -> LandmarkSet:
     """Landmark selection: distance-weighted seeding plus Lloyd refinement.
 
     Deterministic for a given seed. Empty clusters are re-seeded from the
-    point farthest from its assigned centroid.
+    point farthest from its assigned centroid. Without a kernel it returns
+    v centroids. With one, v is a cap: when a plain Cholesky of the seeds'
+    kernel matrix W fails, Lloyd starts from only the pivots that _pivots
+    takes from W, in k-means order, since centroids the kernel cannot tell
+    apart add nothing to the Nystroem map (Zhang, Tsang & Kwok, ICML 2008)
+    and fit_nystroem would drop them. The check holds W's lower triangle in
+    panels, not W, and the random stream is the same either way.
     """
     if v < 1:
         raise ConfigError(f"landmark count must be >= 1, got {v}")
@@ -371,12 +385,49 @@ def kmeans(data: Dataset, v: int, max_iter: int = 100, seed: int = 0) -> Landmar
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     idx = _kmeanspp(data.X, v, np.random.default_rng(seed))
+    if kernel is not None:
+        seeds = LandmarkSet(data.X[idx])
+        if not _factors(seeds, kernel):
+            idx = idx[np.sort(_pivots(_landmark_kernel(seeds, kernel))[0])]
     distance_rows: list[int] = []
     centroids, history = _lloyd(
         data.X, data.X[idx], max_iter, lambda _, rows: distance_rows.append(rows)
     )
-    diagnostics = {"lloyd_iterations": len(history), "inertia": history[-1], "distance_rows": distance_rows}
+    diagnostics = {
+        "seeds": idx.size, "pruned_seeds": v - idx.size,
+        "lloyd_iterations": len(history), "inertia": history[-1], "distance_rows": distance_rows,
+    }
     return LandmarkSet(centroids, diagnostics)
+
+
+def _factors(landmarks: LandmarkSet, kernel: GaussianKernelParams) -> bool:
+    """Whether a plain Cholesky W = L L^T of the landmark kernel matrix succeeds.
+
+    Left-looking, over panels of at most _PANEL rows: the block
+    kernel_matrix(U[a:e], U[:e]) of panel a:e becomes rows a:e of L, from
+    the panels before it and the inverses of their diagonal blocks. So it
+    holds L's lower triangle and one block, never W, and stops at the first
+    panel that fails. A full W at v = 1600, built and freed, raised glibc's
+    mmap threshold, so the W and L of fit_nystroem then stayed on the heap:
+    train-batch on spambase-shaped rows peaked at 156 MB RSS, against 126.
+    """
+    U = landmarks.centroids
+    u_norms = row_sq_norms(U)
+    panels = []  # rows of L, one panel each, with the inverse of its diagonal block
+    for a in range(0, U.shape[0], _PANEL):
+        e = min(a + _PANEL, U.shape[0])
+        B = kernel_matrix(U[a:e], U[:e], kernel, u_norms[:e])
+        for L, inv in panels:
+            b, f = L.shape[1] - L.shape[0], L.shape[1]
+            B[:, b:f] -= B[:, :b] @ L[:, :b].T
+            B[:, b:f] = B[:, b:f] @ inv.T
+        try:
+            D = np.linalg.cholesky(B[:, a:e] - B[:, :a] @ B[:, :a].T)
+        except np.linalg.LinAlgError:
+            return False
+        B[:, a:e] = D
+        panels.append((B, _tril_inv(D)))
+    return True
 
 
 def _landmark_kernel(landmarks: LandmarkSet, kernel: GaussianKernelParams) -> np.ndarray:
@@ -470,7 +521,9 @@ def fit_nystroem(landmarks: LandmarkSet, kernel: GaussianKernelParams, seed: int
     kernel matrix W is certified; otherwise of the first k pivots of W, in
     k-means order, for the largest certified k. k = 1 is certified unless W
     is not finite. So a pruned map is just a smaller landmark set; its
-    dropped_mass is the residual trace, the part of trace(W) it leaves out."""
+    dropped_mass is the residual trace, the part of trace(W) it leaves out.
+    It certifies or prunes the landmarks as given, those of a kmeans that
+    already cut its seeds included; pruned_landmarks counts those seeds too."""
     v = landmarks.v
     P = _certified_inverse(_landmark_kernel(landmarks, kernel))
     dropped_mass = 0.0
@@ -485,7 +538,8 @@ def fit_nystroem(landmarks: LandmarkSet, kernel: GaussianKernelParams, seed: int
         else:
             raise NumericalError("the landmark kernel matrix is not finite")
         landmarks, dropped_mass = kept, mass[k]
-    diagnostics = {"retained_rank": landmarks.v, "pruned_landmarks": v - landmarks.v, "dropped_mass": dropped_mass}
+    pruned = v - landmarks.v + (landmarks.diagnostics or {}).get("pruned_seeds", 0)
+    diagnostics = {"retained_rank": landmarks.v, "pruned_landmarks": pruned, "dropped_mass": dropped_mass}
     m = NystroemMap(landmarks, kernel, seed=seed, diagnostics=diagnostics)
     m.projection = P  # fills the cache that a loaded map computes on first access
     return m

@@ -137,8 +137,8 @@ class TestTrainPredictEval:
         code, out, _ = run(capsys, argv)
         assert code == 0
         keys = [line.partition("=")[0] for line in out.splitlines()]
-        assert keys == ["train_auc", "test_auc", "embedding_seconds", "rank", "training_seconds",
-                        "converged", "model"]
+        assert keys == ["train_auc", "test_auc", "embedding_seconds", "rank", "pruned_landmarks",
+                        "training_seconds", "converged", "model"]
         assert parse_kv(out)["converged"] == "1"
         code, out, _ = run(capsys, [*argv, "--max-outer", "1"])
         assert code == 0
@@ -155,6 +155,27 @@ class TestTrainPredictEval:
                                     "--epochs", "1", "--model", str(tmp_path / "m")])
         assert code == 0
         assert "converged" not in parse_kv(out)
+
+    @pytest.mark.parametrize("command", ["train-batch", "train-sgd", "embed"])
+    def test_pruned_landmarks_line(self, capsys, tmp_path, command):
+        # 200 landmarks on 480 ring rows: the kernel tells far fewer apart, so
+        # --landmarks is a cap, and the seeds and centroids cut add up to it
+        data = tmp_path / "rings.libsvm"
+        data.write_text(to_libsvm(make_rings(n=600, seed=3)))
+        out = ["--out", str(tmp_path / "f.csv")] if command == "embed" else ["--model", str(tmp_path / "m")]
+        argv = [command, "--data", str(data), "--landmarks", "200", *out]
+        if command == "train-sgd":
+            argv += ["--epochs", "1"]
+        code, stdout, _ = run(capsys, argv)
+        assert code == 0
+        keys = [line.partition("=")[0] for line in stdout.splitlines()]
+        assert keys[keys.index("rank") + 1] == "pruned_landmarks"
+        kv = parse_kv(stdout)
+        assert int(kv["rank"]) + int(kv["pruned_landmarks"]) == 200
+        assert int(kv["rank"]) < 100
+        code, stdout, _ = run(capsys, [*argv, "--embedding", "rff"])
+        assert code == 0
+        assert parse_kv(stdout)["rank"] == "200" and "pruned_landmarks" not in parse_kv(stdout)
 
     def test_rff_embedding_path(self, capsys, tmp_path, rings_file):
         model = str(tmp_path / "m.model")
@@ -808,6 +829,9 @@ _USAGE_ERRORS = {
        for command in commands},
     **{f"gridsearch-{solver}:--grid={value}": ["gridsearch", "--solver", solver, "--grid", value]
        for solver in ("batch", "sgd") for value in ("0", "-1", "inf", "nan")},
+    # an SGD flag given to a batch search, even at its default value
+    **{f"gridsearch-batch:{flag}={value}": ["gridsearch", "--solver", "batch", flag, value]
+       for flag, value in [("--t0", "10000"), ("--epochs", "20"), ("--rskip", "16"), ("--askip", "16")]},
     "gridsearch:--folds=1": ["gridsearch", "--solver", "batch", "--folds", "1"],
     "convergence:--epochs-grid=0,1": ["convergence", "--report", "OUT", "--epochs-grid", "0,1"],
 }
@@ -906,7 +930,8 @@ class TestFlagsReachSolvers:
 
     @pytest.mark.parametrize("command", ["train-batch", "kmeans"], ids=["train-batch-default", "kmeans-default"])
     def test_kmeans_iters(self, capsys, monkeypatch, tmp_path, rings_file, command):
-        # no cap is passed, so Lloyd runs to kmeans's own default
+        # no cap is passed, so Lloyd runs to kmeans's own default; a training
+        # command also passes the kernel, which cuts the seeds it cannot tell apart
         calls = []
         fit = aucmax.cli.kmeans
 
@@ -917,7 +942,8 @@ class TestFlagsReachSolvers:
         monkeypatch.setattr(aucmax.cli, "kmeans", record)
         out = ["--model", str(tmp_path / "m.model")] if command == "train-batch" else ["--out", str(tmp_path / "c")]
         assert run(capsys, [command, "--data", rings_file, "--landmarks", "16", "--seed", "2", *out])[0] == 0
-        assert calls == [{"v": 16, "seed": 2}]
+        kernel = {"kernel": load_model(out[1]).embedding.kernel} if command == "train-batch" else {}
+        assert calls == [{"v": 16, "seed": 2, **kernel}]
 
 
 # option -> (default, required) for every subcommand; argparse's -h is left out
@@ -972,10 +998,10 @@ OPTIONS = {
         "--grid": (None, False),
         "--folds": (3, False),
         "--report": (None, False),
-        "--t0": (10000, False),
-        "--epochs": (20, False),
-        "--rskip": (16, False),
-        "--askip": (16, False),
+        "--t0": (None, False),
+        "--epochs": (None, False),
+        "--rskip": (None, False),
+        "--askip": (None, False),
     },
     "convergence": {
         "--data": (None, True),

@@ -14,10 +14,13 @@ from aucmax.dataio import Dataset, SparseVector, Standardizer, _row_chunks
 from aucmax.embedding import (
     LandmarkSet,
     NystroemMap,
+    _PANEL,
     _assign,
+    _factors,
     _kmeanspp,
     _landmark_kernel,
     _lloyd,
+    _pivots,
     embed,
     embed_point,
     fit_nystroem,
@@ -25,7 +28,7 @@ from aucmax.embedding import (
     kmeans,
 )
 from aucmax.errors import ConfigError, DataError
-from aucmax.kernels import GaussianKernelParams, kernel_matrix, pairwise_sq_dists, row_sq_norms
+from aucmax.kernels import GaussianKernelParams, bandwidth_heuristic, kernel_matrix, pairwise_sq_dists, row_sq_norms
 from aucmax.model import LinearModel, TrainedPipeline, load_model, save_model
 from aucmax.synthetic import make_rings
 
@@ -314,6 +317,88 @@ class TestLloydExact:
         assert len(diag["distance_rows"]) == diag["lloyd_iterations"]
         assert diag["distance_rows"][0] == ds.n
         assert sum(diag["distance_rows"]) < 0.4 * ds.n * diag["lloyd_iterations"]
+
+
+def _near_copies(offset):
+    """300 landmarks whose rows 200 to 209 lie offset from rows 0 to 9: a
+    panel after the first meets the copies."""
+    rng = np.random.default_rng(46)
+    U = rng.standard_normal((300, 6))
+    U[200:210] = U[:10] + offset * rng.standard_normal((10, 6))
+    return U, GaussianKernelParams(1.0)
+
+
+def _rings_seeds(v):
+    ds = make_rings(3000, seed=3)
+    return ds.X[_kmeanspp(ds.X, v, np.random.default_rng(0))], bandwidth_heuristic(ds)
+
+
+def _repeated_rows():
+    """Six distinct rows, each repeated ten times: ten seeds repeat some of them."""
+    rng = np.random.default_rng(47)
+    X = np.repeat(3.0 * rng.standard_normal((6, 2)), 10, axis=0)
+    return Dataset(X, np.where(np.arange(60) % 2 == 0, 1, -1)), GaussianKernelParams(1.0)
+
+
+class TestSeedCheck:
+    """Given a kernel, kmeans starts Lloyd from only the seeds a pivoted
+    Cholesky keeps, when a plain Cholesky of their kernel matrix fails."""
+
+    FACTORS = {
+        "certified": lambda: _near_copies(1e-3),
+        "near-copies-1e-7": lambda: _near_copies(1e-7),
+        "near-copies-1e-9": lambda: _near_copies(1e-9),
+        "rings": lambda: _rings_seeds(200),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FACTORS))
+    def test_panels_agree_with_one_cholesky(self, case):
+        U, kernel = self.FACTORS[case]()
+        try:
+            np.linalg.cholesky(kernel_matrix(U, U, kernel))
+            factors = True
+        except np.linalg.LinAlgError:
+            factors = False
+        assert _factors(LandmarkSet(U), kernel) == factors
+        assert factors == (case in ("certified", "near-copies-1e-7"))
+
+    def test_certified_seeds_change_nothing(self):
+        rng = np.random.default_rng(48)
+        ds = Dataset(rng.standard_normal((500, 4)), _labels(500, rng))
+        plain = kmeans(ds, v=40, seed=3)
+        checked = kmeans(ds, v=40, seed=3, kernel=GaussianKernelParams(1.0))
+        assert checked.centroids.tobytes() == plain.centroids.tobytes()
+        assert checked.diagnostics == plain.diagnostics
+        assert checked.diagnostics["seeds"] == 40 and checked.diagnostics["pruned_seeds"] == 0
+
+    @pytest.mark.parametrize("case", ["rings", "repeated-rows"])
+    def test_lloyd_starts_from_the_pivots(self, case, monkeypatch):
+        if case == "rings":
+            ds = make_rings(3000, seed=3)
+            v, kernel = 200, bandwidth_heuristic(ds)
+        else:
+            (ds, kernel), v = _repeated_rows(), 10
+        idx = _kmeanspp(ds.X, v, np.random.default_rng(0))
+        order, _ = _pivots(_landmark_kernel(LandmarkSet(ds.X[idx]), kernel))
+        want = ds.X[idx[np.sort(order)]]
+        widths = []
+        assign = embedding._assign
+        monkeypatch.setattr(embedding, "_assign", lambda A, C, *args: widths.append(C.copy()) or assign(A, C, *args))
+        lm = kmeans(ds, v=v, seed=0, kernel=kernel)
+        # the first iteration's distance rows are as wide as the pivots kept, in k-means order
+        assert widths[0].tobytes() == want.tobytes()
+        assert lm.v == lm.diagnostics["seeds"] == len(order) < v
+        assert lm.diagnostics["pruned_seeds"] == v - len(order)
+        m = fit_nystroem(lm, kernel)
+        assert m.diagnostics["pruned_landmarks"] == v - m.rank
+
+    def test_pruned_route_is_deterministic(self):
+        ds = make_rings(3000, seed=3)
+        kernel = bandwidth_heuristic(ds)
+        a, b = (kmeans(ds, v=200, seed=5, kernel=kernel) for _ in range(2))
+        assert a.diagnostics["seeds"] < 200
+        assert a.centroids.tobytes() == b.centroids.tobytes()
+        assert a.diagnostics == b.diagnostics
 
 
 class TestFitNystroem:
@@ -661,6 +746,18 @@ class TestWorkingSet:
         out, peak = traced_peak(lambda: kmeans(data, 256, max_iter=5, seed=0))
         assert out.diagnostics["lloyd_iterations"] > 1
         assert peak <= out.centroids.nbytes + self.SCRATCH
+
+    def test_kmeans_seed_check(self):
+        # 2048 certified seeds, whose one 2048 x 2048 W would be 16 chunks:
+        # the check holds the lower triangle of L in panels, about half that
+        rng = np.random.default_rng(49)
+        v = 2048
+        data = Dataset(rng.standard_normal((4096, 16)), np.ones(4096, dtype=np.int64))
+        out, peak = traced_peak(lambda: kmeans(data, v, max_iter=1, seed=0, kernel=GaussianKernelParams(4.0)))
+        assert out.diagnostics["seeds"] == v
+        panels = sum(min(_PANEL, v - a) * min(a + _PANEL, v) for a in range(0, v, _PANEL)) * 8
+        assert v * v * 8 >= 8 * self.CHUNK_BYTES and panels + self.SCRATCH < v * v * 8
+        assert peak <= out.centroids.nbytes + panels + self.SCRATCH
 
     def test_fit_nystroem(self):
         # 2048 well-separated landmarks: W is near the identity, so the Cholesky route runs
